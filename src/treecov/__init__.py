@@ -14,21 +14,18 @@ __version__ = "0.1.0"
 from .gaussian import (
     CovMatrix,
     DegenerateCorrelationError,
-    GaussianModel,
     NotPositiveDefiniteError,
     NumericalError,
-    correlation,
     kl_gaussian,
     kl_tree_simplified,
-    pairwise_mutual_information,
+    mutual_information_matrix,
 )
 from .tree import (
     SpanningTree,
     TreeApproxResult,
-    brute_force_optimal_tree,
     chow_liu,
-    edge_set_equal,
     prufer_decode,
+    tree_completion,
     tree_covariance,
 )
 from .linear import (
@@ -36,7 +33,6 @@ from .linear import (
     ObservationSet,
     empirical_gaussian,
     observation_cov,
-    observation_kl,
     read_matrix_csv,
     sample_observations,
     write_matrix_csv,
@@ -69,55 +65,3 @@ from .experiment import (
     parse_config_file,
     run_sweep,
 )
-
-__all__ = [
-    "__version__",
-    "CovMatrix",
-    "GaussianModel",
-    "NotPositiveDefiniteError",
-    "DegenerateCorrelationError",
-    "NumericalError",
-    "kl_gaussian",
-    "kl_tree_simplified",
-    "correlation",
-    "pairwise_mutual_information",
-    "SpanningTree",
-    "TreeApproxResult",
-    "chow_liu",
-    "tree_covariance",
-    "brute_force_optimal_tree",
-    "edge_set_equal",
-    "prufer_decode",
-    "LinearModel",
-    "ObservationSet",
-    "sample_observations",
-    "observation_cov",
-    "empirical_gaussian",
-    "observation_kl",
-    "read_matrix_csv",
-    "write_matrix_csv",
-    "PosteriorGaussian",
-    "EmConfig",
-    "EmIteration",
-    "EmTrace",
-    "EmMonotonicityWarning",
-    "StopReason",
-    "posterior",
-    "compute_omega",
-    "em_step",
-    "run_em",
-    "ConfigError",
-    "ExperimentConfig",
-    "TrialRecord",
-    "TrialFailure",
-    "MAggregate",
-    "SweepResult",
-    "derive_seed",
-    "generate_ground_truth",
-    "generate_prior",
-    "generate_mixing",
-    "parse_config_file",
-    "config_from_mapping",
-    "run_sweep",
-    "emit_results",
-]

@@ -12,14 +12,14 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .gaussian import CovMatrix, GaussianModel, NumericalError, kl_gaussian
+from .gaussian import CovMatrix, NumericalError, kl_gaussian
 from .linear import LinearModel, ObservationSet, empirical_gaussian, observation_cov
-from .tree import SpanningTree, chow_liu
+from .tree import SpanningTree, TreeApproxResult, chow_liu
 
 MONOTONICITY_SLACK = 1e-6
 POSTERIOR_ORDER_TOL = 1e-9
@@ -53,17 +53,23 @@ class PosteriorGaussian:
 
 @dataclass(frozen=True, eq=False)
 class EmConfig:
-    """Iteration parameters: prior covariance, stopping threshold, cap."""
+    """Iteration parameters: prior covariance, stopping threshold, cap.
+
+    ``prior_fit`` is derived, not settable: the best tree fit of ``sigma0``,
+    computed once here and shared by every run of the config.
+    """
 
     sigma0: CovMatrix
     epsilon: float = 0.01
     l_max: int = 20
+    prior_fit: TreeApproxResult = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.l_max < 1:
             raise ValueError(f"l_max must be at least 1, got {self.l_max}")
+        object.__setattr__(self, "prior_fit", chow_liu(self.sigma0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,10 +174,11 @@ def run_em(
 ) -> EmTrace:
     """Iterate tree refits from chow_liu(sigma0) until convergence or the cap.
 
-    The first iterate is the best tree fit of the prior itself; iterate
-    l+1 refits the moment pooled under iterate l. The loop stops once the
-    latent-space divergence from iterate l to iterate l+1 drops below
-    epsilon (EpsilonReached) or after l_max iterates (LmaxReached).
+    The first iterate is the best tree fit of the prior itself
+    (``config.prior_fit``); iterate l+1 refits the moment pooled under
+    iterate l. The loop stops once the latent-space divergence from iterate
+    l to iterate l+1 drops below epsilon (EpsilonReached) or after l_max
+    iterates (LmaxReached).
 
     Each record carries the observation-space objective, which requires a
     positive definite sample covariance (more samples than observed
@@ -189,11 +196,10 @@ def run_em(
     if obs.m != model.m:
         raise ValueError(f"observation dimension {obs.m} != model m={model.m}")
     empirical = empirical_gaussian(obs)
-    truth = GaussianModel(ground_truth) if ground_truth is not None else None
 
     def record(index: int, cov: CovMatrix, tree: SpanningTree, step_kl: float) -> EmIteration:
-        obs_kl = kl_gaussian(empirical, GaussianModel(observation_cov(model, cov)))
-        latent = kl_gaussian(truth, GaussianModel(cov)) if truth is not None else None
+        obs_kl = kl_gaussian(empirical, observation_cov(model, cov))
+        latent = kl_gaussian(ground_truth, cov) if ground_truth is not None else None
         return EmIteration(
             index=index,
             sigma_tree=cov,
@@ -203,13 +209,13 @@ def run_em(
             latent_kl=latent,
         )
 
-    first = chow_liu(config.sigma0)
+    first = config.prior_fit
     records = [record(1, first.cov, first.tree, math.inf)]
     stop = StopReason.LMAX_REACHED
     for index in range(2, config.l_max + 1):
         prev = records[-1]
         cov, tree = em_step(prev.sigma_tree, model, obs)
-        step_kl = kl_gaussian(GaussianModel(prev.sigma_tree), GaussianModel(cov))
+        step_kl = kl_gaussian(prev.sigma_tree, cov)
         rec = record(index, cov, tree, step_kl)
         if rec.obs_kl > prev.obs_kl + MONOTONICITY_SLACK:
             warnings.warn(

@@ -20,14 +20,14 @@ import numpy as np
 
 from . import __version__
 from .em import EmConfig, EmTrace, StopReason, run_em
-from .gaussian import CovMatrix, GaussianModel, NumericalError, kl_gaussian
+from .gaussian import CovMatrix, NumericalError, kl_gaussian
 from .linear import (
     RANK_RTOL,
     LinearModel,
     read_matrix_csv,
     sample_observations,
 )
-from .tree import _path_product_corr, chow_liu, prufer_decode
+from .tree import SpanningTree, chow_liu, prufer_decode, tree_completion
 
 MAX_MIXING_REDRAWS = 10
 SNR_DEFINITION = "snr_db = 10*log10(trace(H Sigma H^T) / trace(D)) with white noise D = s^2 I"
@@ -63,14 +63,9 @@ def generate_ground_truth(p: int, seed: int, non_tree_mix: float = 0.0) -> CovMa
     edges = prufer_decode(sequence, p)
     magnitudes = rng.uniform(0.5, 0.95, size=p - 1)
     signs = np.where(rng.integers(0, 2, size=p - 1) == 0, -1.0, 1.0)
-    rho = {edge: float(value) for edge, value in zip(edges, magnitudes * signs)}
-    corr = _path_product_corr(p, edges, rho)
-    corr = (corr + corr.T) / 2.0
-    np.fill_diagonal(corr, 1.0)
-    for (u, v), value in rho.items():
-        corr[u, v] = value
-        corr[v, u] = value
-    sigma = CovMatrix(corr)
+    rho = dict(zip(edges, magnitudes * signs))
+    tree = SpanningTree(p, edges)
+    sigma = CovMatrix(tree_completion(np.ones(p), tree, [rho[e] for e in tree.edges]))
     if non_tree_mix > 0.0:
         sigma = generate_prior(sigma, non_tree_mix, derive_seed(seed, "non-tree"))
     return sigma
@@ -152,8 +147,10 @@ class ExperimentConfig:
             raise ConfigError(f"r must be at least 1, got {self.r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be at least 1, got {self.trials}")
-        if not self.epsilon > 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not math.isfinite(self.snr_db):
+            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.l_max < 1:
             raise ConfigError(f"l_max must be at least 1, got {self.l_max}")
         if not 0.0 <= self.alpha <= 1.0:
@@ -331,16 +328,14 @@ def run_sweep(
     else:
         sigma0 = generate_prior(sigma, config.alpha, derive_seed(config.seed, "prior"))
 
-    truth = GaussianModel(sigma)
-    prior_fit = chow_liu(sigma0)
-    kl_prior_tree = kl_gaussian(truth, GaussianModel(prior_fit.cov))
+    em_config = EmConfig(sigma0=sigma0, epsilon=config.epsilon, l_max=config.l_max)
+    kl_prior_tree = kl_gaussian(sigma, em_config.prior_fit.cov)
     kl_oracle_tree = chow_liu(sigma).kl
     if kl_oracle_tree > kl_prior_tree + 1e-9:
         raise NumericalError(
             "oracle tree is worse than the prior tree; tree fit is broken"
         )
 
-    em_config = EmConfig(sigma0=sigma0, epsilon=config.epsilon, l_max=config.l_max)
     records: list[TrialRecord] = []
     failures: list[TrialFailure] = []
     for m in config.m_values:

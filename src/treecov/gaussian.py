@@ -1,13 +1,13 @@
 """Zero-mean multivariate Gaussian primitives.
 
-Validated covariance matrices, KL divergences between zero-mean Gaussians,
-and pairwise correlation / mutual information read off a covariance matrix.
-Every information quantity in this package is measured in nats.
+Validated covariance matrices, KL divergences between zero-mean Gaussians
+(each identified by its covariance), and the pairwise mutual-information
+matrix read off a covariance. Every information quantity in this package is
+measured in nats.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,9 +34,9 @@ class NumericalError(RuntimeError):
 class CovMatrix:
     """Symmetric positive definite covariance matrix.
 
-    Construction validates squareness, symmetry (max absolute asymmetry at
-    most 1e-10) and positive definiteness (success of the Cholesky
-    factorization). Instances are immutable; ``chol`` holds the lower
+    Construction validates squareness, finiteness of every entry, symmetry
+    (max absolute asymmetry at most 1e-10) and positive definiteness
+    (success of the Cholesky factorization). Instances are immutable; ``chol`` holds the lower
     triangular factor and is reused for log-determinants and solves.
 
     Parameters
@@ -52,6 +52,8 @@ class CovMatrix:
         a = np.array(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"covariance must be a square matrix, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("covariance has a non-finite entry")
         asym = float(np.max(np.abs(a - a.T)))
         if asym > SYMMETRY_TOL:
             raise ValueError(
@@ -76,17 +78,6 @@ class CovMatrix:
         return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianModel:
-    """Zero-mean multivariate Gaussian, identified entirely by its covariance."""
-
-    cov: CovMatrix
-
-    @property
-    def dim(self) -> int:
-        return self.cov.dim
-
-
 def _clamp_kl(kl: float) -> float:
     # Roundoff may push a true zero slightly negative; anything worse is a fault.
     if kl >= 0.0:
@@ -96,7 +87,7 @@ def _clamp_kl(kl: float) -> float:
     raise NumericalError(f"KL divergence {kl:.6e} is negative beyond roundoff")
 
 
-def kl_gaussian(p0: GaussianModel, p1: GaussianModel) -> float:
+def kl_gaussian(p0: CovMatrix, p1: CovMatrix) -> float:
     """KL divergence D(p0 || p1) between zero-mean Gaussians, in nats.
 
     Evaluates the closed form
@@ -110,8 +101,8 @@ def kl_gaussian(p0: GaussianModel, p1: GaussianModel) -> float:
 
     Parameters
     ----------
-    p0, p1 : GaussianModel
-        Distributions of equal dimension; p0 is the reference measure.
+    p0, p1 : CovMatrix
+        Covariances of equal dimension; p0 is the reference measure.
 
     Returns
     -------
@@ -120,10 +111,10 @@ def kl_gaussian(p0: GaussianModel, p1: GaussianModel) -> float:
     """
     if p0.dim != p1.dim:
         raise ValueError(f"dimension mismatch: {p0.dim} vs {p1.dim}")
-    if np.array_equal(p0.cov.entries, p1.cov.entries):
+    if np.array_equal(p0.entries, p1.entries):
         return 0.0
-    a = solve_triangular(p1.cov.chol, p0.cov.chol, lower=True)
-    kl = 0.5 * (float(np.sum(a * a)) - p0.dim + p1.cov.log_det - p0.cov.log_det)
+    a = solve_triangular(p1.chol, p0.chol, lower=True)
+    kl = 0.5 * (float(np.sum(a * a)) - p0.dim + p1.log_det - p0.log_det)
     return _clamp_kl(kl)
 
 
@@ -133,7 +124,7 @@ def kl_tree_simplified(sigma: CovMatrix, sigma_tree: CovMatrix) -> float:
     Precondition: ``sigma_tree`` matches ``sigma`` on every variance and on
     the covariances of some spanning tree, and its inverse carries that
     tree's sparsity. Under that precondition the value equals
-    ``kl_gaussian`` of the two models; for arbitrary inputs it is just the
+    ``kl_gaussian(sigma, sigma_tree)``; for arbitrary inputs it is just the
     log-determinant difference and may be negative.
     """
     if sigma.dim != sigma_tree.dim:
@@ -141,40 +132,23 @@ def kl_tree_simplified(sigma: CovMatrix, sigma_tree: CovMatrix) -> float:
     return 0.5 * (sigma_tree.log_det - sigma.log_det)
 
 
-def _check_vertex_pair(dim: int, u: int, v: int) -> None:
-    for name, w in (("u", u), ("v", v)):
-        if not 0 <= w < dim:
-            raise ValueError(f"vertex {name}={w} out of range for dimension {dim}")
-    if u == v:
-        raise ValueError(f"vertices must differ, got u = v = {u}")
+def mutual_information_matrix(sigma: CovMatrix) -> np.ndarray:
+    """Gaussian mutual information between every pair of components, in nats.
 
-
-def correlation(sigma: CovMatrix, u: int, v: int) -> float:
-    """Pearson correlation sigma_uv / sqrt(sigma_uu * sigma_vv) for u != v.
-
-    Reads the off-diagonal entry at the canonical (min, max) position so the
-    result is exactly symmetric in (u, v).
+    Entry (u, v) is -0.5 * ln(1 - rho^2) with rho = s_uv / sqrt(s_uu * s_vv),
+    read from the canonical upper-triangle entry (u < v) so the matrix is
+    exactly symmetric; it is invariant to diagonal rescaling of ``sigma``.
+    The diagonal, which no spanning tree uses, is zero.
+    Correlations with |rho| >= 1 - 1e-12 are rejected as degenerate.
     """
-    _check_vertex_pair(sigma.dim, u, v)
-    suu = float(sigma.entries[u, u])
-    svv = float(sigma.entries[v, v])
-    if suu <= 0.0 or svv <= 0.0:
-        raise ValueError(f"nonpositive diagonal entry at ({u}, {v})")
-    a, b = (u, v) if u < v else (v, u)
-    return float(sigma.entries[a, b]) / math.sqrt(suu * svv)
-
-
-def pairwise_mutual_information(sigma: CovMatrix, u: int, v: int) -> float:
-    """Gaussian mutual information between components u and v, in nats.
-
-    I(u; v) = -0.5 * ln(1 - rho^2) with rho the pairwise correlation.
-    Exactly symmetric in (u, v) and invariant to diagonal rescaling of
-    ``sigma``. Correlations with |rho| >= 1 - 1e-12 are rejected as
-    degenerate.
-    """
-    rho = correlation(sigma, u, v)
-    if abs(rho) >= DEGENERATE_CORRELATION:
+    s = sigma.entries
+    var = np.diag(s)
+    rho = np.triu(s, 1) / np.sqrt(np.outer(var, var))
+    bad = np.argwhere(np.abs(rho) >= DEGENERATE_CORRELATION)
+    if bad.size:
+        u, v = bad[0]
         raise DegenerateCorrelationError(
-            f"correlation {rho!r} between {u} and {v} is numerically degenerate"
+            f"correlation {float(rho[u, v])!r} between {u} and {v} is numerically degenerate"
         )
-    return -0.5 * math.log1p(-rho * rho)
+    rho = rho + rho.T
+    return -0.5 * np.log1p(-rho * rho)

@@ -13,12 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gaussian import (
-    CovMatrix,
-    GaussianModel,
-    NotPositiveDefiniteError,
-    kl_gaussian,
-)
+from .gaussian import CovMatrix, NotPositiveDefiniteError
 
 RANK_RTOL = 1e-10
 
@@ -139,33 +134,20 @@ def observation_cov(model: LinearModel, sigma: CovMatrix) -> CovMatrix:
     return CovMatrix((hs + hs.T) / 2.0 + model.d.entries)
 
 
-def empirical_gaussian(obs: ObservationSet) -> GaussianModel:
-    """Zero-mean Gaussian with the centered sample covariance S_Y.
+def empirical_gaussian(obs: ObservationSet) -> CovMatrix:
+    """Covariance of the zero-mean empirical Gaussian: the centered sample covariance S_Y.
 
     S_Y must be positive definite, which requires more samples than the
     observation dimension; otherwise the error reports the rank deficit.
     """
     try:
-        return GaussianModel(CovMatrix(obs.centered_cov))
+        return CovMatrix(obs.centered_cov)
     except NotPositiveDefiniteError as exc:
         rank = int(np.linalg.matrix_rank(obs.centered_cov))
         raise NotPositiveDefiniteError(
             f"centered sample covariance is singular: rank {rank} of {obs.m} "
             f"(deficit {obs.m - rank}) from r={obs.r} samples"
         ) from exc
-
-
-def observation_kl(obs: ObservationSet, model: LinearModel, sigma_tree: CovMatrix) -> float:
-    """Observation-space divergence D(N(0, S_Y) || N(0, H sigma_tree H^T + D)).
-
-    The quantity the iterative fit drives down: how far the model-implied
-    observation covariance sits from the empirical one.
-    """
-    if obs.m != model.m:
-        raise ValueError(f"observation dimension {obs.m} != model m={model.m}")
-    return kl_gaussian(
-        empirical_gaussian(obs), GaussianModel(observation_cov(model, sigma_tree))
-    )
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:

@@ -2,17 +2,14 @@
 
 The optimal tree approximation of a covariance matrix is the maximum-weight
 spanning tree under pairwise mutual-information edge weights, completed to a
-full covariance by the path-product rule. An exhaustive enumeration over all
-labelled spanning trees doubles as the correctness oracle for small
-dimensions.
+full covariance by the path-product rule.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,11 +18,10 @@ from .gaussian import (
     NotPositiveDefiniteError,
     NumericalError,
     kl_tree_simplified,
-    pairwise_mutual_information,
+    mutual_information_matrix,
 )
 
 TREE_KL_CLAMP = 1e-9
-BRUTE_FORCE_MAX_VERTICES = 8
 
 
 def _normalize_edge(edge: Sequence[int]) -> tuple[int, int]:
@@ -107,15 +103,6 @@ class TreeApproxResult:
     kl: float
 
 
-def edge_set_equal(a: SpanningTree, b: SpanningTree) -> bool:
-    """Whether two trees on the same vertex set have identical edges."""
-    if a.num_vertices != b.num_vertices:
-        raise ValueError(
-            f"vertex-count mismatch: {a.num_vertices} vs {b.num_vertices}"
-        )
-    return a.edges == b.edges
-
-
 def prufer_decode(sequence: Iterable[int], num_vertices: int) -> tuple[tuple[int, int], ...]:
     """Edges of the labelled tree encoded by a length-(p-2) vertex sequence.
 
@@ -149,61 +136,47 @@ def prufer_decode(sequence: Iterable[int], num_vertices: int) -> tuple[tuple[int
     return tuple(edges)
 
 
-def _path_product_corr(
-    num_vertices: int,
-    edges: Sequence[tuple[int, int]],
-    rho: Mapping[tuple[int, int], float],
+def tree_completion(
+    diag: np.ndarray, tree: SpanningTree, edge_cov: Sequence[float]
 ) -> np.ndarray:
-    """Correlation matrix whose (u, v) entry is the product of edge
-    correlations along the unique tree path from u to v."""
-    p = num_vertices
-    adj: list[list[int]] = [[] for _ in range(p)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    corr = np.empty((p, p))
-    for root in range(p):
-        prod = corr[root]
-        prod.fill(0.0)
-        prod[root] = 1.0
-        stack = [root]
-        seen = [False] * p
-        seen[root] = True
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    key = (x, y) if x < y else (y, x)
-                    prod[y] = prod[x] * rho[key]
-                    stack.append(y)
-    return corr
+    """Covariance entries with variances ``diag`` and the tree's Markov structure.
 
-
-def _edge_correlations(
-    sigma_entries: np.ndarray, std: np.ndarray, edges: Sequence[tuple[int, int]]
-) -> dict[tuple[int, int], float]:
-    return {
-        (u, v): float(sigma_entries[u, v]) / float(std[u] * std[v]) for u, v in edges
-    }
-
-
-def _tree_cov_entries(
-    sigma_entries: np.ndarray, std: np.ndarray, edges: Sequence[tuple[int, int]]
-) -> np.ndarray:
-    p = sigma_entries.shape[0]
-    rho = _edge_correlations(sigma_entries, std, edges)
-    corr = _path_product_corr(p, edges, rho)
-    tilde = corr * np.outer(std, std)
-    tilde = (tilde + tilde.T) / 2.0
-    # Variances and tree-edge covariances are copied verbatim; the path
-    # products only fill the remaining entries.
-    for u in range(p):
-        tilde[u, u] = sigma_entries[u, u]
-    for u, v in edges:
-        tilde[u, v] = sigma_entries[u, v]
-        tilde[v, u] = sigma_entries[u, v]
-    return tilde
+    ``edge_cov[k]`` is the covariance of ``tree.edges[k]``. Variances and
+    edge covariances are copied verbatim; every other (u, v) entry is
+    sqrt(diag[u] * diag[v]) times the product of edge correlations along the
+    unique tree path from u to v. One breadth-first pass from vertex 0 fills
+    the correlations: each newly reached vertex's row over the vertices
+    reached so far is its parent's row times one edge correlation.
+    """
+    p = tree.num_vertices
+    diag = np.asarray(diag, dtype=float)
+    std = np.sqrt(diag)
+    cov_of = dict(zip(tree.edges, edge_cov))
+    adj = tree.adjacency()
+    order = [0]
+    parent = [-1] * p
+    for x in order:
+        for y in adj[x]:
+            if y != parent[x]:
+                parent[y] = x
+                order.append(y)
+    pos = [0] * p
+    for k, y in enumerate(order):
+        pos[y] = k
+    # Rows and columns in BFS order, so each parent row is a contiguous slice.
+    corr = np.eye(p)
+    for k in range(1, p):
+        y = order[k]
+        x = parent[y]
+        rho = float(cov_of[(x, y) if x < y else (y, x)]) / float(std[x] * std[y])
+        row = corr[pos[x], :k] * rho
+        corr[k, :k] = row
+        corr[:k, k] = row
+    cov = corr[np.ix_(pos, pos)] * np.outer(std, std)
+    np.fill_diagonal(cov, diag)
+    for (u, v), c in cov_of.items():
+        cov[u, v] = cov[v, u] = c
+    return cov
 
 
 def tree_covariance(sigma: CovMatrix, tree: SpanningTree) -> CovMatrix:
@@ -230,8 +203,8 @@ def tree_covariance(sigma: CovMatrix, tree: SpanningTree) -> CovMatrix:
         raise ValueError(
             f"vertex count {tree.num_vertices} != covariance dimension {sigma.dim}"
         )
-    std = np.sqrt(np.diag(sigma.entries))
-    tilde = _tree_cov_entries(sigma.entries, std, tree.edges)
+    s = sigma.entries
+    tilde = tree_completion(np.diag(s), tree, [s[u, v] for u, v in tree.edges])
     try:
         return CovMatrix(tilde)
     except NotPositiveDefiniteError as exc:
@@ -265,57 +238,17 @@ def chow_liu(sigma: CovMatrix) -> TreeApproxResult:
     p = sigma.dim
     if p < 2:
         raise ValueError(f"need at least two vertices, got {p}")
-    candidates = []
-    for u in range(p):
-        for v in range(u + 1, p):
-            candidates.append((pairwise_mutual_information(sigma, u, v), u, v))
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+    u_all, v_all = np.triu_indices(p, k=1)
+    weights = mutual_information_matrix(sigma)[u_all, v_all]
+    order = np.lexsort((v_all, u_all, -weights))
     uf = _UnionFind(p)
     edges = []
-    for _, u, v in candidates:
+    for u, v in zip(u_all[order].tolist(), v_all[order].tolist()):
         if uf.union(u, v):
             edges.append((u, v))
             if len(edges) == p - 1:
                 break
     tree = SpanningTree(p, tuple(edges))
-    cov = tree_covariance(sigma, tree)
-    kl = _clamp_tree_kl(kl_tree_simplified(sigma, cov))
-    return TreeApproxResult(tree=tree, cov=cov, kl=kl)
-
-
-def brute_force_optimal_tree(sigma: CovMatrix) -> TreeApproxResult:
-    """Exhaustive minimum-KL spanning tree, the small-dimension oracle.
-
-    Decodes every length-(p-2) vertex sequence into a labelled tree (each
-    tree appears exactly once), builds each marginal-matching covariance,
-    and returns the argmin of the approximation divergence. Exact ties are
-    broken by lexicographic edge-list order. Rejects p > 8, where the
-    p^(p-2) enumeration stops being practical.
-    """
-    p = sigma.dim
-    if p < 2:
-        raise ValueError(f"need at least two vertices, got {p}")
-    if p > BRUTE_FORCE_MAX_VERTICES:
-        raise ValueError(
-            f"exhaustive search supports p <= {BRUTE_FORCE_MAX_VERTICES}, got {p}"
-        )
-    entries = sigma.entries
-    std = np.sqrt(np.diag(entries))
-    logdet_sigma = sigma.log_det
-    best_kl = np.inf
-    best_edges: tuple[tuple[int, int], ...] | None = None
-    for seq in itertools.product(range(p), repeat=p - 2):
-        edges = prufer_decode(seq, p)
-        tilde = _tree_cov_entries(entries, std, edges)
-        sign, logdet_tilde = np.linalg.slogdet(tilde)
-        if sign <= 0:
-            raise NumericalError("candidate tree covariance not positive definite")
-        kl = 0.5 * (logdet_tilde - logdet_sigma)
-        edges = tuple(sorted(edges))
-        if kl < best_kl or (kl == best_kl and edges < best_edges):
-            best_kl = kl
-            best_edges = edges
-    tree = SpanningTree(p, best_edges)
     cov = tree_covariance(sigma, tree)
     kl = _clamp_tree_kl(kl_tree_simplified(sigma, cov))
     return TreeApproxResult(tree=tree, cov=cov, kl=kl)

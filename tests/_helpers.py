@@ -1,10 +1,28 @@
-"""Shared test fixtures: seeded random SPD covariance matrices."""
+"""Shared test fixtures and oracles.
+
+Seeded random SPD covariance matrices, and the exhaustive spanning-tree
+search that serves as the correctness oracle for the Chow-Liu fit.
+"""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from treecov import CovMatrix
+from treecov import (
+    CovMatrix,
+    NumericalError,
+    SpanningTree,
+    TreeApproxResult,
+    kl_tree_simplified,
+    prufer_decode,
+    tree_completion,
+    tree_covariance,
+)
+from treecov.tree import _clamp_tree_kl
+
+BRUTE_FORCE_MAX_VERTICES = 8
 
 
 def random_spd(rng: np.random.Generator, p: int, vary_scale: bool = True) -> CovMatrix:
@@ -21,4 +39,39 @@ def corr3(r01: float, r12: float, r02: float) -> CovMatrix:
     """Unit-variance 3x3 covariance with the given pairwise correlations."""
     return CovMatrix(
         np.array([[1.0, r01, r02], [r01, 1.0, r12], [r02, r12, 1.0]])
+    )
+
+
+def brute_force_optimal_tree(sigma: CovMatrix) -> TreeApproxResult:
+    """Exhaustive minimum-KL spanning tree, the small-dimension oracle.
+
+    Decodes every length-(p-2) vertex sequence into a labelled tree (each
+    tree appears exactly once), completes each marginal-matching covariance,
+    and returns the argmin of the approximation divergence. Exact ties are
+    broken by lexicographic edge-list order. Rejects p > 8, where the
+    p^(p-2) enumeration stops being practical.
+    """
+    p = sigma.dim
+    if p < 2:
+        raise ValueError(f"need at least two vertices, got {p}")
+    if p > BRUTE_FORCE_MAX_VERTICES:
+        raise ValueError(
+            f"exhaustive search supports p <= {BRUTE_FORCE_MAX_VERTICES}, got {p}"
+        )
+    s = sigma.entries
+    best_kl = np.inf
+    best_tree: SpanningTree | None = None
+    for seq in itertools.product(range(p), repeat=p - 2):
+        tree = SpanningTree(p, prufer_decode(seq, p))
+        tilde = tree_completion(np.diag(s), tree, [s[u, v] for u, v in tree.edges])
+        sign, logdet_tilde = np.linalg.slogdet(tilde)
+        if sign <= 0:
+            raise NumericalError("candidate tree covariance not positive definite")
+        kl = 0.5 * (logdet_tilde - sigma.log_det)
+        if kl < best_kl or (kl == best_kl and tree.edges < best_tree.edges):
+            best_kl = kl
+            best_tree = tree
+    cov = tree_covariance(sigma, best_tree)
+    return TreeApproxResult(
+        tree=best_tree, cov=cov, kl=_clamp_tree_kl(kl_tree_simplified(sigma, cov))
     )

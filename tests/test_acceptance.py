@@ -20,11 +20,9 @@ from treecov import (
     EmMonotonicityWarning,
     EmTrace,
     ExperimentConfig,
-    GaussianModel,
     LinearModel,
     SpanningTree,
     SweepResult,
-    brute_force_optimal_tree,
     chow_liu,
     compute_omega,
     emit_results,
@@ -37,7 +35,7 @@ from treecov import (
     tree_covariance,
 )
 
-from _helpers import random_spd
+from _helpers import brute_force_optimal_tree, random_spd
 
 SWEEP_CONFIG = ExperimentConfig(
     p=10,
@@ -110,7 +108,7 @@ def test_a2_simplified_divergence_matches_full_form(capsys):
         p = 3 + seed % 6
         sigma = random_spd(np.random.default_rng(seed), p)
         fit = chow_liu(sigma)
-        full = kl_gaussian(GaussianModel(sigma), GaussianModel(fit.cov))
+        full = kl_gaussian(sigma, fit.cov)
         gap = max(gap, abs(kl_tree_simplified(sigma, fit.cov) - full))
     ok = gap < 1e-9
     report("A2", ok, f"max |simplified - full| = {gap:.3e} over 200 pairs", capsys)

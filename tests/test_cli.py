@@ -74,6 +74,12 @@ class TestChowliuCommand:
         assert main(["chowliu", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_non_finite_input_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        write_matrix_csv(np.array([[1.0, np.nan], [np.nan, 1.0]]), path)
+        assert main(["chowliu", str(path)]) == 1
+        assert "non-finite" in capsys.readouterr().err
+
 
 class TestEmCommand:
     def test_happy_path_writes_trace(self, tmp_path, em_inputs, capsys):

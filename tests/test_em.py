@@ -17,7 +17,6 @@ from treecov import (
     CovMatrix,
     EmConfig,
     EmMonotonicityWarning,
-    GaussianModel,
     LinearModel,
     ObservationSet,
     StopReason,
@@ -25,7 +24,7 @@ from treecov import (
     compute_omega,
     em_step,
     kl_gaussian,
-    observation_kl,
+    observation_cov,
     posterior,
     run_em,
     sample_observations,
@@ -142,14 +141,14 @@ class TestEmStep:
         cov = chow_liu(sigma0).cov
         for _ in range(500):
             new_cov, _ = em_step(cov, model, obs)
-            delta = kl_gaussian(GaussianModel(cov), GaussianModel(new_cov))
+            delta = kl_gaussian(cov, new_cov)
             cov = new_cov
             if delta < 1e-13:
                 break
         else:
             pytest.fail("no fixed point within 500 refinements")
         settled, _ = em_step(cov, model, obs)
-        assert kl_gaussian(GaussianModel(cov), GaussianModel(settled)) < 1e-10
+        assert kl_gaussian(cov, settled) < 1e-10
 
 
 class TestEmConfig:
@@ -168,6 +167,15 @@ class TestEmConfig:
         config = EmConfig(CovMatrix(np.eye(2)))
         assert config.epsilon == 0.01
         assert config.l_max == 20
+
+    def test_prior_fit_is_derived_once(self):
+        sigma0 = random_spd(np.random.default_rng(22), 4)
+        config = EmConfig(sigma0)
+        expected = chow_liu(sigma0)
+        assert config.prior_fit.tree.edges == expected.tree.edges
+        assert np.array_equal(config.prior_fit.cov.entries, expected.cov.entries)
+        with pytest.raises(TypeError):
+            EmConfig(sigma0, prior_fit=expected)
 
 
 class TestRunEm:
@@ -221,7 +229,10 @@ class TestRunEm:
         trace = run_em(EmConfig(sigma0, l_max=4, epsilon=1e-12), model, obs)
         for rec in trace.iterations:
             assert rec.obs_kl == pytest.approx(
-                observation_kl(obs, model, rec.sigma_tree), rel=1e-12
+                kl_gaussian(
+                    CovMatrix(obs.centered_cov), observation_cov(model, rec.sigma_tree)
+                ),
+                rel=1e-12,
             )
 
     def test_bitwise_deterministic(self):

@@ -7,6 +7,8 @@ on that ordering.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,10 @@ class TestExperimentConfig:
             dict(epsilon=0.0),
             dict(l_max=0),
             dict(alpha=1.5),
+            dict(snr_db=math.nan),
+            dict(snr_db=math.inf),
+            dict(epsilon=math.nan),
+            dict(epsilon=math.inf),
         ],
     )
     def test_rejects_invalid_fields(self, overrides):
@@ -277,6 +283,13 @@ class TestRunSweep:
         b = run_sweep(small_config())
         assert a.records == b.records
         assert a.aggregates == b.aggregates
+
+    def test_records_do_not_depend_on_trial_count(self):
+        # A trial's record is a function of (config, m, trial) alone.
+        short = run_sweep(small_config(p=6, m_values=(4,), trials=7))
+        long = run_sweep(small_config(p=6, m_values=(4,), trials=20))
+        assert len(short.records) == 7
+        assert long.records[:7] == short.records
 
     def test_aggregates_match_recomputation(self):
         result = run_sweep(small_config())

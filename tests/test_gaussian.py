@@ -1,5 +1,5 @@
-"""Gaussian primitives: covariance validation, KL divergences, correlation
-and mutual information.
+"""Gaussian primitives: covariance validation, KL divergences, and the
+pairwise mutual-information matrix.
 
 The Monte-Carlo log-likelihood-ratio estimator below is the independent
 oracle for the closed-form KL values; it shares no code with the package.
@@ -17,14 +17,12 @@ from hypothesis import strategies as st
 from treecov import (
     CovMatrix,
     DegenerateCorrelationError,
-    GaussianModel,
     NotPositiveDefiniteError,
     NumericalError,
     chow_liu,
-    correlation,
     kl_gaussian,
     kl_tree_simplified,
-    pairwise_mutual_information,
+    mutual_information_matrix,
 )
 from treecov.gaussian import _clamp_kl
 
@@ -55,8 +53,8 @@ def mc_kl_estimate(cov0: np.ndarray, cov1: np.ndarray, n: int, seed: int) -> flo
     return float(np.mean(log_density(cov0) - log_density(cov1)))
 
 
-def gm(entries) -> GaussianModel:
-    return GaussianModel(CovMatrix(np.asarray(entries, dtype=float)))
+def gm(entries) -> CovMatrix:
+    return CovMatrix(np.asarray(entries, dtype=float))
 
 
 class TestCovMatrix:
@@ -74,6 +72,13 @@ class TestCovMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             CovMatrix(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            CovMatrix(np.array([[1.0, bad], [bad, 1.0]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            CovMatrix(np.array([[bad, 0.0], [0.0, 1.0]]))
 
     def test_entries_are_immutable(self):
         cov = CovMatrix(np.eye(2))
@@ -111,7 +116,7 @@ class TestKlGaussian:
 
     def test_bitwise_equal_inputs_give_exact_zero(self):
         cov = random_spd(np.random.default_rng(0), 4)
-        assert kl_gaussian(GaussianModel(cov), GaussianModel(CovMatrix(cov.entries))) == 0.0
+        assert kl_gaussian(cov, CovMatrix(cov.entries)) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -121,8 +126,8 @@ class TestKlGaussian:
     @given(st.integers(0, 10**6), st.integers(1, 6))
     def test_nonnegative(self, seed, p):
         rng = np.random.default_rng(seed)
-        p0 = GaussianModel(random_spd(rng, p))
-        p1 = GaussianModel(random_spd(rng, p))
+        p0 = random_spd(rng, p)
+        p1 = random_spd(rng, p)
         assert kl_gaussian(p0, p1) >= 0.0
 
     def test_asymmetric_in_general(self):
@@ -132,8 +137,8 @@ class TestKlGaussian:
 
     def test_positive_when_covariances_differ(self):
         rng = np.random.default_rng(7)
-        p0 = GaussianModel(random_spd(rng, 3))
-        p1 = GaussianModel(random_spd(rng, 3))
+        p0 = random_spd(rng, 3)
+        p1 = random_spd(rng, 3)
         assert kl_gaussian(p0, p1) > 0.0
 
     def test_clamp_accepts_roundoff_and_rejects_worse(self):
@@ -149,9 +154,7 @@ class TestKlTreeSimplified:
         sigma = corr3(0.9, 0.8, 0.72)
         fit = chow_liu(sigma)
         assert kl_tree_simplified(sigma, fit.cov) == pytest.approx(0.0, abs=1e-12)
-        assert kl_gaussian(GaussianModel(sigma), GaussianModel(fit.cov)) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        assert kl_gaussian(sigma, fit.cov) == pytest.approx(0.0, abs=1e-12)
 
     def test_equals_full_kl_on_marginal_matching_covariance(self):
         # The stated 3-node example with rho_02 = 0.1 is not positive
@@ -159,7 +162,7 @@ class TestKlTreeSimplified:
         sigma = corr3(0.9, 0.8, 0.6)
         fit = chow_liu(sigma)
         simplified = kl_tree_simplified(sigma, fit.cov)
-        full = kl_gaussian(GaussianModel(sigma), GaussianModel(fit.cov))
+        full = kl_gaussian(sigma, fit.cov)
         assert simplified > 0.0
         assert simplified == pytest.approx(full, abs=1e-9)
 
@@ -169,7 +172,7 @@ class TestKlTreeSimplified:
         sigma = random_spd(np.random.default_rng(seed), p)
         fit = chow_liu(sigma)
         simplified = kl_tree_simplified(sigma, fit.cov)
-        full = kl_gaussian(GaussianModel(sigma), GaussianModel(fit.cov))
+        full = kl_gaussian(sigma, fit.cov)
         assert abs(simplified - full) < 1e-9
 
     def test_dimension_mismatch(self):
@@ -177,45 +180,51 @@ class TestKlTreeSimplified:
             kl_tree_simplified(CovMatrix(np.eye(2)), CovMatrix(np.eye(3)))
 
 
+def mi(entries) -> np.ndarray:
+    return mutual_information_matrix(gm(entries))
+
+
 class TestCorrelation:
+    # rho = s_uv / sqrt(s_uu * s_vv), observed through I = -0.5 ln(1 - rho^2).
     def test_independent_components(self):
-        assert correlation(CovMatrix(np.eye(2)), 0, 1) == 0.0
+        assert mi(np.eye(2))[0, 1] == 0.0
 
     def test_plain_value(self):
-        assert correlation(CovMatrix(np.array([[1.0, 0.3], [0.3, 1.0]])), 0, 1) == pytest.approx(0.3)
+        expected = -0.5 * math.log(1.0 - 0.09)
+        assert mi([[1.0, 0.3], [0.3, 1.0]])[0, 1] == pytest.approx(expected, abs=1e-12)
 
     def test_normalizes_by_variances(self):
-        cov = CovMatrix(np.array([[4.0, 1.0], [1.0, 1.0]]))
-        assert correlation(cov, 0, 1) == pytest.approx(0.5)
-
-    def test_rejects_equal_vertices(self):
-        with pytest.raises(ValueError, match="differ"):
-            correlation(CovMatrix(np.eye(2)), 1, 1)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            correlation(CovMatrix(np.eye(2)), 0, 2)
+        assert mi([[4.0, 1.0], [1.0, 1.0]])[0, 1] == pytest.approx(MI_RHO_05, abs=1e-12)
 
 
 class TestPairwiseMutualInformation:
     def test_zero_at_independence(self):
-        assert pairwise_mutual_information(CovMatrix(np.eye(3)), 0, 2) == 0.0
+        assert np.array_equal(mutual_information_matrix(CovMatrix(np.eye(3))), np.zeros((3, 3)))
 
     def test_frozen_values(self):
-        half = CovMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
-        nine = CovMatrix(np.array([[1.0, 0.9], [0.9, 1.0]]))
-        assert pairwise_mutual_information(half, 0, 1) == pytest.approx(MI_RHO_05, abs=1e-12)
-        assert pairwise_mutual_information(nine, 0, 1) == pytest.approx(MI_RHO_09, abs=1e-12)
+        assert mi([[1.0, 0.5], [0.5, 1.0]])[0, 1] == pytest.approx(MI_RHO_05, abs=1e-12)
+        assert mi([[1.0, 0.9], [0.9, 1.0]])[0, 1] == pytest.approx(MI_RHO_09, abs=1e-12)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 10**6), st.integers(2, 7))
+    def test_matches_scalar_reference(self, seed, p):
+        # Same formula one pair at a time; numpy's log1p and the C library's
+        # may round differently, by an ulp.
+        sigma = random_spd(np.random.default_rng(seed), p)
+        s = sigma.entries
+        values = mutual_information_matrix(sigma)
+        for u in range(p):
+            for v in range(u + 1, p):
+                rho = float(s[u, v]) / math.sqrt(float(s[u, u]) * float(s[v, v]))
+                expected = -0.5 * math.log1p(-rho * rho)
+                assert values[u, v] == pytest.approx(expected, rel=4 * np.finfo(float).eps, abs=0)
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 10**6), st.integers(2, 7))
     def test_symmetry_is_exact(self, seed, p):
         rng = np.random.default_rng(seed)
-        sigma = random_spd(rng, p)
-        u, v = rng.choice(p, size=2, replace=False)
-        assert pairwise_mutual_information(sigma, int(u), int(v)) == pairwise_mutual_information(
-            sigma, int(v), int(u)
-        )
+        values = mutual_information_matrix(random_spd(rng, p))
+        assert np.array_equal(values, values.T)
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 10**6), st.integers(2, 7))
@@ -224,15 +233,11 @@ class TestPairwiseMutualInformation:
         sigma = random_spd(rng, p)
         scale = rng.uniform(0.2, 5.0, size=p)
         scaled = CovMatrix(sigma.entries * np.outer(scale, scale))
-        u, v = rng.choice(p, size=2, replace=False)
-        u, v = int(u), int(v)
-        assert abs(
-            pairwise_mutual_information(sigma, u, v)
-            - pairwise_mutual_information(scaled, u, v)
-        ) < 1e-10
+        gap = mutual_information_matrix(sigma) - mutual_information_matrix(scaled)
+        assert np.max(np.abs(gap)) < 1e-10
 
     def test_rejects_degenerate_correlation(self):
         near_one = 1.0 - 1e-13
-        cov = CovMatrix(np.array([[1.0, near_one], [near_one, 1.0]]))
-        with pytest.raises(DegenerateCorrelationError):
-            pairwise_mutual_information(cov, 0, 1)
+        cov = CovMatrix(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, near_one], [0.0, near_one, 1.0]]))
+        with pytest.raises(DegenerateCorrelationError, match="between 1 and 2"):
+            mutual_information_matrix(cov)

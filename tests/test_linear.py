@@ -13,14 +13,13 @@ import pytest
 
 from treecov import (
     CovMatrix,
-    GaussianModel,
     LinearModel,
     NotPositiveDefiniteError,
     ObservationSet,
     chow_liu,
     empirical_gaussian,
+    kl_gaussian,
     observation_cov,
-    observation_kl,
     read_matrix_csv,
     sample_observations,
     write_matrix_csv,
@@ -34,6 +33,11 @@ def average_log_likelihood(obs: ObservationSet, cov: np.ndarray) -> float:
     _, logdet = np.linalg.slogdet(cov)
     quad = np.sum(obs.samples * np.linalg.solve(cov, obs.samples.T).T, axis=1)
     return float(np.mean(-0.5 * (cov.shape[0] * math.log(2.0 * math.pi) + logdet + quad)))
+
+
+def observation_kl(obs: ObservationSet, model: LinearModel, sigma: CovMatrix) -> float:
+    """Observation-space divergence D(N(0, S_Y) || N(0, H sigma H^T + D))."""
+    return kl_gaussian(empirical_gaussian(obs), observation_cov(model, sigma))
 
 
 def exact_cov_observations(target: CovMatrix) -> ObservationSet:
@@ -178,8 +182,8 @@ class TestEmpiricalGaussian:
     def test_recovers_isotropic_covariance(self):
         rng = np.random.default_rng(8)
         obs = ObservationSet(math.sqrt(2.0) * rng.standard_normal((10_000, 2)))
-        model = empirical_gaussian(obs)
-        assert np.max(np.abs(model.cov.entries - 2.0 * np.eye(2))) < 0.15
+        cov = empirical_gaussian(obs)
+        assert np.max(np.abs(cov.entries - 2.0 * np.eye(2))) < 0.15
 
 
 class TestObservationKl:

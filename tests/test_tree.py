@@ -17,16 +17,14 @@ from treecov import (
     CovMatrix,
     DegenerateCorrelationError,
     SpanningTree,
-    brute_force_optimal_tree,
     chow_liu,
-    edge_set_equal,
     kl_tree_simplified,
-    pairwise_mutual_information,
+    mutual_information_matrix,
     prufer_decode,
     tree_covariance,
 )
 
-from _helpers import corr3, random_spd
+from _helpers import brute_force_optimal_tree, corr3, random_spd
 
 
 def random_tree(rng: np.random.Generator, p: int) -> SpanningTree:
@@ -35,7 +33,8 @@ def random_tree(rng: np.random.Generator, p: int) -> SpanningTree:
 
 
 def total_mi_weight(sigma: CovMatrix, tree: SpanningTree) -> float:
-    return sum(pairwise_mutual_information(sigma, u, v) for u, v in tree.edges)
+    mi = mutual_information_matrix(sigma)
+    return sum(float(mi[u, v]) for u, v in tree.edges)
 
 
 class TestSpanningTree:
@@ -72,19 +71,16 @@ class TestSpanningTree:
 
 
 class TestEdgeSetEqual:
+    # Normalized, sorted edge tuples make equal edge sets compare equal.
     def test_equal(self):
         a = SpanningTree(3, ((0, 1), (1, 2)))
         b = SpanningTree(3, ((2, 1), (1, 0)))
-        assert edge_set_equal(a, b)
+        assert a.edges == b.edges
 
     def test_different(self):
         a = SpanningTree(3, ((0, 1), (1, 2)))
         b = SpanningTree(3, ((0, 2), (1, 2)))
-        assert not edge_set_equal(a, b)
-
-    def test_vertex_count_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            edge_set_equal(SpanningTree(2, ((0, 1),)), SpanningTree(3, ((0, 1), (1, 2))))
+        assert a.edges != b.edges
 
 
 class TestPruferDecode:
@@ -158,6 +154,31 @@ class TestTreeCovariance:
                 if (u, v) not in edge_set:
                     assert abs(precision[u, v]) < 1e-9
 
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 10**6), st.integers(2, 12))
+    def test_matches_per_pair_path_product(self, seed, p):
+        # Reference: walk the tree path of every pair and multiply its edge
+        # correlations. Only the order of the products differs.
+        rng = np.random.default_rng(seed)
+        sigma = random_spd(rng, p)
+        tree = random_tree(rng, p)
+        s = sigma.entries
+        std = np.sqrt(np.diag(s))
+        adj = tree.adjacency()
+        expected = np.empty((p, p))
+        for root in range(p):
+            prod = {root: 1.0}
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                for y in adj[x]:
+                    if y not in prod:
+                        prod[y] = prod[x] * s[x, y] / (std[x] * std[y])
+                        stack.append(y)
+            expected[root] = [prod[v] * std[root] * std[v] for v in range(p)]
+        tilde = tree_covariance(sigma, tree).entries
+        np.testing.assert_allclose(tilde, expected, rtol=1e-13, atol=0.0)
+
     def test_vertex_count_mismatch(self):
         with pytest.raises(ValueError, match="vertex count"):
             tree_covariance(CovMatrix(np.eye(3)), SpanningTree(2, ((0, 1),)))
@@ -221,7 +242,7 @@ class TestChowLiu:
         sigma = random_spd(rng, p)
         scale = rng.uniform(0.2, 5.0, size=p)
         scaled = CovMatrix(sigma.entries * np.outer(scale, scale))
-        assert edge_set_equal(chow_liu(sigma).tree, chow_liu(scaled).tree)
+        assert chow_liu(sigma).tree.edges == chow_liu(scaled).tree.edges
 
     @settings(deadline=None, max_examples=20)
     @given(st.integers(0, 10**6), st.integers(3, 7))
