@@ -31,6 +31,7 @@ from .tree import (
 from .linear import (
     LinearModel,
     ObservationSet,
+    RankDeficientError,
     empirical_gaussian,
     observation_cov,
     read_matrix_csv,
@@ -45,7 +46,6 @@ from .em import (
     PosteriorGaussian,
     StopReason,
     compute_omega,
-    em_step,
     posterior,
     run_em,
 )

@@ -61,8 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
     em.add_argument("--h", required=True, help="mixing matrix CSV")
     em.add_argument("--d", required=True, help="noise covariance CSV")
     em.add_argument("--obs", required=True, help="observations CSV, one sample per row")
-    em.add_argument("--epsilon", type=float, default=0.01, help="stopping threshold")
-    em.add_argument("--l_max", type=int, default=20, help="iteration cap")
+    em.add_argument("--epsilon", type=float, default=EmConfig.epsilon, help="stopping threshold")
+    em.add_argument("--l_max", type=int, default=EmConfig.l_max, help="iteration cap")
     em.add_argument("--sigma_out", help="write the final tree covariance CSV here")
     em.add_argument("--trace_out", help="write the per-iteration trace CSV here")
     em.set_defaults(func=_cmd_em)

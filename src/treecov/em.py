@@ -42,13 +42,15 @@ class StopReason(enum.Enum):
 class PosteriorGaussian:
     """Latent posterior p(x | y): shared covariance C and the map y -> mean.
 
-    gain is C H^T D^-1 (p x m); the posterior mean for observation y is
-    gain @ y. Conditioning never inflates uncertainty, so C <= prior in the
-    positive semidefinite order.
+    gain is sigma H^T K^-1 (p x m) with K = H sigma H^T + D the observation
+    covariance; the posterior mean for observation y is gain @ y.
+    Conditioning never inflates uncertainty, so 0 <= C <= prior in the
+    positive semidefinite order. C is a plain symmetric array, not a
+    CovMatrix: as the noise vanishes it becomes singular along the rows of H.
     """
 
     gain: np.ndarray
-    cov: CovMatrix
+    cov: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,31 +117,23 @@ class EmTrace:
 def posterior(sigma_tree: CovMatrix, model: LinearModel) -> PosteriorGaussian:
     """Latent posterior under prior N(0, sigma_tree) and the observation model.
 
-    C = (sigma_tree^-1 + H^T D^-1 H)^-1 and gain = C H^T D^-1, both computed
-    through Cholesky solves.
+    Covariance (Joseph) form, which factors only the m x m observation
+    covariance K = H sigma H^T + D (Bucy & Joseph 1968): gain = sigma H^T K^-1
+    and C = (I - gain H) sigma (I - gain H)^T + gain D gain^T, a sum of
+    positive semidefinite terms at any noise level.
     """
-    if sigma_tree.dim != model.p:
-        raise ValueError(
-            f"prior dimension {sigma_tree.dim} != model latent dimension {model.p}"
-        )
-    p = sigma_tree.dim
-    prior_precision = cho_solve((sigma_tree.chol, True), np.eye(p))
-    d_inv_h = cho_solve((model.d.chol, True), model.h)
-    info = prior_precision + model.h.T @ d_inv_h
-    info = (info + info.T) / 2.0
-    try:
-        info_chol = np.linalg.cholesky(info)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("posterior information matrix is not positive definite") from exc
-    c = cho_solve((info_chol, True), np.eye(p))
+    k = observation_cov(model, sigma_tree)
+    sigma = sigma_tree.entries
+    gain = cho_solve((k.chol, True), model.h @ sigma).T
+    a = np.eye(model.p) - gain @ model.h
+    c = a @ sigma @ a.T + gain @ model.d.entries @ gain.T
     c = (c + c.T) / 2.0
-    min_eig = float(np.linalg.eigvalsh(sigma_tree.entries - c).min())
+    min_eig = float(np.linalg.eigvalsh(sigma - c).min())
     if min_eig < -POSTERIOR_ORDER_TOL:
         raise NumericalError(
             f"posterior covariance exceeds the prior (eigenvalue {min_eig:.3e})"
         )
-    gain = c @ d_inv_h.T
-    return PosteriorGaussian(gain=gain, cov=CovMatrix(c))
+    return PosteriorGaussian(gain=gain, cov=c)
 
 
 def compute_omega(
@@ -147,23 +141,15 @@ def compute_omega(
 ) -> CovMatrix:
     """Posterior second moment pooled over the observation set.
 
-    Omega = C + C H^T D^-1 M D^-1 H C with M the uncentered second moment of
-    the observations; equivalently the average over samples of
-    C + mean_y mean_y^T.
+    Omega = C + gain M gain^T with M the uncentered second moment of the
+    observations; equivalently the average over samples of
+    C + mean_y mean_y^T. Omega is positive definite even where C is singular.
     """
     if obs.m != model.m:
         raise ValueError(f"observation dimension {obs.m} != model m={model.m}")
     post = posterior(sigma_tree, model)
-    omega = post.cov.entries + post.gain @ obs.second_moment @ post.gain.T
+    omega = post.cov + post.gain @ obs.second_moment @ post.gain.T
     return CovMatrix((omega + omega.T) / 2.0)
-
-
-def em_step(
-    sigma_tree: CovMatrix, model: LinearModel, obs: ObservationSet
-) -> tuple[CovMatrix, SpanningTree]:
-    """One refinement: best tree fit of the pooled posterior moment."""
-    result = chow_liu(compute_omega(sigma_tree, model, obs))
-    return result.cov, result.tree
 
 
 def run_em(
@@ -175,10 +161,11 @@ def run_em(
     """Iterate tree refits from chow_liu(sigma0) until convergence or the cap.
 
     The first iterate is the best tree fit of the prior itself
-    (``config.prior_fit``); iterate l+1 refits the moment pooled under
-    iterate l. The loop stops once the latent-space divergence from iterate
-    l to iterate l+1 drops below epsilon (EpsilonReached) or after l_max
-    iterates (LmaxReached).
+    (``config.prior_fit``); iterate l+1 is the best tree fit of the
+    posterior moment pooled under iterate l,
+    ``chow_liu(compute_omega(iterate_l, model, obs))``. The loop stops once
+    the latent-space divergence from iterate l to iterate l+1 drops below
+    epsilon (EpsilonReached) or after l_max iterates (LmaxReached).
 
     Each record carries the observation-space objective, which requires a
     positive definite sample covariance (more samples than observed
@@ -214,9 +201,9 @@ def run_em(
     stop = StopReason.LMAX_REACHED
     for index in range(2, config.l_max + 1):
         prev = records[-1]
-        cov, tree = em_step(prev.sigma_tree, model, obs)
-        step_kl = kl_gaussian(prev.sigma_tree, cov)
-        rec = record(index, cov, tree, step_kl)
+        fit = chow_liu(compute_omega(prev.sigma_tree, model, obs))
+        step_kl = kl_gaussian(prev.sigma_tree, fit.cov)
+        rec = record(index, fit.cov, fit.tree, step_kl)
         if rec.obs_kl > prev.obs_kl + MONOTONICITY_SLACK:
             warnings.warn(
                 f"observation objective rose from {prev.obs_kl:.9g} to "

@@ -22,8 +22,8 @@ from . import __version__
 from .em import EmConfig, EmTrace, StopReason, run_em
 from .gaussian import CovMatrix, NumericalError, kl_gaussian
 from .linear import (
-    RANK_RTOL,
     LinearModel,
+    RankDeficientError,
     read_matrix_csv,
     sample_observations,
 )
@@ -107,16 +107,15 @@ def generate_mixing(
     rng = np.random.default_rng(seed)
     for _ in range(MAX_MIXING_REDRAWS):
         h = rng.standard_normal((m, p))
-        sv = np.linalg.svd(h, compute_uv=False)
-        if sv[-1] > RANK_RTOL * sv[0]:
-            break
-    else:
-        raise NumericalError(
-            f"mixing matrix stayed rank deficient after {MAX_MIXING_REDRAWS} draws"
-        )
-    signal_power = float(np.trace(h @ sigma.entries @ h.T))
-    noise_var = signal_power / (m * 10.0 ** (snr_db / 10.0))
-    return LinearModel(h, CovMatrix(noise_var * np.eye(m)))
+        signal_power = float(np.trace(h @ sigma.entries @ h.T))
+        noise_var = signal_power / (m * 10.0 ** (snr_db / 10.0))
+        try:
+            return LinearModel(h, CovMatrix(noise_var * np.eye(m)))
+        except RankDeficientError:
+            pass
+    raise NumericalError(
+        f"mixing matrix stayed rank deficient after {MAX_MIXING_REDRAWS} draws"
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,8 +128,8 @@ class ExperimentConfig:
     snr_db: float = 20.0
     trials: int = 100
     seed: int = 0
-    epsilon: float = 0.01
-    l_max: int = 20
+    epsilon: float = EmConfig.epsilon
+    l_max: int = EmConfig.l_max
     alpha: float = 0.5
     sigma_csv: str | None = None
     sigma0_csv: str | None = None

@@ -18,14 +18,19 @@ from .gaussian import CovMatrix, NotPositiveDefiniteError
 RANK_RTOL = 1e-10
 
 
+class RankDeficientError(ValueError):
+    """A mixing matrix fails the numerical full-row-rank test."""
+
+
 @dataclass(frozen=True, eq=False)
 class LinearModel:
     """Observation map y = H x + w with w ~ N(0, D).
 
-    H must be m x p with m <= p and full numerical row rank (smallest
-    singular value above 1e-10 times the largest). Pass ``check_rank=False``
-    to build intentionally degenerate models, e.g. H = 0 when exercising
-    no-information limits in tests.
+    H must be a finite m x p matrix with m <= p and full numerical row rank
+    (smallest singular value above 1e-10 times the largest, else
+    RankDeficientError). Pass ``check_rank=False`` to build intentionally
+    degenerate models, e.g. H = 0 when exercising no-information limits in
+    tests.
 
     Parameters
     ----------
@@ -43,6 +48,8 @@ class LinearModel:
         h = np.array(self.h, dtype=float)
         if h.ndim != 2:
             raise ValueError(f"H must be a matrix, got shape {h.shape}")
+        if not np.all(np.isfinite(h)):
+            raise ValueError("mixing matrix H has a non-finite entry")
         m, p = h.shape
         if m < 1:
             raise ValueError("H needs at least one row")
@@ -53,7 +60,7 @@ class LinearModel:
         if check_rank:
             sv = np.linalg.svd(h, compute_uv=False)
             if sv[-1] <= RANK_RTOL * sv[0]:
-                raise ValueError("H is numerically rank deficient")
+                raise RankDeficientError("H is numerically rank deficient")
         h.setflags(write=False)
         object.__setattr__(self, "h", h)
 
@@ -86,6 +93,8 @@ class ObservationSet:
         y = np.array(self.samples, dtype=float)
         if y.ndim != 2 or y.shape[0] < 1 or y.shape[1] < 1:
             raise ValueError(f"samples must be a nonempty R x m array, got shape {y.shape}")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("observations have a non-finite entry")
         r = y.shape[0]
         second = y.T @ y / r
         second = (second + second.T) / 2.0

@@ -131,7 +131,7 @@ def test_a3_pooled_moment_matches_per_sample_average(capsys):
         pooled = np.zeros((p, p))
         for y in obs.samples:
             mu = post.gain @ y
-            pooled += post.cov.entries + np.outer(mu, mu)
+            pooled += post.cov + np.outer(mu, mu)
         pooled /= obs.r
         omega = compute_omega(prior, model, obs)
         gap = max(gap, float(np.abs(omega.entries - pooled).max()))

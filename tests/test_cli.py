@@ -139,6 +139,33 @@ class TestEmCommand:
     def test_missing_required_flag_is_a_config_error(self, em_inputs):
         assert main(["em", "--sigma0", str(em_inputs["sigma0"])]) == 1
 
+    @pytest.mark.parametrize(
+        "name, bad, named",
+        [
+            ("h", "inf", "mixing matrix"),
+            ("h", "nan", "mixing matrix"),
+            ("obs", "nan", "observations"),
+        ],
+    )
+    def test_non_finite_input_is_a_config_error(self, em_inputs, capsys, name, bad, named):
+        path = em_inputs[name]
+        lines = path.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[0] = bad
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        code = main(
+            [
+                "em",
+                "--sigma0", str(em_inputs["sigma0"]),
+                "--h", str(em_inputs["h"]),
+                "--d", str(em_inputs["d"]),
+                "--obs", str(em_inputs["obs"]),
+            ]
+        )
+        assert code == 1
+        assert named in capsys.readouterr().err
+
 
 def write_sweep_config(tmp_path, **overrides):
     values = dict(

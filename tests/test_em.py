@@ -22,7 +22,6 @@ from treecov import (
     StopReason,
     chow_liu,
     compute_omega,
-    em_step,
     kl_gaussian,
     observation_cov,
     posterior,
@@ -47,28 +46,36 @@ class TestPosterior:
     def test_identity_everything_halves_the_covariance(self):
         model = LinearModel(np.eye(2), CovMatrix(np.eye(2)))
         post = posterior(CovMatrix(np.eye(2)), model)
-        np.testing.assert_allclose(post.cov.entries, 0.5 * np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(post.cov, 0.5 * np.eye(2), atol=1e-14)
         np.testing.assert_allclose(post.gain, 0.5 * np.eye(2), atol=1e-14)
 
     def test_scalar_closed_form(self):
-        # (1/4 + 1)^-1 = 0.8 and gain = 0.8.
+        # K = 4 + 1, gain = 4/5 = 0.8 and C = 0.2 * 4 * 0.2 + 0.8 * 0.8 = 0.8.
         model = LinearModel(np.eye(1), CovMatrix(np.eye(1)))
         post = posterior(CovMatrix(np.array([[4.0]])), model)
-        assert post.cov.entries[0, 0] == pytest.approx(0.8, abs=1e-14)
+        assert post.cov[0, 0] == pytest.approx(0.8, abs=1e-14)
         assert post.gain[0, 0] == pytest.approx(0.8, abs=1e-14)
 
     def test_no_mixing_returns_the_prior(self):
         model = LinearModel(np.zeros((2, 3)), CovMatrix(np.eye(2)), check_rank=False)
         prior = random_spd(np.random.default_rng(2), 3)
         post = posterior(prior, model)
-        np.testing.assert_allclose(post.cov.entries, prior.entries, atol=1e-10)
+        np.testing.assert_allclose(post.cov, prior.entries, atol=1e-10)
         np.testing.assert_allclose(post.gain, np.zeros((3, 2)), atol=1e-14)
 
     def test_conditioning_never_inflates_uncertainty(self):
         sigma, _, model, _ = make_scenario(seed=3)
         post = posterior(sigma, model)
-        gap = sigma.entries - post.cov.entries
+        gap = sigma.entries - post.cov
         assert np.linalg.eigvalsh(gap).min() > -1e-10
+
+    def test_vanishing_noise_pins_the_observed_directions(self):
+        # With H = I and D -> 0 the observation determines x: the gain tends
+        # to I and C to 0, a singular posterior that must still be returned.
+        model = LinearModel(np.eye(3), CovMatrix(1e-30 * np.eye(3)))
+        post = posterior(random_spd(np.random.default_rng(26), 3), model)
+        np.testing.assert_allclose(post.gain, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(post.cov, np.zeros((3, 3)), atol=1e-12)
 
     def test_rejects_dimension_mismatch(self):
         model = LinearModel(np.eye(2, 3), CovMatrix(np.eye(2)))
@@ -91,7 +98,7 @@ class TestComputeOmega:
         pooled = np.zeros((model.p, model.p))
         for y in obs.samples:
             mu = post.gain @ y
-            pooled += post.cov.entries + np.outer(mu, mu)
+            pooled += post.cov + np.outer(mu, mu)
         pooled /= obs.r
         omega = compute_omega(sigma0, model, obs)
         np.testing.assert_allclose(omega.entries, pooled, atol=1e-12)
@@ -119,35 +126,27 @@ class TestComputeOmega:
 
 
 class TestEmStep:
-    def test_is_the_tree_fit_of_the_pooled_moment(self):
-        _, sigma0, model, obs = make_scenario(seed=10)
-        start = chow_liu(sigma0).cov
-        cov, tree = em_step(start, model, obs)
-        expected = chow_liu(compute_omega(start, model, obs))
-        assert np.array_equal(cov.entries, expected.cov.entries)
-        assert tree.edges == expected.tree.edges
-
     def test_no_mixing_tree_prior_is_a_fixed_point(self):
         # With H = 0 the pooled moment is the prior itself, and refitting a
         # tree covariance reproduces it.
         model = LinearModel(np.zeros((2, 3)), CovMatrix(np.eye(2)), check_rank=False)
         prior = chow_liu(random_spd(np.random.default_rng(11), 3)).cov
         obs = ObservationSet(np.random.default_rng(12).standard_normal((20, 2)))
-        cov, _ = em_step(prior, model, obs)
+        cov = chow_liu(compute_omega(prior, model, obs)).cov
         np.testing.assert_allclose(cov.entries, prior.entries, atol=1e-10)
 
     def test_iteration_reaches_a_fixed_point(self):
         sigma, sigma0, model, obs = make_scenario(p=3, m=3, r=200, seed=13)
         cov = chow_liu(sigma0).cov
         for _ in range(500):
-            new_cov, _ = em_step(cov, model, obs)
+            new_cov = chow_liu(compute_omega(cov, model, obs)).cov
             delta = kl_gaussian(cov, new_cov)
             cov = new_cov
             if delta < 1e-13:
                 break
         else:
             pytest.fail("no fixed point within 500 refinements")
-        settled, _ = em_step(cov, model, obs)
+        settled = chow_liu(compute_omega(cov, model, obs)).cov
         assert kl_gaussian(cov, settled) < 1e-10
 
 

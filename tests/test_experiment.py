@@ -323,6 +323,14 @@ class TestRunSweep:
         rec = result.records[0]
         assert rec.latent_kl_em < 0.2 * rec.latent_kl_prior_tree
 
+    def test_no_trial_fails_from_low_to_extreme_snr(self):
+        # Conditioning must stay valid as the noise vanishes: m = p and
+        # 400 dB make the posterior covariance numerically singular.
+        for snr_db in (-10.0, 20.0, 100.0, 140.0, 400.0):
+            result = run_sweep(small_config(m_values=(2, 4), snr_db=snr_db))
+            assert result.failures == (), f"{snr_db} dB: {result.failures[0].error}"
+            assert len(result.records) == 6
+
     def test_records_partial_failures(self):
         def flaky_factory(p, m, snr_db, sigma, seed):
             if m == 2:

@@ -16,6 +16,7 @@ from treecov import (
     LinearModel,
     NotPositiveDefiniteError,
     ObservationSet,
+    RankDeficientError,
     chow_liu,
     empirical_gaussian,
     kl_gaussian,
@@ -58,7 +59,14 @@ class TestLinearModel:
 
     def test_rejects_rank_deficiency(self):
         h = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
-        with pytest.raises(ValueError, match="rank deficient"):
+        with pytest.raises(RankDeficientError, match="rank deficient"):
+            LinearModel(h, CovMatrix(np.eye(2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        h = np.eye(2, 3)
+        h[1, 2] = bad
+        with pytest.raises(ValueError, match="mixing matrix"):
             LinearModel(h, CovMatrix(np.eye(2)))
 
     def test_rank_check_can_be_disabled_for_degenerate_models(self):
@@ -97,6 +105,13 @@ class TestObservationSet:
             ObservationSet(np.zeros((0, 2)))
         with pytest.raises(ValueError):
             ObservationSet(np.zeros(5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        y = np.ones((4, 2))
+        y[2, 0] = bad
+        with pytest.raises(ValueError, match="observations"):
+            ObservationSet(y)
 
 
 class TestSampleObservations:
