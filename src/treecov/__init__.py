@@ -17,7 +17,6 @@ from .gaussian import (
     NotPositiveDefiniteError,
     NumericalError,
     kl_gaussian,
-    kl_tree_simplified,
     mutual_information_matrix,
 )
 from .tree import (

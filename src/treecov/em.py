@@ -67,8 +67,8 @@ class EmConfig:
     prior_fit: TreeApproxResult = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.l_max < 1:
             raise ValueError(f"l_max must be at least 1, got {self.l_max}")
         object.__setattr__(self, "prior_fit", chow_liu(self.sigma0))

@@ -139,6 +139,10 @@ class ExperimentConfig:
         object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
         if self.p < 2:
             raise ConfigError(f"p must be at least 2, got {self.p}")
+        if not self.m_values:
+            raise ConfigError("m_values must name at least one m")
+        if len(set(self.m_values)) != len(self.m_values):
+            raise ConfigError(f"m_values must not repeat an m, got {self.m_values}")
         for m in self.m_values:
             if not 1 <= m <= self.p:
                 raise ConfigError(f"every m must satisfy 1 <= m <= p={self.p}, got {m}")
@@ -146,8 +150,14 @@ class ExperimentConfig:
             raise ConfigError(f"r must be at least 1, got {self.r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be at least 1, got {self.trials}")
-        if not math.isfinite(self.snr_db):
-            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
+        try:
+            snr = 10.0 ** (self.snr_db / 10.0)
+        except OverflowError:
+            snr = math.inf
+        if not (math.isfinite(snr) and snr > 0.0):
+            raise ConfigError(
+                f"10^(snr_db/10) must be positive and finite, got snr_db={self.snr_db}"
+            )
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.l_max < 1:
@@ -367,10 +377,9 @@ def run_sweep(
                     stop_reason=trace.stop_reason,
                 )
             )
-    attempted = len(config.m_values) * config.trials
-    if attempted > 0 and not records:
+    if not records:
         raise NumericalError(
-            f"all {attempted} trials failed; first failure: {failures[0].error}"
+            f"all {len(failures)} trials failed; first failure: {failures[0].error}"
         )
     aggregates = []
     for m in config.m_values:

@@ -9,6 +9,7 @@ measured in nats.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -72,17 +73,17 @@ class CovMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @property
+    @cached_property
     def log_det(self) -> float:
-        """ln det of the covariance, from the triangular factor."""
+        """ln det of the covariance, from the triangular factor; computed once."""
         return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
 
-def _clamp_kl(kl: float) -> float:
+def _clamp_kl(kl: float, bound: float = KL_CLAMP) -> float:
     # Roundoff may push a true zero slightly negative; anything worse is a fault.
     if kl >= 0.0:
         return kl
-    if kl >= -KL_CLAMP:
+    if kl >= -bound:
         return 0.0
     raise NumericalError(f"KL divergence {kl:.6e} is negative beyond roundoff")
 
@@ -116,20 +117,6 @@ def kl_gaussian(p0: CovMatrix, p1: CovMatrix) -> float:
     a = solve_triangular(p1.chol, p0.chol, lower=True)
     kl = 0.5 * (float(np.sum(a * a)) - p0.dim + p1.log_det - p0.log_det)
     return _clamp_kl(kl)
-
-
-def kl_tree_simplified(sigma: CovMatrix, sigma_tree: CovMatrix) -> float:
-    """Divergence to a marginal-matching tree covariance: -0.5 * ln det(S St^-1).
-
-    Precondition: ``sigma_tree`` matches ``sigma`` on every variance and on
-    the covariances of some spanning tree, and its inverse carries that
-    tree's sparsity. Under that precondition the value equals
-    ``kl_gaussian(sigma, sigma_tree)``; for arbitrary inputs it is just the
-    log-determinant difference and may be negative.
-    """
-    if sigma.dim != sigma_tree.dim:
-        raise ValueError(f"dimension mismatch: {sigma.dim} vs {sigma_tree.dim}")
-    return 0.5 * (sigma_tree.log_det - sigma.log_det)
 
 
 def mutual_information_matrix(sigma: CovMatrix) -> np.ndarray:

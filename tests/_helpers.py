@@ -15,12 +15,10 @@ from treecov import (
     NumericalError,
     SpanningTree,
     TreeApproxResult,
-    kl_tree_simplified,
     prufer_decode,
     tree_completion,
     tree_covariance,
 )
-from treecov.tree import _clamp_tree_kl
 
 BRUTE_FORCE_MAX_VERTICES = 8
 
@@ -47,9 +45,11 @@ def brute_force_optimal_tree(sigma: CovMatrix) -> TreeApproxResult:
 
     Decodes every length-(p-2) vertex sequence into a labelled tree (each
     tree appears exactly once), completes each marginal-matching covariance,
-    and returns the argmin of the approximation divergence. Exact ties are
-    broken by lexicographic edge-list order. Rejects p > 8, where the
-    p^(p-2) enumeration stops being practical.
+    and returns the argmin of the approximation divergence, scored as
+    0.5 * (ln det tilde - ln det sigma) with both log-determinants from
+    ``np.linalg.slogdet``, unclamped. Exact ties are broken by lexicographic
+    edge-list order. Rejects p > 8, where the p^(p-2) enumeration stops
+    being practical.
     """
     p = sigma.dim
     if p < 2:
@@ -59,6 +59,7 @@ def brute_force_optimal_tree(sigma: CovMatrix) -> TreeApproxResult:
             f"exhaustive search supports p <= {BRUTE_FORCE_MAX_VERTICES}, got {p}"
         )
     s = sigma.entries
+    logdet_sigma = np.linalg.slogdet(s)[1]
     best_kl = np.inf
     best_tree: SpanningTree | None = None
     for seq in itertools.product(range(p), repeat=p - 2):
@@ -67,11 +68,10 @@ def brute_force_optimal_tree(sigma: CovMatrix) -> TreeApproxResult:
         sign, logdet_tilde = np.linalg.slogdet(tilde)
         if sign <= 0:
             raise NumericalError("candidate tree covariance not positive definite")
-        kl = 0.5 * (logdet_tilde - sigma.log_det)
+        kl = 0.5 * (logdet_tilde - logdet_sigma)
         if kl < best_kl or (kl == best_kl and tree.edges < best_tree.edges):
             best_kl = kl
             best_tree = tree
-    cov = tree_covariance(sigma, best_tree)
     return TreeApproxResult(
-        tree=best_tree, cov=cov, kl=_clamp_tree_kl(kl_tree_simplified(sigma, cov))
+        tree=best_tree, cov=tree_covariance(sigma, best_tree), kl=float(best_kl)
     )

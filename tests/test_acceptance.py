@@ -27,7 +27,6 @@ from treecov import (
     compute_omega,
     emit_results,
     kl_gaussian,
-    kl_tree_simplified,
     posterior,
     prufer_decode,
     run_sweep,
@@ -101,17 +100,16 @@ def test_a1_tree_fit_is_globally_optimal(capsys):
 
 
 def test_a2_simplified_divergence_matches_full_form(capsys):
-    # 200 seeded pairs, p in 3..8: the log-determinant shortcut must agree
-    # with the full divergence to 1e-9 on marginal-matching tree fits.
+    # 200 seeded pairs, p in 3..8: the closed-form tree divergence that the
+    # fit reports must agree with the full divergence to 1e-9.
     gap = 0.0
     for seed in range(200):
         p = 3 + seed % 6
         sigma = random_spd(np.random.default_rng(seed), p)
         fit = chow_liu(sigma)
-        full = kl_gaussian(sigma, fit.cov)
-        gap = max(gap, abs(kl_tree_simplified(sigma, fit.cov) - full))
+        gap = max(gap, abs(fit.kl - kl_gaussian(sigma, fit.cov)))
     ok = gap < 1e-9
-    report("A2", ok, f"max |simplified - full| = {gap:.3e} over 200 pairs", capsys)
+    report("A2", ok, f"max |closed form - full| = {gap:.3e} over 200 pairs", capsys)
 
 
 def test_a3_pooled_moment_matches_per_sample_average(capsys):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +223,18 @@ class TestSweepCommand:
         config = write_sweep_config(tmp_path)
         assert main(["sweep", "--config", str(config), "--p", "four"]) == 1
 
+    @pytest.mark.parametrize("snr_db", ["4000", "-4000"])
+    def test_snr_beyond_float_range_is_a_config_error(self, tmp_path, capsys, snr_db):
+        # 10^(snr_db/10) overflows at +4000 dB and underflows to 0 at -4000 dB.
+        code = main(
+            [
+                "sweep", "--p", "4", "--m_values", "2", "--trials", "2",
+                f"--snr_db={snr_db}", "--output", str(tmp_path / "out.txt"),
+            ]
+        )
+        assert code == 1
+        assert "config error:" in capsys.readouterr().err
+
     def test_missing_config_file_is_an_io_error(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 3
 
@@ -247,6 +262,17 @@ class TestParserBehavior:
             main(["--help"])
         assert excinfo.value.code == 0
         assert "sweep" in capsys.readouterr().out
+
+    def test_module_entry_point_runs_from_checkout(self):
+        # The README's fallback when the console script is not installed.
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "treecov.cli", "--help"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert "chowliu" in proc.stdout
 
     def test_console_script_is_installed(self):
         exe = shutil.which("treecov")

@@ -157,6 +157,8 @@ class TestEmConfig:
             EmConfig(sigma0, epsilon=0.0)
         with pytest.raises(ValueError, match="epsilon"):
             EmConfig(sigma0, epsilon=-1.0)
+        with pytest.raises(ValueError, match="epsilon"):
+            EmConfig(sigma0, epsilon=math.inf)
 
     def test_rejects_zero_cap(self):
         with pytest.raises(ValueError, match="l_max"):

@@ -19,6 +19,7 @@ from treecov import (
     LinearModel,
     NumericalError,
     StopReason,
+    SweepResult,
     chow_liu,
     config_from_mapping,
     derive_seed,
@@ -182,6 +183,10 @@ class TestExperimentConfig:
             dict(snr_db=math.inf),
             dict(epsilon=math.nan),
             dict(epsilon=math.inf),
+            dict(snr_db=4000.0),
+            dict(snr_db=-4000.0),
+            dict(m_values=()),
+            dict(m_values=(2, 2)),
         ],
     )
     def test_rejects_invalid_fields(self, overrides):
@@ -432,6 +437,8 @@ class TestEmitResults:
         assert stable_a == stable_b
 
     def test_empty_sweep_emits_header_only_csv(self, tmp_path):
-        result = run_sweep(small_config(m_values=()))
+        # run_sweep never returns this (a config names at least one m and
+        # a sweep with no successful trial raises); emit_results accepts it.
+        result = SweepResult(config=small_config(), records=(), aggregates=(), failures=())
         _, csv_path = emit_results(result, tmp_path / "results.txt")
         assert csv_path.read_text() == CSV_HEADER + "\n"

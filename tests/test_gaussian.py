@@ -19,9 +19,7 @@ from treecov import (
     DegenerateCorrelationError,
     NotPositiveDefiniteError,
     NumericalError,
-    chow_liu,
     kl_gaussian,
-    kl_tree_simplified,
     mutual_information_matrix,
 )
 from treecov.gaussian import _clamp_kl
@@ -146,38 +144,6 @@ class TestKlGaussian:
         assert _clamp_kl(2.5) == 2.5
         with pytest.raises(NumericalError):
             _clamp_kl(-1e-9)
-
-
-class TestKlTreeSimplified:
-    def test_zero_when_tree_equals_input(self):
-        # Unit-variance chain whose 0-2 correlation already is the path product.
-        sigma = corr3(0.9, 0.8, 0.72)
-        fit = chow_liu(sigma)
-        assert kl_tree_simplified(sigma, fit.cov) == pytest.approx(0.0, abs=1e-12)
-        assert kl_gaussian(sigma, fit.cov) == pytest.approx(0.0, abs=1e-12)
-
-    def test_equals_full_kl_on_marginal_matching_covariance(self):
-        # The stated 3-node example with rho_02 = 0.1 is not positive
-        # definite; 0.6 keeps the matrix valid and the structure intact.
-        sigma = corr3(0.9, 0.8, 0.6)
-        fit = chow_liu(sigma)
-        simplified = kl_tree_simplified(sigma, fit.cov)
-        full = kl_gaussian(sigma, fit.cov)
-        assert simplified > 0.0
-        assert simplified == pytest.approx(full, abs=1e-9)
-
-    @settings(deadline=None, max_examples=30)
-    @given(st.integers(0, 10**6), st.integers(3, 8))
-    def test_agreement_property(self, seed, p):
-        sigma = random_spd(np.random.default_rng(seed), p)
-        fit = chow_liu(sigma)
-        simplified = kl_tree_simplified(sigma, fit.cov)
-        full = kl_gaussian(sigma, fit.cov)
-        assert abs(simplified - full) < 1e-9
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            kl_tree_simplified(CovMatrix(np.eye(2)), CovMatrix(np.eye(3)))
 
 
 def mi(entries) -> np.ndarray:

@@ -18,9 +18,10 @@ from treecov import (
     DegenerateCorrelationError,
     SpanningTree,
     chow_liu,
-    kl_tree_simplified,
+    kl_gaussian,
     mutual_information_matrix,
     prufer_decode,
+    tree_completion,
     tree_covariance,
 )
 
@@ -197,12 +198,14 @@ class TestChowLiu:
         assert fit.tree.edges == ((0, 1), (0, 2), (0, 3))
 
     def test_three_node_example_against_manual_enumeration(self):
-        # All three spanning trees evaluated by hand form the oracle.
+        # All three spanning trees evaluated by hand form the oracle. The
+        # stated example's rho_02 = 0.1 is not positive definite; 0.6 keeps
+        # the matrix valid and the structure intact.
         sigma = corr3(0.9, 0.8, 0.6)
         candidates = {}
         for edges in (((0, 1), (1, 2)), ((0, 1), (0, 2)), ((0, 2), (1, 2))):
             tree = SpanningTree(3, edges)
-            candidates[edges] = kl_tree_simplified(sigma, tree_covariance(sigma, tree))
+            candidates[edges] = kl_gaussian(sigma, tree_covariance(sigma, tree))
         best_edges = min(candidates, key=lambda e: candidates[e])
         fit = chow_liu(sigma)
         assert best_edges == ((0, 1), (1, 2))
@@ -211,13 +214,38 @@ class TestChowLiu:
         assert fit.kl == pytest.approx(candidates[best_edges], abs=1e-12)
 
     def test_consistent_chain_reaches_zero(self):
-        fit = chow_liu(corr3(0.9, 0.8, 0.72))
+        # Unit-variance chain whose 0-2 correlation already is the path product.
+        sigma = corr3(0.9, 0.8, 0.72)
+        fit = chow_liu(sigma)
         assert fit.tree.edges == ((0, 1), (1, 2))
         assert fit.kl <= 1e-12
+        assert kl_gaussian(sigma, fit.cov) == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_single_vertex(self):
         with pytest.raises(ValueError, match="at least two"):
             chow_liu(CovMatrix(np.eye(1)))
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 10**6), st.integers(3, 8))
+    def test_kl_agrees_with_full_divergence(self, seed, p):
+        sigma = random_spd(np.random.default_rng(seed), p)
+        fit = chow_liu(sigma)
+        assert abs(fit.kl - kl_gaussian(sigma, fit.cov)) < 1e-9
+
+    @pytest.mark.parametrize("p", [10, 40, 80, 160])
+    def test_exact_tree_divergence_is_roundoff(self, p):
+        # Tree-structured input with unequal variances and some edges at
+        # |rho| = 0.9999: the true divergence is zero, so the closed form's
+        # roundoff must stay inside 1e-9 (below -1e-9 the clamp raises).
+        rng = np.random.default_rng(p)
+        tree = random_tree(rng, p)
+        rho = rng.uniform(0.5, 0.9999, size=p - 1) * rng.choice([-1.0, 1.0], size=p - 1)
+        rho[: (p - 1) // 4] = 0.9999
+        std = rng.uniform(0.3, 3.0, size=p)
+        corr = tree_completion(np.ones(p), tree, rho)
+        fit = chow_liu(CovMatrix(corr * np.outer(std, std)))
+        assert fit.tree.edges == tree.edges
+        assert 0.0 <= fit.kl <= 1e-9
 
     def test_rejects_degenerate_correlation(self):
         near_one = 1.0 - 1e-13
@@ -253,7 +281,7 @@ class TestChowLiu:
         sigma = random_spd(rng, p)
         t1, t2 = random_tree(rng, p), random_tree(rng, p)
         weight_gap = total_mi_weight(sigma, t1) - total_mi_weight(sigma, t2)
-        kl_gap = kl_tree_simplified(sigma, tree_covariance(sigma, t2)) - kl_tree_simplified(
+        kl_gap = kl_gaussian(sigma, tree_covariance(sigma, t2)) - kl_gaussian(
             sigma, tree_covariance(sigma, t1)
         )
         assert abs(weight_gap - kl_gap) <= 1e-9
