@@ -19,6 +19,7 @@ from treecov import (
     DegenerateCorrelationError,
     NotPositiveDefiniteError,
     NumericalError,
+    chow_liu,
     kl_gaussian,
     mutual_information_matrix,
 )
@@ -144,6 +145,27 @@ class TestKlGaussian:
         assert _clamp_kl(2.5) == 2.5
         with pytest.raises(NumericalError):
             _clamp_kl(-1e-9)
+
+
+class TestKlTreeSimplified:
+    """The tree divergence chow_liu reads off its MI weights, against the
+    full Gaussian KL of the fitted covariance."""
+
+    def test_zero_when_tree_equals_input(self):
+        # Unit-variance chain whose 0-2 correlation already is the path product.
+        sigma = corr3(0.9, 0.8, 0.72)
+        fit = chow_liu(sigma)
+        assert fit.kl == pytest.approx(0.0, abs=1e-12)
+        assert kl_gaussian(sigma, fit.cov) == pytest.approx(0.0, abs=1e-12)
+
+    def test_equals_full_kl_on_marginal_matching_covariance(self):
+        # The stated 3-node example with rho_02 = 0.1 is not positive
+        # definite; 0.6 keeps the matrix valid and the structure intact.
+        sigma = corr3(0.9, 0.8, 0.6)
+        fit = chow_liu(sigma)
+        full = kl_gaussian(sigma, fit.cov)
+        assert fit.kl > 0.0
+        assert fit.kl == pytest.approx(full, abs=1e-9)
 
 
 def mi(entries) -> np.ndarray:
