@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .gaussian import CovMatrix, NumericalError, kl_gaussian
 from .linear import LinearModel, ObservationSet, empirical_gaussian, observation_cov
@@ -114,17 +113,25 @@ class EmTrace:
         return min(self.iterations, key=lambda rec: rec.latent_kl).index
 
 
-def posterior(sigma_tree: CovMatrix, model: LinearModel) -> PosteriorGaussian:
+def posterior(sigma_tree: CovMatrix, model: LinearModel, k: CovMatrix) -> PosteriorGaussian:
     """Latent posterior under prior N(0, sigma_tree) and the observation model.
 
-    Covariance (Joseph) form, which factors only the m x m observation
-    covariance K = H sigma H^T + D (Bucy & Joseph 1968): gain = sigma H^T K^-1
-    and C = (I - gain H) sigma (I - gain H)^T + gain D gain^T, a sum of
-    positive semidefinite terms at any noise level.
+    ``k`` is the iterate's observation covariance K = H sigma H^T + D, as
+    built by ``observation_cov(model, sigma_tree)``; the caller passes it so
+    that one K per iterate serves both the objective and the posterior.
+
+    Covariance (Joseph) form, which solves only with the m x m K (Bucy &
+    Joseph 1968): gain = sigma H^T K^-1, from one ``numpy.linalg.solve(K,
+    H sigma)``, and C = (I - gain H) sigma (I - gain H)^T + gain D gain^T, a
+    sum of positive semidefinite terms at any noise level.
     """
-    k = observation_cov(model, sigma_tree)
+    if sigma_tree.dim != model.p or k.dim != model.m:
+        raise ValueError(
+            f"dimension mismatch: prior {sigma_tree.dim} and K {k.dim} "
+            f"against model p={model.p}, m={model.m}"
+        )
     sigma = sigma_tree.entries
-    gain = cho_solve((k.chol, True), model.h @ sigma).T
+    gain = np.linalg.solve(k.entries, model.h @ sigma).T
     a = np.eye(model.p) - gain @ model.h
     c = a @ sigma @ a.T + gain @ model.d.entries @ gain.T
     c = (c + c.T) / 2.0
@@ -137,17 +144,18 @@ def posterior(sigma_tree: CovMatrix, model: LinearModel) -> PosteriorGaussian:
 
 
 def compute_omega(
-    sigma_tree: CovMatrix, model: LinearModel, obs: ObservationSet
+    sigma_tree: CovMatrix, model: LinearModel, obs: ObservationSet, k: CovMatrix
 ) -> CovMatrix:
     """Posterior second moment pooled over the observation set.
 
     Omega = C + gain M gain^T with M the uncentered second moment of the
     observations; equivalently the average over samples of
     C + mean_y mean_y^T. Omega is positive definite even where C is singular.
+    ``k`` is the iterate's observation covariance, as for ``posterior``.
     """
     if obs.m != model.m:
         raise ValueError(f"observation dimension {obs.m} != model m={model.m}")
-    post = posterior(sigma_tree, model)
+    post = posterior(sigma_tree, model, k)
     omega = post.cov + post.gain @ obs.second_moment @ post.gain.T
     return CovMatrix((omega + omega.T) / 2.0)
 
@@ -163,9 +171,11 @@ def run_em(
     The first iterate is the best tree fit of the prior itself
     (``config.prior_fit``); iterate l+1 is the best tree fit of the
     posterior moment pooled under iterate l,
-    ``chow_liu(compute_omega(iterate_l, model, obs))``. The loop stops once
-    the latent-space divergence from iterate l to iterate l+1 drops below
-    epsilon (EpsilonReached) or after l_max iterates (LmaxReached).
+    ``chow_liu(compute_omega(iterate_l, model, obs, k_l))``, where k_l is
+    the observation covariance of iterate l, built once and also used for
+    its objective. The loop stops once the latent-space divergence from
+    iterate l to iterate l+1 drops below epsilon (EpsilonReached) or after
+    l_max iterates (LmaxReached).
 
     Each record carries the observation-space objective, which requires a
     positive definite sample covariance (more samples than observed
@@ -184,8 +194,10 @@ def run_em(
         raise ValueError(f"observation dimension {obs.m} != model m={model.m}")
     empirical = empirical_gaussian(obs)
 
-    def record(index: int, cov: CovMatrix, tree: SpanningTree, step_kl: float) -> EmIteration:
-        obs_kl = kl_gaussian(empirical, observation_cov(model, cov))
+    def record(
+        index: int, cov: CovMatrix, tree: SpanningTree, step_kl: float, k: CovMatrix
+    ) -> EmIteration:
+        obs_kl = kl_gaussian(empirical, k)
         latent = kl_gaussian(ground_truth, cov) if ground_truth is not None else None
         return EmIteration(
             index=index,
@@ -196,14 +208,18 @@ def run_em(
             latent_kl=latent,
         )
 
+    # One observation covariance K per iterate: it scores the iterate here
+    # and conditions on it in the next compute_omega.
     first = config.prior_fit
-    records = [record(1, first.cov, first.tree, math.inf)]
+    k = observation_cov(model, first.cov)
+    records = [record(1, first.cov, first.tree, math.inf, k)]
     stop = StopReason.LMAX_REACHED
     for index in range(2, config.l_max + 1):
         prev = records[-1]
-        fit = chow_liu(compute_omega(prev.sigma_tree, model, obs))
+        fit = chow_liu(compute_omega(prev.sigma_tree, model, obs, k))
         step_kl = kl_gaussian(prev.sigma_tree, fit.cov)
-        rec = record(index, fit.cov, fit.tree, step_kl)
+        k = observation_cov(model, fit.cov)
+        rec = record(index, fit.cov, fit.tree, step_kl, k)
         if rec.obs_kl > prev.obs_kl + MONOTONICITY_SLACK:
             warnings.warn(
                 f"observation objective rose from {prev.obs_kl:.9g} to "

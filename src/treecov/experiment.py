@@ -12,6 +12,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Mapping
@@ -98,7 +99,8 @@ def generate_mixing(
     H has iid standard normal entries and is redrawn (at most 10 times) if
     numerically rank deficient. The noise is white, D = s^2 I with s^2 =
     trace(H sigma H^T) / (m * 10^(snr_db / 10)), which makes the ratio of
-    signal to noise power equal 10^(snr_db / 10) exactly.
+    signal to noise power equal 10^(snr_db / 10) exactly. An SNR so extreme
+    that s^2 is not a normal positive finite float raises NumericalError.
     """
     if not 1 <= m <= p:
         raise ValueError(f"need 1 <= m <= p, got m={m}, p={p}")
@@ -109,6 +111,11 @@ def generate_mixing(
         h = rng.standard_normal((m, p))
         signal_power = float(np.trace(h @ sigma.entries @ h.T))
         noise_var = signal_power / (m * 10.0 ** (snr_db / 10.0))
+        if not sys.float_info.min <= noise_var <= sys.float_info.max:
+            raise NumericalError(
+                f"noise variance s^2 = {noise_var!r} at snr_db={snr_db!r} "
+                "is not a normal positive finite float"
+            )
         try:
             return LinearModel(h, CovMatrix(noise_var * np.eye(m)))
         except RankDeficientError:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 SYMMETRY_TOL = 1e-10
 KL_CLAMP = 1e-12
@@ -95,10 +94,10 @@ def kl_gaussian(p0: CovMatrix, p1: CovMatrix) -> float:
 
         0.5 * (tr(S1^-1 S0) - p + ln det S1 - ln det S0)
 
-    through the triangular Cholesky factors: the trace term is the squared
-    Frobenius norm of L1^-1 L0 and the log-determinants come from the factor
-    diagonals. Bitwise-equal inputs return exactly 0.0; results in
-    [-1e-12, 0) are clamped to 0.
+    through the Cholesky factors: the trace term is the squared Frobenius
+    norm of L1^-1 L0, from one ``numpy.linalg.solve(L1, L0)``, and the
+    log-determinants come from the factor diagonals. Bitwise-equal inputs
+    return exactly 0.0; results in [-1e-12, 0) are clamped to 0.
 
     Parameters
     ----------
@@ -114,7 +113,7 @@ def kl_gaussian(p0: CovMatrix, p1: CovMatrix) -> float:
         raise ValueError(f"dimension mismatch: {p0.dim} vs {p1.dim}")
     if np.array_equal(p0.entries, p1.entries):
         return 0.0
-    a = solve_triangular(p1.chol, p0.chol, lower=True)
+    a = np.linalg.solve(p1.chol, p0.chol)
     kl = 0.5 * (float(np.sum(a * a)) - p0.dim + p1.log_det - p0.log_det)
     return _clamp_kl(kl)
 

@@ -80,7 +80,8 @@ class ObservationSet:
     ``second_moment`` is the uncentered (1/R) sum of y y^T used by the
     iterative update; ``centered_cov`` is second_moment - mean mean^T, the
     sample covariance S_Y. Both are kept because the model is zero-mean yet
-    finite samples have a nonzero empirical mean.
+    finite samples have a nonzero empirical mean. Samples whose second
+    moment overflows the float range are rejected.
     """
 
     samples: np.ndarray
@@ -96,7 +97,10 @@ class ObservationSet:
         if not np.all(np.isfinite(y)):
             raise ValueError("observations have a non-finite entry")
         r = y.shape[0]
-        second = y.T @ y / r
+        with np.errstate(over="ignore", invalid="ignore"):
+            second = y.T @ y / r
+        if not np.all(np.isfinite(second)):
+            raise ValueError("observations' second moment overflows the float range")
         second = (second + second.T) / 2.0
         mean = y.mean(axis=0)
         centered = second - np.outer(mean, mean)

@@ -27,6 +27,7 @@ from treecov import (
     compute_omega,
     emit_results,
     kl_gaussian,
+    observation_cov,
     posterior,
     prufer_decode,
     run_sweep,
@@ -125,13 +126,14 @@ def test_a3_pooled_moment_matches_per_sample_average(capsys):
         prior = chow_liu(random_spd(rng, p)).cov
         model = LinearModel(rng.standard_normal((m, p)), CovMatrix(0.2 * np.eye(m)))
         obs = sample_observations(model, sigma, r, seed=seed)
-        post = posterior(prior, model)
+        k = observation_cov(model, prior)
+        post = posterior(prior, model, k)
         pooled = np.zeros((p, p))
         for y in obs.samples:
             mu = post.gain @ y
             pooled += post.cov + np.outer(mu, mu)
         pooled /= obs.r
-        omega = compute_omega(prior, model, obs)
+        omega = compute_omega(prior, model, obs, k)
         gap = max(gap, float(np.abs(omega.entries - pooled).max()))
     ok = gap < 1e-8
     report("A3", ok, f"max entrywise gap = {gap:.3e} over 50 instances", capsys)

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +248,23 @@ class TestSweepCommand:
         config = write_sweep_config(tmp_path, r=1, m_values="2", trials=2)
         assert main(["sweep", "--config", str(config)]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("snr_db", ["3080", "-3080"])
+    def test_extreme_snr_is_a_numerical_error(self, tmp_path, capsys, snr_db):
+        # The noise variance (or the samples' second moment) leaves the float
+        # range: every trial fails by name and no numpy warning is printed.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                [
+                    "sweep", "--p", "4", "--m_values", "2", "--trials", "2",
+                    f"--snr_db={snr_db}", "--output", str(tmp_path / "out.txt"),
+                ]
+            )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: all 2 trials failed" in err
+        assert "noise variance s^2" in err or "second moment overflows" in err
 
 
 class TestParserBehavior:

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+import treecov.em
 from treecov import (
     CovMatrix,
     EmConfig,
@@ -45,27 +46,27 @@ def make_scenario(p: int = 4, m: int = 2, r: int = 150, seed: int = 0):
 class TestPosterior:
     def test_identity_everything_halves_the_covariance(self):
         model = LinearModel(np.eye(2), CovMatrix(np.eye(2)))
-        post = posterior(CovMatrix(np.eye(2)), model)
+        post = posterior(CovMatrix(np.eye(2)), model, CovMatrix(2.0 * np.eye(2)))
         np.testing.assert_allclose(post.cov, 0.5 * np.eye(2), atol=1e-14)
         np.testing.assert_allclose(post.gain, 0.5 * np.eye(2), atol=1e-14)
 
     def test_scalar_closed_form(self):
         # K = 4 + 1, gain = 4/5 = 0.8 and C = 0.2 * 4 * 0.2 + 0.8 * 0.8 = 0.8.
         model = LinearModel(np.eye(1), CovMatrix(np.eye(1)))
-        post = posterior(CovMatrix(np.array([[4.0]])), model)
+        post = posterior(CovMatrix(np.array([[4.0]])), model, CovMatrix(np.array([[5.0]])))
         assert post.cov[0, 0] == pytest.approx(0.8, abs=1e-14)
         assert post.gain[0, 0] == pytest.approx(0.8, abs=1e-14)
 
     def test_no_mixing_returns_the_prior(self):
         model = LinearModel(np.zeros((2, 3)), CovMatrix(np.eye(2)), check_rank=False)
         prior = random_spd(np.random.default_rng(2), 3)
-        post = posterior(prior, model)
+        post = posterior(prior, model, observation_cov(model, prior))
         np.testing.assert_allclose(post.cov, prior.entries, atol=1e-10)
         np.testing.assert_allclose(post.gain, np.zeros((3, 2)), atol=1e-14)
 
     def test_conditioning_never_inflates_uncertainty(self):
         sigma, _, model, _ = make_scenario(seed=3)
-        post = posterior(sigma, model)
+        post = posterior(sigma, model, observation_cov(model, sigma))
         gap = sigma.entries - post.cov
         assert np.linalg.eigvalsh(gap).min() > -1e-10
 
@@ -73,14 +74,33 @@ class TestPosterior:
         # With H = I and D -> 0 the observation determines x: the gain tends
         # to I and C to 0, a singular posterior that must still be returned.
         model = LinearModel(np.eye(3), CovMatrix(1e-30 * np.eye(3)))
-        post = posterior(random_spd(np.random.default_rng(26), 3), model)
+        prior = random_spd(np.random.default_rng(26), 3)
+        post = posterior(prior, model, observation_cov(model, prior))
         np.testing.assert_allclose(post.gain, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(post.cov, np.zeros((3, 3)), atol=1e-12)
+
+    @pytest.mark.parametrize("m", [20, 80])
+    def test_matches_dense_forms_at_p80(self, m):
+        # At 20 dB: the gain against sigma H^T inv(K) and C against the
+        # information form (sigma^-1 + H^T D^-1 H)^-1, both by dense inverses.
+        rng = np.random.default_rng(40 + m)
+        sigma = random_spd(rng, 80)
+        h = rng.standard_normal((m, 80))
+        noise_var = float(np.trace(h @ sigma.entries @ h.T)) / (m * 100.0)
+        model = LinearModel(h, CovMatrix(noise_var * np.eye(m)))
+        k = observation_cov(model, sigma)
+        post = posterior(sigma, model, k)
+        gain = sigma.entries @ h.T @ np.linalg.inv(k.entries)
+        cov = np.linalg.inv(np.linalg.inv(sigma.entries) + h.T @ h / noise_var)
+        np.testing.assert_allclose(post.gain, gain, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(post.cov, cov, rtol=0.0, atol=1e-10)
 
     def test_rejects_dimension_mismatch(self):
         model = LinearModel(np.eye(2, 3), CovMatrix(np.eye(2)))
         with pytest.raises(ValueError, match="dimension"):
-            posterior(CovMatrix(np.eye(2)), model)
+            posterior(CovMatrix(np.eye(2)), model, CovMatrix(np.eye(2)))
+        with pytest.raises(ValueError, match="dimension"):
+            posterior(CovMatrix(np.eye(3)), model, CovMatrix(np.eye(3)))
 
 
 class TestComputeOmega:
@@ -88,41 +108,44 @@ class TestComputeOmega:
         # C = 0.8, gain = 0.8, M = 1, so omega = 0.8 + 0.64 = 1.44.
         model = LinearModel(np.eye(1), CovMatrix(np.eye(1)))
         obs = ObservationSet(np.array([[1.0], [-1.0]]))
-        omega = compute_omega(CovMatrix(np.array([[4.0]])), model, obs)
+        omega = compute_omega(
+            CovMatrix(np.array([[4.0]])), model, obs, CovMatrix(np.array([[5.0]]))
+        )
         assert omega.entries[0, 0] == pytest.approx(1.44, abs=1e-14)
 
     def test_matches_per_sample_average(self):
         # Oracle: average C + mu_i mu_i^T over samples, mu_i = gain y_i.
         sigma, sigma0, model, obs = make_scenario(seed=4)
-        post = posterior(sigma0, model)
+        post = posterior(sigma0, model, observation_cov(model, sigma0))
         pooled = np.zeros((model.p, model.p))
         for y in obs.samples:
             mu = post.gain @ y
             pooled += post.cov + np.outer(mu, mu)
         pooled /= obs.r
-        omega = compute_omega(sigma0, model, obs)
+        omega = compute_omega(sigma0, model, obs, observation_cov(model, sigma0))
         np.testing.assert_allclose(omega.entries, pooled, atol=1e-12)
 
     def test_uses_uncentered_moment(self):
         # Shifting every sample by a constant must change the result.
         sigma, sigma0, model, obs = make_scenario(seed=5)
         shifted = ObservationSet(obs.samples + 3.0)
-        base = compute_omega(sigma0, model, obs)
-        moved = compute_omega(sigma0, model, shifted)
+        k = observation_cov(model, sigma0)
+        base = compute_omega(sigma0, model, obs, k)
+        moved = compute_omega(sigma0, model, shifted, k)
         assert not np.allclose(base.entries, moved.entries, atol=1e-6)
 
     def test_no_mixing_returns_the_prior(self):
         model = LinearModel(np.zeros((2, 3)), CovMatrix(np.eye(2)), check_rank=False)
         prior = random_spd(np.random.default_rng(6), 3)
         obs = ObservationSet(np.random.default_rng(7).standard_normal((20, 2)))
-        omega = compute_omega(prior, model, obs)
+        omega = compute_omega(prior, model, obs, observation_cov(model, prior))
         np.testing.assert_allclose(omega.entries, prior.entries, atol=1e-10)
 
     def test_rejects_observation_mismatch(self):
         _, sigma0, model, _ = make_scenario(seed=8)
         bad = ObservationSet(np.random.default_rng(9).standard_normal((10, model.m + 1)))
         with pytest.raises(ValueError, match="observation dimension"):
-            compute_omega(sigma0, model, bad)
+            compute_omega(sigma0, model, bad, observation_cov(model, sigma0))
 
 
 class TestEmStep:
@@ -132,21 +155,22 @@ class TestEmStep:
         model = LinearModel(np.zeros((2, 3)), CovMatrix(np.eye(2)), check_rank=False)
         prior = chow_liu(random_spd(np.random.default_rng(11), 3)).cov
         obs = ObservationSet(np.random.default_rng(12).standard_normal((20, 2)))
-        cov = chow_liu(compute_omega(prior, model, obs)).cov
+        cov = chow_liu(compute_omega(prior, model, obs, observation_cov(model, prior))).cov
         np.testing.assert_allclose(cov.entries, prior.entries, atol=1e-10)
 
     def test_iteration_reaches_a_fixed_point(self):
         sigma, sigma0, model, obs = make_scenario(p=3, m=3, r=200, seed=13)
         cov = chow_liu(sigma0).cov
         for _ in range(500):
-            new_cov = chow_liu(compute_omega(cov, model, obs)).cov
+            k = observation_cov(model, cov)
+            new_cov = chow_liu(compute_omega(cov, model, obs, k)).cov
             delta = kl_gaussian(cov, new_cov)
             cov = new_cov
             if delta < 1e-13:
                 break
         else:
             pytest.fail("no fixed point within 500 refinements")
-        settled = chow_liu(compute_omega(cov, model, obs)).cov
+        settled = chow_liu(compute_omega(cov, model, obs, observation_cov(model, cov))).cov
         assert kl_gaussian(cov, settled) < 1e-10
 
 
@@ -236,6 +260,20 @@ class TestRunEm:
                 rel=1e-12,
             )
 
+    def test_builds_one_observation_cov_per_iterate(self, monkeypatch):
+        # K scores an iterate and then conditions on it in the next step.
+        _, sigma0, model, obs = make_scenario(seed=27)
+        built = []
+
+        def counting(model, sigma):
+            built.append(sigma)
+            return observation_cov(model, sigma)
+
+        monkeypatch.setattr(treecov.em, "observation_cov", counting)
+        trace = run_em(EmConfig(sigma0, l_max=6, epsilon=1e-12), model, obs)
+        assert len(trace.iterations) == 6
+        assert built == [rec.sigma_tree for rec in trace.iterations]
+
     def test_bitwise_deterministic(self):
         _, sigma0, model, obs = make_scenario(seed=21)
         config = EmConfig(sigma0, l_max=8, epsilon=1e-9)
@@ -273,7 +311,8 @@ class TestRunEm:
                 for v in range(u + 1, rec.sigma_tree.dim):
                     if v not in adjacency[u]:
                         assert abs(precision[u, v]) < 1e-8 * scale
-            source = compute_omega(rec.sigma_tree, model, obs)
+            k = observation_cov(model, rec.sigma_tree)
+            source = compute_omega(rec.sigma_tree, model, obs, k)
 
     def test_rejects_dimension_mismatches(self):
         _, sigma0, model, obs = make_scenario(seed=24)

@@ -8,6 +8,8 @@ on that ordering.
 from __future__ import annotations
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from treecov import (
     generate_prior,
     parse_config_file,
     run_sweep,
+    sample_observations,
     write_matrix_csv,
 )
 from treecov.experiment import CSV_HEADER
@@ -335,6 +338,25 @@ class TestRunSweep:
             result = run_sweep(small_config(m_values=(2, 4), snr_db=snr_db))
             assert result.failures == (), f"{snr_db} dB: {result.failures[0].error}"
             assert len(result.records) == 6
+
+    @pytest.mark.parametrize("snr_db", [3080.0, -3080.0])
+    def test_extreme_snr_fails_every_trial_by_name(self, snr_db):
+        # s^2 underflows to 0 at +3080 dB; at -3080 dB it overflows, or the
+        # samples' second moment does. Either way no numpy warning escapes.
+        named = (
+            r"NumericalError: noise variance s\^2 = .* at snr_db=-?3080\.0 "
+            r"|ValueError: observations' second moment overflows"
+        )
+        sigma = generate_ground_truth(4, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"all 2 trials failed; first failure: ({named})"):
+                run_sweep(small_config(m_values=(2,), trials=2, snr_db=snr_db))
+            for seed in range(20):
+                with pytest.raises((NumericalError, ValueError)) as excinfo:
+                    model = generate_mixing(4, 2, snr_db, sigma, seed)
+                    sample_observations(model, sigma, 100, seed)
+                assert re.match(named, f"{excinfo.type.__name__}: {excinfo.value}")
 
     def test_records_partial_failures(self):
         def flaky_factory(p, m, snr_db, sigma, seed):

@@ -129,6 +129,19 @@ class TestKlGaussian:
         p1 = random_spd(rng, p)
         assert kl_gaussian(p0, p1) >= 0.0
 
+    @pytest.mark.parametrize("p", [2, 10, 80, 160])
+    def test_matches_dense_reference(self, p):
+        # Independent evaluation: slogdet for both log-determinants and a
+        # dense solve of S1 against S0 for the trace.
+        rng = np.random.default_rng(300 + p)
+        for _ in range(5):
+            p0, p1 = random_spd(rng, p), random_spd(rng, p)
+            _, logdet0 = np.linalg.slogdet(p0.entries)
+            _, logdet1 = np.linalg.slogdet(p1.entries)
+            trace = float(np.trace(np.linalg.solve(p1.entries, p0.entries)))
+            expected = 0.5 * (trace - p + logdet1 - logdet0)
+            assert kl_gaussian(p0, p1) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_asymmetric_in_general(self):
         p0 = gm(np.diag([1.0, 4.0]))
         p1 = gm(np.eye(2))

@@ -7,6 +7,7 @@ oracle for the observation-space divergence on pre-centered data.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,13 @@ class TestObservationSet:
         y[2, 0] = bad
         with pytest.raises(ValueError, match="observations"):
             ObservationSet(y)
+
+    def test_rejects_overflowing_second_moment(self):
+        y = np.full((3, 2), 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="second moment overflows"):
+                ObservationSet(y)
 
 
 class TestSampleObservations:
