@@ -135,12 +135,28 @@ def posterior(sigma_tree: CovMatrix, model: LinearModel, k: CovMatrix) -> Poster
     a = np.eye(model.p) - gain @ model.h
     c = a @ sigma @ a.T + gain @ model.d.entries @ gain.T
     c = (c + c.T) / 2.0
-    min_eig = float(np.linalg.eigvalsh(sigma - c).min())
-    if min_eig < -POSTERIOR_ORDER_TOL:
-        raise NumericalError(
-            f"posterior covariance exceeds the prior (eigenvalue {min_eig:.3e})"
-        )
+    _check_order(sigma - c)
     return PosteriorGaussian(gain=gain, cov=c)
+
+
+def _check_order(gap: np.ndarray) -> None:
+    """Raise unless the smallest eigenvalue of gap = sigma - C is at least -1e-9.
+
+    A Cholesky factor of gap + 1e-9 I exists exactly when that holds, so it
+    accepts the common case; the eigenvalues are computed only when it fails,
+    to decide near the boundary and to report. At p = 80 the factor takes
+    0.03 ms against 0.3 ms for ``eigvalsh``, which numpy's OpenBLAS also
+    splits over its worker thread: one call in ten then took 4-8 ms, and the
+    woken worker spins for ~0.1 s beside the caller.
+    """
+    try:
+        np.linalg.cholesky(gap + POSTERIOR_ORDER_TOL * np.eye(gap.shape[0]))
+    except np.linalg.LinAlgError:
+        min_eig = float(np.linalg.eigvalsh(gap).min())
+        if min_eig < -POSTERIOR_ORDER_TOL:
+            raise NumericalError(
+                f"posterior covariance exceeds the prior (eigenvalue {min_eig:.3e})"
+            ) from None
 
 
 def compute_omega(

@@ -98,7 +98,8 @@ class ObservationSet:
             raise ValueError("observations have a non-finite entry")
         r = y.shape[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            second = y.T @ y / r
+            # A C-ordered copy of y^T: see sample_observations.
+            second = np.ascontiguousarray(y.T) @ y / r
         if not np.all(np.isfinite(second)):
             raise ValueError("observations' second moment overflows the float range")
         second = (second + second.T) / 2.0
@@ -133,10 +134,17 @@ def sample_observations(
         )
     if r < 1:
         raise ValueError(f"need at least one sample, got r={r}")
+    # Every product takes C-ordered operands. numpy's OpenBLAS (0.3.31) hands
+    # a product with a transposed operand to its worker thread from about
+    # 2^19 multiply-adds, a plain one only from about 2^20, and a woken
+    # worker spins for ~0.1 s beside the caller. At r=100, p=m=80 the
+    # transposed forms woke it in every sweep cell; on a loaded 2-vCPU host
+    # that spinning halved the sweep's throughput.
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((r, model.p)) @ sigma_true.chol.T
-    w = rng.standard_normal((r, model.m)) @ model.d.chol.T
-    return ObservationSet(x @ model.h.T + w)
+    c = np.ascontiguousarray
+    x = rng.standard_normal((r, model.p)) @ c(sigma_true.chol.T)
+    w = rng.standard_normal((r, model.m)) @ c(model.d.chol.T)
+    return ObservationSet(x @ c(model.h.T) + w)
 
 
 def observation_cov(model: LinearModel, sigma: CovMatrix) -> CovMatrix:

@@ -19,6 +19,7 @@ from treecov import (
     EmConfig,
     EmMonotonicityWarning,
     LinearModel,
+    NumericalError,
     ObservationSet,
     StopReason,
     chow_liu,
@@ -94,6 +95,25 @@ class TestPosterior:
         cov = np.linalg.inv(np.linalg.inv(sigma.entries) + h.T @ h / noise_var)
         np.testing.assert_allclose(post.gain, gain, rtol=0.0, atol=1e-10)
         np.testing.assert_allclose(post.cov, cov, rtol=0.0, atol=1e-10)
+
+    def test_order_guard_needs_no_eigensolve_when_it_holds(self, monkeypatch):
+        # sigma - C has rank m < p here, so its smallest eigenvalues are
+        # rounding-level; the Cholesky test must still accept it alone.
+        sigma, _, model, _ = make_scenario(p=80, m=40, seed=7)
+
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("eigvalsh called on the accepting path")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        post = posterior(sigma, model, observation_cov(model, sigma))
+        assert post.cov.shape == (80, 80)
+
+    def test_order_guard_tolerance(self):
+        u = np.linalg.qr(np.random.default_rng(8).standard_normal((5, 5)))[0]
+        for lowest in (0.0, -5e-10):
+            treecov.em._check_order(u @ np.diag([2.0, 1.0, 0.5, 0.0, lowest]) @ u.T)
+        with pytest.raises(NumericalError, match=r"exceeds the prior \(eigenvalue -1\.0"):
+            treecov.em._check_order(u @ np.diag([2.0, 1.0, 0.5, 0.0, -1e-8]) @ u.T)
 
     def test_rejects_dimension_mismatch(self):
         model = LinearModel(np.eye(2, 3), CovMatrix(np.eye(2)))
