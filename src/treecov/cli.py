@@ -102,8 +102,7 @@ def _cmd_chowliu(args: argparse.Namespace) -> int:
         write_matrix_csv(result.cov.entries, args.cov_out)
         print(f"wrote {args.cov_out}")
     if args.edges_out:
-        lines = [f"{u},{v}" for u, v in result.tree.edges]
-        Path(args.edges_out).write_text("\n".join(lines) + "\n", encoding="ascii")
+        write_matrix_csv(result.tree.edges, args.edges_out)
         print(f"wrote {args.edges_out}")
     return EXIT_OK
 

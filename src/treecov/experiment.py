@@ -48,14 +48,13 @@ def derive_seed(master: int, *parts: object) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def generate_ground_truth(p: int, seed: int, non_tree_mix: float = 0.0) -> CovMatrix:
-    """Random covariance that is exactly tree-structured by default.
+def generate_ground_truth(p: int, seed: int) -> CovMatrix:
+    """Random covariance that is exactly tree-structured.
 
     A uniform random labelled tree (random length-(p-2) sequence, decoded),
     edge correlations drawn uniformly from [0.5, 0.95] with random signs,
-    unit variances, completed by path products. ``non_tree_mix`` > 0 blends
-    in a random SPD matrix with the same diagonal, for studying the
-    irreducible error of tree approximations off the tree set.
+    unit variances, completed by path products. A truth off the tree set
+    can be supplied to a sweep through the ``sigma_csv`` key instead.
     """
     if p < 2:
         raise ValueError(f"need at least two vertices, got p={p}")
@@ -66,10 +65,7 @@ def generate_ground_truth(p: int, seed: int, non_tree_mix: float = 0.0) -> CovMa
     signs = np.where(rng.integers(0, 2, size=p - 1) == 0, -1.0, 1.0)
     rho = dict(zip(edges, magnitudes * signs))
     tree = SpanningTree(p, edges)
-    sigma = CovMatrix(tree_completion(np.ones(p), tree, [rho[e] for e in tree.edges]))
-    if non_tree_mix > 0.0:
-        sigma = generate_prior(sigma, non_tree_mix, derive_seed(seed, "non-tree"))
-    return sigma
+    return CovMatrix(tree_completion(np.ones(p), tree, [rho[e] for e in tree.edges]))
 
 
 def generate_prior(sigma: CovMatrix, alpha: float, seed: int) -> CovMatrix:
@@ -171,6 +167,8 @@ class ExperimentConfig:
             raise ConfigError(f"l_max must be at least 1, got {self.l_max}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if Path(self.output).suffix == ".csv":
+            raise ConfigError(f"output must not end in .csv, got {self.output!r}")
 
 
 def _parse_int(text: str) -> int:

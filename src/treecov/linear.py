@@ -8,6 +8,7 @@ CSV matrix format used by the command-line tools.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
@@ -181,26 +182,22 @@ def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"need a 2-d array, got shape {a.shape}")
-    lines = [",".join(f"{x:.17g}" for x in row) for row in a]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    # An open handle, because given a path ending in .gz savetxt compresses.
+    with open(path, "w", encoding="ascii") as fh:
+        np.savetxt(fh, a, fmt="%.17g", delimiter=",")
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
-    """Read a rectangular comma-separated matrix written by write_matrix_csv."""
-    rows: list[list[float]] = []
+    """Read a matrix in write_matrix_csv's format, skipping blank lines."""
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric cell") from exc
-    if not rows:
-        raise ValueError(f"{path}: empty matrix file")
-    width = len(rows[0])
-    for lineno, row in enumerate(rows[1:], 2):
-        if len(row) != width:
-            raise ValueError(f"{path}: ragged rows ({len(row)} cells vs {width})")
-    return np.asarray(rows, dtype=float)
+        lines = filter(str.strip, fh)
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: empty matrix file")
+        try:
+            return np.loadtxt(
+                itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2
+            )
+        except ValueError as exc:
+            kind = "ragged rows" if "columns changed" in str(exc) else "non-numeric cell"
+            raise ValueError(f"{path}: {kind}: {exc}") from exc

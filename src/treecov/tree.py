@@ -241,7 +241,8 @@ def chow_liu(sigma: CovMatrix) -> TreeApproxResult:
     u_all, v_all = np.triu_indices(p, k=1)
     mi = mutual_information_matrix(sigma)
     weights = mi[u_all, v_all]
-    order = np.lexsort((v_all, u_all, -weights))
+    # triu_indices lists pairs in (u, v) order, which a stable sort keeps for ties.
+    order = np.argsort(-weights, kind="stable")
     uf = _UnionFind(p)
     edges = []
     for u, v in zip(u_all[order].tolist(), v_all[order].tolist()):

@@ -69,6 +69,14 @@ class TestChowliuCommand:
             u, v = line.split(",")
             assert 0 <= int(u) < int(v) < 4
 
+    def test_edges_file_text_for_a_chain(self, tmp_path):
+        # Correlations 0.8 on 0-1 and 0.5 on 1-2 make 0-1-2 the best tree.
+        path = tmp_path / "chain.csv"
+        write_matrix_csv(np.array([[1.0, 0.8, 0.4], [0.8, 1.0, 0.5], [0.4, 0.5, 1.0]]), path)
+        edges_out = tmp_path / "edges.csv"
+        assert main(["chowliu", str(path), "--edges_out", str(edges_out)]) == 0
+        assert edges_out.read_bytes() == b"0,1\n1,2\n"
+
     def test_missing_input_is_an_io_error(self, tmp_path):
         assert main(["chowliu", str(tmp_path / "absent.csv")]) == 3
 
@@ -238,6 +246,17 @@ class TestSweepCommand:
 
     def test_missing_config_file_is_an_io_error(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 3
+
+    def test_csv_output_path_fails_before_the_sweep_runs(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(config):
+            raise AssertionError("run_sweep called despite a .csv output path")
+
+        monkeypatch.setattr("treecov.cli.run_sweep", no_sweep)
+        config = write_sweep_config(tmp_path)
+        code = main(["sweep", "--config", str(config), "--output", str(tmp_path / "out.csv")])
+        assert code == 1
+        assert "must not end in .csv" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_no_parameters_is_a_config_error(self):
         assert main(["sweep"]) == 1

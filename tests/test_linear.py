@@ -298,3 +298,46 @@ class TestMatrixCsv:
     def test_rejects_one_dimensional_input(self, tmp_path):
         with pytest.raises(ValueError, match="2-d"):
             write_matrix_csv(np.ones(3), tmp_path / "vec.csv")
+
+    def test_skips_blank_and_whitespace_only_lines(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("\n1,2\n\n   \n\t\n3,4\n\n")
+        assert np.array_equal(read_matrix_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_accepts_crlf_padding_and_no_final_newline(self, tmp_path):
+        path = tmp_path / "loose.csv"
+        path.write_bytes(b" 1 , 2\r\n3,\t4 \r\n5,6")
+        assert np.array_equal(read_matrix_csv(path), [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
+    @pytest.mark.parametrize(
+        "text", ["# header\n1,2\n", "1,2 # note\n", "1,2,\n3,4,\n", "1,,2\n", ","]
+    )
+    def test_rejects_comments_and_empty_cells_naming_the_path(self, tmp_path, text):
+        path = tmp_path / "cells.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="non-numeric") as excinfo:
+            read_matrix_csv(path)
+        assert str(path) in str(excinfo.value)
+
+    def test_single_row_and_single_column_stay_matrices(self, tmp_path):
+        path = tmp_path / "line.csv"
+        path.write_text("1,2,3\n")
+        assert read_matrix_csv(path).shape == (1, 3)
+        path.write_text("1\n2\n3\n")
+        assert read_matrix_csv(path).shape == (3, 1)
+
+    def test_random_bit_patterns_round_trip_bit_for_bit(self, tmp_path):
+        bits = np.random.default_rng(29).integers(0, 2**64, size=(200, 25), dtype=np.uint64)
+        matrix = bits.view(np.float64)
+        # NaN payloads and signs are not part of the text format.
+        matrix[np.isnan(matrix)] = 0.0
+        path = tmp_path / "bits.csv"
+        write_matrix_csv(matrix, path)
+        assert np.array_equal(read_matrix_csv(path).view(np.uint64), matrix.view(np.uint64))
+
+    def test_writes_golden_bytes_for_special_values(self, tmp_path):
+        path = tmp_path / "special.csv"
+        write_matrix_csv(np.array([[-0.0, 5e-324], [np.nan, np.inf], [-np.inf, 0.1]]), path)
+        assert path.read_bytes() == (
+            b"-0,4.9406564584124654e-324\nnan,inf\n-inf,0.10000000000000001\n"
+        )
