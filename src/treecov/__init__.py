@@ -22,6 +22,7 @@ from .gaussian import (
 from .tree import (
     SpanningTree,
     TreeApproxResult,
+    TreeCovMatrix,
     chow_liu,
     prufer_decode,
     tree_completion,

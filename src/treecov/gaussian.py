@@ -15,6 +15,9 @@ import numpy as np
 
 SYMMETRY_TOL = 1e-10
 KL_CLAMP = 1e-12
+# A closed-form divergence is trusted above eps times the summed magnitude of
+# its terms; its roundoff was measured below half of that.
+CLOSED_FORM_ROUNDOFF = float(np.finfo(float).eps)
 DEGENERATE_CORRELATION = 1.0 - 1e-12
 
 
@@ -37,7 +40,9 @@ class CovMatrix:
     Construction validates squareness, finiteness of every entry, symmetry
     (max absolute asymmetry at most 1e-10) and positive definiteness
     (success of the Cholesky factorization). Instances are immutable; ``chol`` holds the lower
-    triangular factor and is reused for log-determinants and solves.
+    triangular factor and is reused for log-determinants and solves. A
+    subclass with structure (``treecov.tree.TreeCovMatrix``) overrides
+    ``log_det`` and ``inverse_trace`` with closed forms.
 
     Parameters
     ----------
@@ -59,12 +64,8 @@ class CovMatrix:
             raise ValueError(
                 f"covariance asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_TOL:.0e}"
             )
-        try:
-            factor = np.linalg.cholesky(a)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError("covariance is not positive definite") from exc
+        factor = _cholesky(a)
         a.setflags(write=False)
-        factor.setflags(write=False)
         object.__setattr__(self, "entries", a)
         object.__setattr__(self, "chol", factor)
 
@@ -75,7 +76,31 @@ class CovMatrix:
     @cached_property
     def log_det(self) -> float:
         """ln det of the covariance, from the triangular factor; computed once."""
-        return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
+        return _factor_log_det(self)
+
+    def inverse_trace(self, other: CovMatrix) -> tuple[float, float]:
+        """tr(S^-1 S_other) and the roundoff scale of its evaluation.
+
+        Here the trace is the squared Frobenius norm of L^-1 L_other, from one
+        ``numpy.linalg.solve`` with the triangular factors, and the scale is
+        0.0: this evaluation is the reference that closed forms fall back to.
+        """
+        a = np.linalg.solve(self.chol, other.chol)
+        return float(np.sum(a * a)), 0.0
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Read-only lower Cholesky factor of ``a``, or NotPositiveDefiniteError."""
+    try:
+        factor = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError("covariance is not positive definite") from exc
+    factor.setflags(write=False)
+    return factor
+
+
+def _factor_log_det(cov: CovMatrix) -> float:
+    return 2.0 * float(np.sum(np.log(np.diag(cov.chol))))
 
 
 def _clamp_kl(kl: float, bound: float = KL_CLAMP) -> float:
@@ -94,10 +119,18 @@ def kl_gaussian(p0: CovMatrix, p1: CovMatrix) -> float:
 
         0.5 * (tr(S1^-1 S0) - p + ln det S1 - ln det S0)
 
-    through the Cholesky factors: the trace term is the squared Frobenius
-    norm of L1^-1 L0, from one ``numpy.linalg.solve(L1, L0)``, and the
-    log-determinants come from the factor diagonals. Bitwise-equal inputs
-    return exactly 0.0; results in [-1e-12, 0) are clamped to 0.
+    with ``p1.inverse_trace(p0)`` supplying the trace. A dense covariance
+    pairs through the Cholesky factors, from one ``numpy.linalg.solve(L1,
+    L0)``, and reads its log-determinant off its factor's diagonal. A tree
+    covariance (``treecov.tree.TreeCovMatrix``) pairs in O(p) through its
+    sparse precision, reading S0 only on the diagonal and at the tree's
+    edges, and has a closed-form log-determinant.
+
+    A closed-form value no larger than its roundoff bound (eps times the
+    summed magnitude of its terms) cannot be trusted to its sign; there the
+    divergence is decided by the dense evaluation through both factors,
+    which a tree covariance computes on demand. Bitwise-equal inputs return
+    exactly 0.0; results in [-1e-12, 0) are clamped to 0.
 
     Parameters
     ----------
@@ -113,8 +146,12 @@ def kl_gaussian(p0: CovMatrix, p1: CovMatrix) -> float:
         raise ValueError(f"dimension mismatch: {p0.dim} vs {p1.dim}")
     if np.array_equal(p0.entries, p1.entries):
         return 0.0
-    a = np.linalg.solve(p1.chol, p0.chol)
-    kl = 0.5 * (float(np.sum(a * a)) - p0.dim + p1.log_det - p0.log_det)
+    trace, scale = p1.inverse_trace(p0)
+    kl = 0.5 * (trace - p0.dim + p1.log_det - p0.log_det)
+    if scale and kl <= CLOSED_FORM_ROUNDOFF * (scale + abs(p1.log_det) + abs(p0.log_det)):
+        # Within roundoff of zero: decide through the factors, as for dense p1.
+        trace, _ = CovMatrix.inverse_trace(p1, p0)
+        kl = 0.5 * (trace - p0.dim + _factor_log_det(p1) - _factor_log_det(p0))
     return _clamp_kl(kl)
 
 

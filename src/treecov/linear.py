@@ -190,14 +190,17 @@ def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
 def read_matrix_csv(path: str | Path) -> np.ndarray:
     """Read a matrix in write_matrix_csv's format, skipping blank lines."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = filter(str.strip, fh)
-        first = next(lines, None)
-        if first is None:
-            raise ValueError(f"{path}: empty matrix file")
         try:
-            return np.loadtxt(
-                itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2
-            )
+            lines = filter(str.strip, fh)
+            first = next(lines, None)
+            if first is not None:
+                return np.loadtxt(
+                    itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2
+                )
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start]
+            raise ValueError(f"{path}: non-ASCII byte {byte:#04x}") from exc
         except ValueError as exc:
             kind = "ragged rows" if "columns changed" in str(exc) else "non-numeric cell"
             raise ValueError(f"{path}: {kind}: {exc}") from exc
+    raise ValueError(f"{path}: empty matrix file")

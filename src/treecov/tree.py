@@ -8,13 +8,23 @@ full covariance by the path-product rule. Its divergence has a closed form
     D(sigma || sigma_T) = 0.5 * (sum_v ln s_vv - ln det sigma) - sum_{(u,v) in T} w_uv,
 
 because sigma_T's log-determinant is sum_v ln s_vv + sum_T ln(1 - rho_uv^2)
-and its inverse is zero off the diagonal and the tree edges.
+and its inverse is zero off the diagonal and the tree edges (Lauritzen 1996,
+decomposable case).
+
+A fitted tree covariance is a ``TreeCovMatrix`` that keeps those closed
+forms: its log-determinant and its sparse precision, p diagonal and p - 1
+edge coefficients built once per fit. As the second argument of
+``kl_gaussian`` it pairs with the first in O(p), reading it only on the
+diagonal and at the tree's edges; a result within roundoff of zero falls
+back to the dense evaluation through both Cholesky factors, which a tree
+covariance computes only when read.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,9 +33,15 @@ from .gaussian import (
     CovMatrix,
     NotPositiveDefiniteError,
     NumericalError,
+    _cholesky,
     _clamp_kl,
     mutual_information_matrix,
 )
+
+# Kruskal on a Chow-Liu input scans a few p candidates, so chow_liu orders
+# only the heaviest 8p (doubling when that runs short); at p <= 17 that is
+# every pair and it sorts them all.
+CANDIDATES_PER_VERTEX = 8
 
 
 def _normalize_edge(edge: Sequence[int]) -> tuple[int, int]:
@@ -97,13 +113,126 @@ class SpanningTree:
             adj[v].append(u)
         return adj
 
+    @cached_property
+    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edges as two read-only index arrays, smaller vertices first."""
+        u, v = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T.copy()
+        u.setflags(write=False)
+        v.setflags(write=False)
+        return u, v
+
+
+@dataclass(frozen=True, eq=False)
+class TreeCovMatrix(CovMatrix):
+    """Covariance with a spanning tree's Markov structure, in closed form.
+
+    ``entries`` is the tree's completion, as built by ``tree_completion``;
+    it is kept, not copied, and made read-only. Construction reads the
+    edge index arrays ``u`` and ``v`` (u < v) off the tree, and the
+    variances ``d`` and edge correlations ``rho`` off the entries. It checks
+    finite entries, d > 0 and |rho| < 1, which for a tree completion is
+    exactly positive definiteness; ``chol`` is computed on first read and
+    raises NotPositiveDefiniteError if roundoff defeats it.
+
+    The precision is D^-1/2 P D^-1/2 with D = diag(d) and P the inverse
+    correlation matrix, which is zero off the diagonal and the edges:
+
+        precision_diag[v] = P_vv = 1 + sum_{e at v} rho_e^2 / (1 - rho_e^2),
+        precision_edge[e] = P_uv = -rho_e / (1 - rho_e^2),
+
+    and ln det = sum_v ln d_v + sum_e ln(1 - rho_e^2). Both evaluate
+    1 - rho^2 as (1 - rho)(1 + rho), which stays accurate as |rho| -> 1.
+    """
+
+    tree: SpanningTree
+    u: np.ndarray = field(init=False, repr=False)
+    v: np.ndarray = field(init=False, repr=False)
+    d: np.ndarray = field(init=False, repr=False)
+    rho: np.ndarray = field(init=False, repr=False)
+    precision_diag: np.ndarray = field(init=False, repr=False)
+    precision_edge: np.ndarray = field(init=False, repr=False)
+    _edge_scale: np.ndarray = field(init=False, repr=False)
+    _roundoff_scale: float = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        a = np.asarray(self.entries, dtype=float)
+        if a.shape != (self.tree.num_vertices,) * 2:
+            raise ValueError(
+                f"covariance shape {a.shape} does not fit {self.tree.num_vertices} vertices"
+            )
+        if not np.all(np.isfinite(a)):
+            raise ValueError("covariance has a non-finite entry")
+        u, v = self.tree.edge_index
+        d = np.diag(a).copy()
+        if not np.all(d > 0.0):
+            raise NotPositiveDefiniteError("covariance is not positive definite")
+        std = np.sqrt(d)
+        # The product tree_completion divides the edge covariances by.
+        edge_scale = std[u] * std[v]
+        rho = a[u, v] / edge_scale
+        if not np.all(np.abs(rho) < 1.0):
+            raise NotPositiveDefiniteError("covariance is not positive definite")
+        object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "rho", rho)
+        q = 1.0 / self._one_minus_rho_sq
+        extra = rho * rho * q
+        p_diag = 1.0 + np.bincount(u, extra, d.size) + np.bincount(v, extra, d.size)
+        p_edge = -rho * q
+        for arr in (a, d, rho, p_diag, p_edge, edge_scale):
+            arr.setflags(write=False)
+        object.__setattr__(self, "precision_diag", p_diag)
+        object.__setattr__(self, "precision_edge", p_edge)
+        object.__setattr__(self, "_edge_scale", edge_scale)
+        # sum_v P_vv + 2 sum_e |P_uv rho_e|: the trace's terms at other = self.
+        object.__setattr__(self, "_roundoff_scale", d.size + 4.0 * float(np.sum(extra)))
+
+    @property
+    def _one_minus_rho_sq(self) -> np.ndarray:
+        return (1.0 - self.rho) * (1.0 + self.rho)
+
+    @cached_property
+    def chol(self) -> np.ndarray:
+        """Lower Cholesky factor of ``entries``, computed on first read."""
+        return _cholesky(self.entries)
+
+    @cached_property
+    def log_det(self) -> float:
+        """ln det from the variances and edge correlations, without a factor."""
+        return float(np.sum(np.log(self.d)) + np.sum(np.log(self._one_minus_rho_sq)))
+
+    def inverse_trace(self, other: CovMatrix) -> tuple[float, float]:
+        """tr(S^-1 S_other) from the sparse precision, in O(p).
+
+        Reads ``other`` on the diagonal and at this tree's edges only, as
+        a_v = other_vv / d_v and c_e = other_uv / sqrt(d_u d_v). The trace is
+        sum_v P_vv a_v + 2 sum_e P_uv c_e, summed as
+
+            p + sum_v P_vv (other_vv - d_v) / d_v + 2 sum_e P_uv (c_e - rho_e),
+
+        whose terms vanish as ``other`` approaches this covariance, so no
+        large partial sums cancel. The scale is the summed magnitude of the
+        plain form's terms at other = self, p + 4 sum_e rho_e^2 / (1 - rho_e^2):
+        only near there can a divergence be within roundoff of zero, and there
+        the closed form's roundoff stays below eps times it.
+        """
+        s0 = other.entries
+        a_dev = (np.diagonal(s0) - self.d) / self.d
+        c = s0[self.u, self.v] / self._edge_scale
+        trace = self.d.size + float(
+            self.precision_diag @ a_dev + 2.0 * (self.precision_edge @ (c - self.rho))
+        )
+        return trace, self._roundoff_scale
+
 
 @dataclass(frozen=True, eq=False)
 class TreeApproxResult:
     """A spanning tree, its marginal-matching covariance, and the KL cost."""
 
     tree: SpanningTree
-    cov: CovMatrix
+    cov: TreeCovMatrix
     kl: float
 
 
@@ -154,8 +283,12 @@ def tree_completion(
     """
     p = tree.num_vertices
     diag = np.asarray(diag, dtype=float)
+    edge_cov = np.asarray(edge_cov, dtype=float)
+    if edge_cov.shape != (p - 1,):
+        raise ValueError(f"need {p - 1} edge covariances, got shape {edge_cov.shape}")
+    u, v = tree.edge_index
     std = np.sqrt(diag)
-    cov_of = dict(zip(tree.edges, edge_cov))
+    rho_of = dict(zip(tree.edges, (edge_cov / (std[u] * std[v])).tolist()))
     adj = tree.adjacency()
     order = [0]
     parent = [-1] * p
@@ -172,18 +305,18 @@ def tree_completion(
     for k in range(1, p):
         y = order[k]
         x = parent[y]
-        rho = float(cov_of[(x, y) if x < y else (y, x)]) / float(std[x] * std[y])
+        rho = rho_of[(x, y) if x < y else (y, x)]
         row = corr[pos[x], :k] * rho
         corr[k, :k] = row
         corr[:k, k] = row
     cov = corr[np.ix_(pos, pos)] * np.outer(std, std)
     np.fill_diagonal(cov, diag)
-    for (u, v), c in cov_of.items():
-        cov[u, v] = cov[v, u] = c
+    cov[u, v] = edge_cov
+    cov[v, u] = edge_cov
     return cov
 
 
-def tree_covariance(sigma: CovMatrix, tree: SpanningTree) -> CovMatrix:
+def tree_covariance(sigma: CovMatrix, tree: SpanningTree) -> TreeCovMatrix:
     """Marginal-matching covariance of ``sigma`` with the tree's Markov structure.
 
     Variances and tree-edge covariances equal those of ``sigma``; every other
@@ -200,21 +333,57 @@ def tree_covariance(sigma: CovMatrix, tree: SpanningTree) -> CovMatrix:
 
     Returns
     -------
-    CovMatrix
-        The completed covariance; positive definite for any valid input.
+    TreeCovMatrix
+        The completed covariance with its closed-form log-determinant and
+        precision; positive definite for any valid input.
     """
     if tree.num_vertices != sigma.dim:
         raise ValueError(
             f"vertex count {tree.num_vertices} != covariance dimension {sigma.dim}"
         )
     s = sigma.entries
-    tilde = tree_completion(np.diag(s), tree, [s[u, v] for u, v in tree.edges])
+    u, v = tree.edge_index
     try:
-        return CovMatrix(tilde)
+        return TreeCovMatrix(tree_completion(np.diag(s), tree, s[u, v]), tree)
     except NotPositiveDefiniteError as exc:
         raise NumericalError(
             "tree covariance lost positive definiteness; input assumptions violated"
         ) from exc
+
+
+@lru_cache(maxsize=8)
+def _upper_pairs(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(p, k=1)``: every pair u < v in (u, v) order."""
+    u, v = np.triu_indices(p, k=1)
+    u.setflags(write=False)
+    v.setflags(write=False)
+    return u, v
+
+
+def _heaviest_first(weights: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest weights and every tie with the k-th, heaviest first.
+
+    Ties keep index order, so the result is the prefix of
+    ``np.argsort(-weights, kind="stable")`` that holds every weight at
+    least the k-th largest; for k >= weights.size it is that whole order.
+    """
+    n = weights.size
+    if k >= n:
+        return np.argsort(-weights, kind="stable")
+    top = np.flatnonzero(weights >= np.partition(weights, n - k)[n - k])
+    return top[np.argsort(-weights[top], kind="stable")]
+
+
+def _kruskal(p: int, us: list[int], vs: list[int]) -> list[tuple[int, int]]:
+    """Edges accepted scanning candidates (us[i], vs[i]) in order, at most p - 1."""
+    uf = _UnionFind(p)
+    edges = []
+    for u, v in zip(us, vs):
+        if uf.union(u, v):
+            edges.append((u, v))
+            if len(edges) == p - 1:
+                break
+    return edges
 
 
 def chow_liu(sigma: CovMatrix) -> TreeApproxResult:
@@ -222,9 +391,12 @@ def chow_liu(sigma: CovMatrix) -> TreeApproxResult:
 
     Runs Kruskal on the complete graph with pairwise mutual-information
     weights w, maximizing total weight. Ties are broken deterministically by
-    sorting candidate edges on (weight descending, smaller vertex, larger
-    vertex). The returned covariance matches ``sigma`` on all variances and
-    tree-edge covariances, and ``kl`` is the approximation divergence
+    ordering candidate edges on (weight descending, smaller vertex, larger
+    vertex). Only the heaviest 8p candidates, with every tie at the cut, are
+    ordered; should Kruskal exhaust them the cut doubles, so the tree is the
+    one a full ordering gives. The returned covariance matches ``sigma`` on
+    all variances and tree-edge covariances, and ``kl`` is the approximation
+    divergence
 
         0.5 * (sum_v ln s_vv - ln det sigma) - sum_{(u,v) in tree} w_uv,
 
@@ -238,18 +410,17 @@ def chow_liu(sigma: CovMatrix) -> TreeApproxResult:
     p = sigma.dim
     if p < 2:
         raise ValueError(f"need at least two vertices, got {p}")
-    u_all, v_all = np.triu_indices(p, k=1)
+    u_all, v_all = _upper_pairs(p)
     mi = mutual_information_matrix(sigma)
     weights = mi[u_all, v_all]
-    # triu_indices lists pairs in (u, v) order, which a stable sort keeps for ties.
-    order = np.argsort(-weights, kind="stable")
-    uf = _UnionFind(p)
-    edges = []
-    for u, v in zip(u_all[order].tolist(), v_all[order].tolist()):
-        if uf.union(u, v):
-            edges.append((u, v))
-            if len(edges) == p - 1:
-                break
+    # Pairs come in (u, v) order, which the stable ordering keeps for ties.
+    k = CANDIDATES_PER_VERTEX * p
+    while True:
+        order = _heaviest_first(weights, k)
+        edges = _kruskal(p, u_all[order].tolist(), v_all[order].tolist())
+        if len(edges) == p - 1:
+            break
+        k *= 2
     tree = SpanningTree(p, tuple(edges))
     tree_weight = float(sum(mi[u, v] for u, v in edges))
     total_correlation = 0.5 * (float(np.sum(np.log(np.diag(sigma.entries)))) - sigma.log_det)

@@ -77,6 +77,15 @@ class TestChowliuCommand:
         assert main(["chowliu", str(path), "--edges_out", str(edges_out)]) == 0
         assert edges_out.read_bytes() == b"0,1\n1,2\n"
 
+    def test_edges_file_is_sorted_not_in_acceptance_order(self, tmp_path):
+        # Kruskal accepts 1-2 (correlation 0.9) before 0-2 (0.2); the file
+        # lists the sorted edge tuple.
+        path = tmp_path / "sigma.csv"
+        write_matrix_csv(np.array([[1.0, 0.1, 0.2], [0.1, 1.0, 0.9], [0.2, 0.9, 1.0]]), path)
+        edges_out = tmp_path / "edges.csv"
+        assert main(["chowliu", str(path), "--edges_out", str(edges_out)]) == 0
+        assert edges_out.read_bytes() == b"0,2\n1,2\n"
+
     def test_missing_input_is_an_io_error(self, tmp_path):
         assert main(["chowliu", str(tmp_path / "absent.csv")]) == 3
 
@@ -177,6 +186,22 @@ class TestEmCommand:
         )
         assert code == 1
         assert named in capsys.readouterr().err
+
+    def test_non_ascii_observations_name_the_file(self, em_inputs, capsys):
+        em_inputs["obs"].write_bytes("3,\u00e9\n".encode("utf-8"))
+        code = main(
+            [
+                "em",
+                "--sigma0", str(em_inputs["sigma0"]),
+                "--h", str(em_inputs["h"]),
+                "--d", str(em_inputs["d"]),
+                "--obs", str(em_inputs["obs"]),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(em_inputs["obs"]) in err
+        assert "non-ASCII byte 0xc3" in err
 
 
 def write_sweep_config(tmp_path, **overrides):

@@ -294,6 +294,28 @@ class TestRunEm:
         assert len(trace.iterations) == 6
         assert built == [rec.sigma_tree for rec in trace.iterations]
 
+    def test_no_dense_latent_solve_per_iterate(self, monkeypatch):
+        # The p x p work left per refit is two Cholesky factors, the order
+        # guard's and the pooled moment's; the tree divergences take O(p).
+        # With m < p every p x p solve would be a dense tree divergence.
+        p, m = 80, 40
+        sigma, sigma0, model, obs = make_scenario(p=p, m=m, r=200, seed=28)
+        config = EmConfig(sigma0, l_max=4, epsilon=1e-12)
+        shapes = {"solve": [], "cholesky": []}
+        for name in shapes:
+            original = getattr(np.linalg, name)
+
+            def recording(a, *args, _name=name, _original=original, **kwargs):
+                shapes[_name].append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        trace = run_em(config, model, obs, ground_truth=sigma)
+        refits = len(trace.iterations) - 1
+        assert refits == 3
+        assert (p, p) not in shapes["solve"]
+        assert shapes["cholesky"].count((p, p)) == 2 * refits
+
     def test_bitwise_deterministic(self):
         _, sigma0, model, obs = make_scenario(seed=21)
         config = EmConfig(sigma0, l_max=8, epsilon=1e-9)

@@ -295,6 +295,15 @@ class TestMatrixCsv:
         with pytest.raises(ValueError, match="non-numeric"):
             read_matrix_csv(path)
 
+    @pytest.mark.parametrize("rows", [0, 5000])
+    def test_rejects_non_ascii_naming_the_path_and_byte(self, tmp_path, rows):
+        # 5000 clean rows push the bad byte past the first decoded chunk.
+        path = tmp_path / "accent.csv"
+        path.write_bytes(b"1,2\n" * rows + "3,\u00e9\n".encode("utf-8"))
+        with pytest.raises(ValueError, match="non-ASCII byte 0xc3") as excinfo:
+            read_matrix_csv(path)
+        assert str(path) in str(excinfo.value)
+
     def test_rejects_one_dimensional_input(self, tmp_path):
         with pytest.raises(ValueError, match="2-d"):
             write_matrix_csv(np.ones(3), tmp_path / "vec.csv")

@@ -13,10 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treecov.tree
 from treecov import (
     CovMatrix,
     DegenerateCorrelationError,
+    NotPositiveDefiniteError,
+    NumericalError,
     SpanningTree,
+    TreeCovMatrix,
     chow_liu,
     kl_gaussian,
     mutual_information_matrix,
@@ -31,6 +35,68 @@ from _helpers import brute_force_optimal_tree, corr3, random_spd
 def random_tree(rng: np.random.Generator, p: int) -> SpanningTree:
     seq = [int(s) for s in rng.integers(0, p, size=max(p - 2, 0))]
     return SpanningTree(p, prufer_decode(seq, p))
+
+
+def stiff_tree_cov(rng: np.random.Generator, tree: SpanningTree) -> TreeCovMatrix:
+    """Tree covariance with unequal variances and a quarter of |rho| at 0.9999."""
+    p = tree.num_vertices
+    rho = rng.uniform(0.5, 0.9999, size=p - 1) * rng.choice([-1.0, 1.0], size=p - 1)
+    rho[: (p - 1) // 4] = 0.9999 * np.sign(rho[: (p - 1) // 4])
+    std = rng.uniform(0.3, 3.0, size=p)
+    return tree_cov_from(tree, std**2, rho)
+
+
+def tree_cov_from(tree: SpanningTree, d: np.ndarray, rho: np.ndarray) -> TreeCovMatrix:
+    std = np.sqrt(d)
+    u, v = tree.edge_index
+    dense = CovMatrix(tree_completion(d, tree, rho * std[u] * std[v]))
+    return tree_covariance(dense, tree)
+
+
+def dense_kl(p0: CovMatrix, p1: CovMatrix) -> float:
+    """The divergence through both Cholesky factors, with kl_gaussian's clamp:
+    the dense evaluation a tree covariance falls back to near zero."""
+    if np.array_equal(p0.entries, p1.entries):
+        return 0.0
+    l0 = np.linalg.cholesky(p0.entries)
+    l1 = np.linalg.cholesky(p1.entries)
+    a = np.linalg.solve(l1, l0)
+    logdet0 = 2.0 * float(np.sum(np.log(np.diag(l0))))
+    logdet1 = 2.0 * float(np.sum(np.log(np.diag(l1))))
+    kl = 0.5 * (float(np.sum(a * a)) - p0.dim + logdet1 - logdet0)
+    if kl < -1e-12:
+        raise NumericalError(f"KL divergence {kl:.6e} is negative beyond roundoff")
+    return max(kl, 0.0)
+
+
+def reference_kl(s0: np.ndarray, s1: np.ndarray) -> float:
+    """slogdet for both log-determinants and a dense solve for the trace."""
+    _, logdet0 = np.linalg.slogdet(s0)
+    _, logdet1 = np.linalg.slogdet(s1)
+    trace = float(np.trace(np.linalg.solve(s1, s0)))
+    return 0.5 * (trace - s0.shape[0] + logdet1 - logdet0)
+
+
+def sorted_kruskal_tree(sigma: CovMatrix) -> tuple[tuple[int, int], ...]:
+    """Kruskal over every pair, fully stable-sorted by weight descending."""
+    p = sigma.dim
+    mi = mutual_information_matrix(sigma)
+    u_all, v_all = np.triu_indices(p, k=1)
+    order = np.argsort(-mi[u_all, v_all], kind="stable")
+    parent = list(range(p))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    edges = []
+    for k in order:
+        ru, rv = find(int(u_all[k])), find(int(v_all[k]))
+        if ru != rv:
+            parent[ru] = rv
+            edges.append((int(u_all[k]), int(v_all[k])))
+    return SpanningTree(p, tuple(edges)).edges
 
 
 def total_mi_weight(sigma: CovMatrix, tree: SpanningTree) -> float:
@@ -183,6 +249,171 @@ class TestTreeCovariance:
     def test_vertex_count_mismatch(self):
         with pytest.raises(ValueError, match="vertex count"):
             tree_covariance(CovMatrix(np.eye(3)), SpanningTree(2, ((0, 1),)))
+
+
+class TestTreeCovMatrix:
+    """The closed-form log-determinant, precision and divergence of a tree
+    covariance, against dense evaluations of the same matrices."""
+
+    P_VALUES = [2, 10, 80, 160]
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_log_det_and_lazy_factor_match_dense(self, p):
+        rng = np.random.default_rng(400 + p)
+        cov = stiff_tree_cov(rng, random_tree(rng, p))
+        assert isinstance(cov, TreeCovMatrix)
+        _, logdet = np.linalg.slogdet(cov.entries)
+        assert cov.log_det == pytest.approx(logdet, rel=1e-12, abs=1e-12)
+        assert "chol" not in vars(cov)
+        assert np.array_equal(cov.chol, np.linalg.cholesky(cov.entries))
+        assert not cov.chol.flags.writeable
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_precision_is_the_inverse(self, p):
+        rng = np.random.default_rng(410 + p)
+        tree = random_tree(rng, p)
+        cov = stiff_tree_cov(rng, tree)
+        std = np.sqrt(cov.d)
+        precision = np.diag(cov.precision_diag)
+        precision[cov.u, cov.v] = precision[cov.v, cov.u] = cov.precision_edge
+        precision /= np.outer(std, std)
+        np.testing.assert_allclose(precision @ cov.entries, np.eye(p), atol=1e-9)
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_divergence_matches_dense_reference(self, p):
+        rng = np.random.default_rng(420 + p)
+        for _ in range(3):
+            tree1 = chow_liu(random_spd(rng, p)).cov
+            tree0 = chow_liu(random_spd(rng, p)).cov
+            for p0 in (random_spd(rng, p), tree0):
+                expected = reference_kl(p0.entries, tree1.entries)
+                assert expected > 1e-6
+                assert kl_gaussian(p0, tree1) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_divergence_matches_dense_reference_at_stiff_edges(self, p):
+        # At |rho| = 0.9999 one ulp of rho moves 1 / (1 - rho^2) by 1e4 ulp,
+        # so every float evaluation carries ~1e-12 relative error: against a
+        # 40-digit evaluation both this reference and the closed form erred
+        # by up to 1.8e-12. The tolerance allows for both.
+        rng = np.random.default_rng(425 + p)
+        for _ in range(3):
+            tree1 = stiff_tree_cov(rng, random_tree(rng, p))
+            tree0 = stiff_tree_cov(rng, random_tree(rng, p))
+            for p0 in (random_spd(rng, p), tree0):
+                expected = reference_kl(p0.entries, tree1.entries)
+                assert expected > 1e-6
+                assert kl_gaussian(p0, tree1) == pytest.approx(expected, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_exact_tree_against_its_fit_agrees_with_dense_path(self, p):
+        rng = np.random.default_rng(430 + p)
+        for _ in range(4):
+            tree = random_tree(rng, p)
+            rho = rng.uniform(0.5, 0.9999, size=p - 1) * rng.choice([-1.0, 1.0], size=p - 1)
+            rho[: (p - 1) // 4] = 0.9999
+            std = rng.uniform(0.3, 3.0, size=p)
+            corr = tree_completion(np.ones(p), tree, rho)
+            exact = CovMatrix(corr * np.outer(std, std))
+            fit = tree_covariance(exact, tree)
+            assert abs(kl_gaussian(exact, fit) - dense_kl(exact, fit)) <= 1e-10
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    @pytest.mark.parametrize("delta", [1e-6, 1e-9, 1e-12])
+    def test_perturbed_tree_pairs_agree_with_dense_path(self, p, delta):
+        # Near-zero divergences: the closed form alone can land below the
+        # clamp, so these exercise the fallback to the dense evaluation.
+        rng = np.random.default_rng(440 + p)
+        for _ in range(4):
+            tree = random_tree(rng, p)
+            base = stiff_tree_cov(rng, tree)
+            d = base.d * (1.0 + delta * rng.standard_normal(p))
+            rho = np.clip(base.rho * (1.0 + delta * rng.standard_normal(p - 1)), -0.99995, 0.99995)
+            other = tree_cov_from(tree, d, rho)
+            for p0, p1 in ((base, other), (other, base), (CovMatrix(other.entries), base)):
+                expected = dense_kl(p0, p1)
+                assert abs(kl_gaussian(p0, p1) - expected) <= 1e-10
+
+    def test_factors_are_computed_only_within_roundoff_of_zero(self):
+        rng = np.random.default_rng(450)
+        tree = random_tree(rng, 40)
+        base = stiff_tree_cov(rng, tree)
+        far = tree_cov_from(tree, base.d * 2.0, base.rho)
+        assert kl_gaussian(base, far) > 0.1
+        assert "chol" not in vars(base) and "chol" not in vars(far)
+        near = tree_cov_from(tree, base.d * (1.0 + 1e-12), base.rho)
+        assert kl_gaussian(base, near) == dense_kl(base, near)
+        assert "chol" in vars(base) and "chol" in vars(near)
+
+    def test_validation(self):
+        tree = SpanningTree(2, ((0, 1),))
+        ok = TreeCovMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]), tree)
+        assert ok.log_det == pytest.approx(np.log(0.75), abs=1e-15)
+        for entries in ([[1.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, -2.0], [-2.0, 4.0]]):
+            with pytest.raises(NotPositiveDefiniteError):
+                TreeCovMatrix(np.array(entries), tree)
+        with pytest.raises(ValueError, match="non-finite"):
+            TreeCovMatrix(np.array([[1.0, np.inf], [np.inf, 1.0]]), tree)
+        with pytest.raises(ValueError, match="shape"):
+            TreeCovMatrix(np.eye(3), tree)
+
+    def test_factor_of_an_indefinite_matrix_raises_on_read(self):
+        # The 0-2 entry is not the chain's path product, which only the
+        # factor can notice.
+        chain = SpanningTree(3, ((0, 1), (1, 2)))
+        bad = TreeCovMatrix(
+            np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]]), chain
+        )
+        with pytest.raises(NotPositiveDefiniteError):
+            bad.chol
+
+
+class TestPartialSelection:
+    """chow_liu orders only the heaviest candidates; its tree must equal the
+    one from a full stable sort of every pair."""
+
+    @pytest.mark.parametrize("p", [2, 3, 10, 17, 18, 30, 80, 160])
+    def test_random_inputs_match_full_sort(self, p):
+        rng = np.random.default_rng(500 + p)
+        for _ in range(3):
+            sigma = random_spd(rng, p)
+            assert chow_liu(sigma).tree.edges == sorted_kruskal_tree(sigma)
+
+    @pytest.mark.parametrize("p", [20, 40, 80])
+    def test_tie_heavy_inputs_match_full_sort(self, p):
+        rng = np.random.default_rng(510 + p)
+        diagonal = np.diag(rng.uniform(0.5, 2.0, size=p))
+        all_equal = np.full((p, p), 0.3) + 0.7 * np.eye(p)
+        block = np.arange(p) % 4
+        block_equal = np.where(block[:, None] == block[None, :], 0.6, 0.1) + 0.4 * np.eye(p)
+        for entries in (diagonal, all_equal, block_equal):
+            sigma = CovMatrix(entries)
+            assert chow_liu(sigma).tree.edges == sorted_kruskal_tree(sigma)
+
+    def test_dominant_clique_widens_the_candidate_set(self, monkeypatch):
+        # 30 vertices share a strong factor: their 435 edges outrank every
+        # other pair, yet span only 30 of the 40 vertices, so the first 320
+        # candidates cannot complete the tree.
+        rng = np.random.default_rng(520)
+        p, clique = 40, 30
+        loading = np.zeros(p)
+        loading[:clique] = rng.uniform(2.0, 4.0, size=clique)
+        noise = random_spd(rng, p).entries
+        sigma = CovMatrix(np.outer(loading, loading) + noise)
+        weights = mutual_information_matrix(sigma)
+        assert weights[:clique, :clique][np.triu_indices(clique, 1)].min() > weights[
+            clique:, :
+        ].max()
+        scans = []
+        kruskal = treecov.tree._kruskal
+
+        def spy(p, us, vs):
+            scans.append(len(us))
+            return kruskal(p, us, vs)
+
+        monkeypatch.setattr(treecov.tree, "_kruskal", spy)
+        assert chow_liu(sigma).tree.edges == sorted_kruskal_tree(sigma)
+        assert scans[0] == 8 * p and len(scans) >= 2
 
 
 class TestChowLiu:
