@@ -18,11 +18,20 @@ edge coefficients built once per fit. As the second argument of
 diagonal and at the tree's edges; a result within roundoff of zero falls
 back to the dense evaluation through both Cholesky factors, which a tree
 covariance computes only when read.
+
+A fit makes one pass over what Kruskal needs: mutual-information weights for
+the pairs u < v only, the heaviest of them ordered, and components tracked
+by vertex labels, the same helper that validates a ``SpanningTree``.
+Consecutive EM iterates mostly refit the same tree, so fitted trees are
+interned: a repeated edge set returns the existing frozen ``SpanningTree``,
+which keeps its index arrays and its breadth-first order, and the
+completion reads that order off the tree instead of traversing it again.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -30,6 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .gaussian import (
+    DEGENERATE_CORRELATION,
     CovMatrix,
     NotPositiveDefiniteError,
     NumericalError,
@@ -45,36 +55,22 @@ CANDIDATES_PER_VERTEX = 8
 
 
 def _normalize_edge(edge: Sequence[int]) -> tuple[int, int]:
-    u, v = int(edge[0]), int(edge[1])
+    try:
+        u, v = map(operator.index, edge)
+    except (TypeError, ValueError):
+        raise ValueError(f"edge {edge!r} is not a pair of integer vertices") from None
     return (u, v) if u < v else (v, u)
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[rx] = ry
-        return True
 
 
 @dataclass(frozen=True, eq=False)
 class SpanningTree:
     """Undirected spanning tree on vertices 0..p-1.
 
-    Exactly p - 1 edges, connected and acyclic. Edges are normalized to
-    (smaller, larger) pairs and stored sorted, so equal trees have equal
-    edge tuples.
+    Exactly p - 1 edges, connected and acyclic, each a pair of integers
+    (Python or numpy). Edges are normalized to (smaller, larger) pairs and
+    stored sorted, so equal trees have equal edge tuples. Instances are
+    immutable, and the index arrays and breadth-first order derived from
+    the edges are computed once, on first read.
     """
 
     num_vertices: int
@@ -99,11 +95,11 @@ class SpanningTree:
             )
         if len(set(normalized)) != len(normalized):
             raise ValueError("duplicate edge")
-        uf = _UnionFind(p)
-        for u, v in normalized:
-            if not uf.union(u, v):
-                raise ValueError(f"edge ({u}, {v}) closes a cycle")
-        # p - 1 edges and no cycle together imply connectivity.
+        # p - 1 edges that Kruskal accepts all are acyclic, hence connected.
+        accepted = _kruskal(p, [u for u, _ in normalized], [v for _, v in normalized])
+        if len(accepted) < len(normalized):
+            u, v = normalized[min(set(range(len(normalized))).difference(accepted))]
+            raise ValueError(f"edge ({u}, {v}) closes a cycle")
         object.__setattr__(self, "edges", tuple(normalized))
 
     def adjacency(self) -> list[list[int]]:
@@ -120,6 +116,44 @@ class SpanningTree:
         u.setflags(write=False)
         v.setflags(write=False)
         return u, v
+
+    @cached_property
+    def bfs_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Breadth-first order from vertex 0, as three read-only index arrays.
+
+        ``position[v]`` is the place of vertex v in the order. For places
+        k = 1..p-1, ``parent_position[k - 1]`` is the place of that vertex's
+        parent, which comes earlier, and ``parent_edge[k - 1]`` the index in
+        ``edges`` of the edge joining them. Neighbours are visited in the
+        order ``adjacency()`` lists them.
+        """
+        p = self.num_vertices
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(p)]
+        for i, (u, v) in enumerate(self.edges):
+            adj[u].append((v, i))
+            adj[v].append((u, i))
+        order = [0]
+        seen = [False] * p
+        seen[0] = True
+        parent_position = []
+        parent_edge = []
+        for k, x in enumerate(order):
+            for y, i in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    order.append(y)
+                    parent_position.append(k)
+                    parent_edge.append(i)
+        position = np.empty(p, dtype=np.intp)
+        position[order] = np.arange(p)
+        arrays = (
+            position,
+            np.array(parent_position, dtype=np.intp),
+            np.array(parent_edge, dtype=np.intp),
+        )
+        for arr in arrays:
+            arr.setflags(write=False)
+        return arrays
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,42 +308,34 @@ def tree_completion(
 ) -> np.ndarray:
     """Covariance entries with variances ``diag`` and the tree's Markov structure.
 
-    ``edge_cov[k]`` is the covariance of ``tree.edges[k]``. Variances and
-    edge covariances are copied verbatim; every other (u, v) entry is
-    sqrt(diag[u] * diag[v]) times the product of edge correlations along the
-    unique tree path from u to v. One breadth-first pass from vertex 0 fills
-    the correlations: each newly reached vertex's row over the vertices
-    reached so far is its parent's row times one edge correlation.
+    ``diag`` holds p finite, positive variances and ``edge_cov[k]`` the
+    covariance of ``tree.edges[k]``. Variances and edge covariances are
+    copied verbatim; every other (u, v) entry is sqrt(diag[u] * diag[v])
+    times the product of edge correlations along the unique tree path from
+    u to v. The correlations are filled in the tree's cached breadth-first
+    order (``SpanningTree.bfs_order``): each vertex's row over the vertices
+    placed before it is its parent's row times one edge correlation.
     """
     p = tree.num_vertices
     diag = np.asarray(diag, dtype=float)
     edge_cov = np.asarray(edge_cov, dtype=float)
+    if diag.shape != (p,):
+        raise ValueError(f"need {p} variances, got shape {diag.shape}")
+    if not np.all(np.isfinite(diag) & (diag > 0.0)):
+        raise ValueError("variances must be finite and positive")
     if edge_cov.shape != (p - 1,):
         raise ValueError(f"need {p - 1} edge covariances, got shape {edge_cov.shape}")
     u, v = tree.edge_index
+    position, parent_position, parent_edge = tree.bfs_order
     std = np.sqrt(diag)
-    rho_of = dict(zip(tree.edges, (edge_cov / (std[u] * std[v])).tolist()))
-    adj = tree.adjacency()
-    order = [0]
-    parent = [-1] * p
-    for x in order:
-        for y in adj[x]:
-            if y != parent[x]:
-                parent[y] = x
-                order.append(y)
-    pos = [0] * p
-    for k, y in enumerate(order):
-        pos[y] = k
+    rho = edge_cov / (std[u] * std[v])
     # Rows and columns in BFS order, so each parent row is a contiguous slice.
     corr = np.eye(p)
-    for k in range(1, p):
-        y = order[k]
-        x = parent[y]
-        rho = rho_of[(x, y) if x < y else (y, x)]
-        row = corr[pos[x], :k] * rho
-        corr[k, :k] = row
+    steps = zip(parent_position.tolist(), rho[parent_edge].tolist())
+    for k, (parent, r) in enumerate(steps, start=1):
+        row = np.multiply(corr[parent, :k], r, out=corr[k, :k])
         corr[:k, k] = row
-    cov = corr[np.ix_(pos, pos)] * np.outer(std, std)
+    cov = corr[position][:, position] * np.outer(std, std)
     np.fill_diagonal(cov, diag)
     cov[u, v] = edge_cov
     cov[v, u] = edge_cov
@@ -352,12 +378,14 @@ def tree_covariance(sigma: CovMatrix, tree: SpanningTree) -> TreeCovMatrix:
 
 
 @lru_cache(maxsize=8)
-def _upper_pairs(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``np.triu_indices(p, k=1)``: every pair u < v in (u, v) order."""
+def _upper_pairs(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair u < v in (u, v) order, as read-only ``np.triu_indices(p, k=1)``
+    and the flat indices u * p + v of those entries in a C-ordered p x p array."""
     u, v = np.triu_indices(p, k=1)
-    u.setflags(write=False)
-    v.setflags(write=False)
-    return u, v
+    flat = u * p + v
+    for arr in (u, v, flat):
+        arr.setflags(write=False)
+    return u, v, flat
 
 
 def _heaviest_first(weights: np.ndarray, k: int) -> np.ndarray:
@@ -374,33 +402,63 @@ def _heaviest_first(weights: np.ndarray, k: int) -> np.ndarray:
     return top[np.argsort(-weights[top], kind="stable")]
 
 
-def _kruskal(p: int, us: list[int], vs: list[int]) -> list[tuple[int, int]]:
-    """Edges accepted scanning candidates (us[i], vs[i]) in order, at most p - 1."""
-    uf = _UnionFind(p)
-    edges = []
-    for u, v in zip(us, vs):
-        if uf.union(u, v):
-            edges.append((u, v))
-            if len(edges) == p - 1:
-                break
-    return edges
+def _kruskal(p: int, us: Sequence[int], vs: Sequence[int]) -> list[int]:
+    """Places i of the candidates (us[i], vs[i]) accepted scanning in order, at most p - 1.
+
+    Every vertex carries the label of its component. A candidate is accepted
+    when its ends carry different labels, and the smaller of the two
+    components is then relabelled, so each vertex is relabelled at most
+    log2(p) times.
+    """
+    label = list(range(p))
+    members = [[x] for x in range(p)]
+    accepted: list[int] = []
+    for i, (u, v) in enumerate(zip(us, vs)):
+        a, b = label[u], label[v]
+        if a == b:
+            continue
+        if len(members[a]) < len(members[b]):
+            a, b = b, a
+        for x in members[b]:
+            label[x] = a
+        members[a] += members[b]
+        accepted.append(i)
+        if len(accepted) == p - 1:
+            break
+    return accepted
+
+
+@lru_cache(maxsize=8)
+def _interned_tree(p: int, edges: tuple[tuple[int, int], ...]) -> SpanningTree:
+    """The one SpanningTree per recently fitted edge set, validated once.
+
+    Consecutive EM iterates mostly refit the same tree; sharing the frozen
+    instance also shares its cached index arrays and breadth-first order.
+    """
+    return SpanningTree(p, edges)
 
 
 def chow_liu(sigma: CovMatrix) -> TreeApproxResult:
     """Best tree approximation of ``sigma`` in KL divergence.
 
     Runs Kruskal on the complete graph with pairwise mutual-information
-    weights w, maximizing total weight. Ties are broken deterministically by
-    ordering candidate edges on (weight descending, smaller vertex, larger
-    vertex). Only the heaviest 8p candidates, with every tie at the cut, are
-    ordered; should Kruskal exhaust them the cut doubles, so the tree is the
-    one a full ordering gives. The returned covariance matches ``sigma`` on
-    all variances and tree-edge covariances, and ``kl`` is the approximation
-    divergence
+    weights w, maximizing total weight. The weights are computed for the
+    pairs u < v only, with the operations of ``mutual_information_matrix``,
+    and a pair with |rho| >= 1 - 1e-12 raises its DegenerateCorrelationError.
+    Ties are broken deterministically by ordering candidate edges on
+    (weight descending, smaller vertex, larger vertex). Only the heaviest 8p
+    candidates, with every tie at the cut, are ordered; should Kruskal
+    exhaust them the cut doubles, so the tree is the one a full ordering
+    gives. Kruskal tracks components by vertex labels. The tree is shared
+    with recent fits of the same edge set, so a repeated tree is neither
+    validated nor traversed again. The returned covariance matches ``sigma``
+    on all variances and tree-edge covariances, and ``kl`` is the
+    approximation divergence
 
         0.5 * (sum_v ln s_vv - ln det sigma) - sum_{(u,v) in tree} w_uv,
 
-    read off the weights of the chosen edges and the factor of ``sigma``.
+    read off the weights of the chosen edges, summed in the order Kruskal
+    accepts them, and the factor of ``sigma``.
 
     Parameters
     ----------
@@ -410,20 +468,28 @@ def chow_liu(sigma: CovMatrix) -> TreeApproxResult:
     p = sigma.dim
     if p < 2:
         raise ValueError(f"need at least two vertices, got {p}")
-    u_all, v_all = _upper_pairs(p)
-    mi = mutual_information_matrix(sigma)
-    weights = mi[u_all, v_all]
+    u_all, v_all, flat = _upper_pairs(p)
+    s = sigma.entries
+    var = np.diag(s)
+    rho = np.take(s, flat) / np.sqrt(var[u_all] * var[v_all])
+    if np.any(np.abs(rho) >= DEGENERATE_CORRELATION):
+        # The matrix form applies the same test to the same values and
+        # raises, naming the first degenerate pair.
+        mutual_information_matrix(sigma)
+    weights = -0.5 * np.log1p(-rho * rho)
     # Pairs come in (u, v) order, which the stable ordering keeps for ties.
     k = CANDIDATES_PER_VERTEX * p
     while True:
         order = _heaviest_first(weights, k)
-        edges = _kruskal(p, u_all[order].tolist(), v_all[order].tolist())
-        if len(edges) == p - 1:
+        accepted = _kruskal(p, u_all[order].tolist(), v_all[order].tolist())
+        if len(accepted) == p - 1:
             break
         k *= 2
-    tree = SpanningTree(p, tuple(edges))
-    tree_weight = float(sum(mi[u, v] for u, v in edges))
-    total_correlation = 0.5 * (float(np.sum(np.log(np.diag(sigma.entries)))) - sigma.log_det)
+    chosen = order[accepted]
+    edges = sorted(zip(u_all[chosen].tolist(), v_all[chosen].tolist()))
+    tree = _interned_tree(p, tuple(edges))
+    tree_weight = float(sum(weights[chosen].tolist()))
+    total_correlation = 0.5 * (float(np.sum(np.log(var))) - sigma.log_det)
     # Both terms grow with p and with |rho|, so their difference carries
     # more roundoff than a single divergence evaluation.
     kl = _clamp_kl(total_correlation - tree_weight, bound=1e-9)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import treecov.em
+import treecov.tree
 from treecov import (
     CovMatrix,
     EmConfig,
@@ -21,6 +22,7 @@ from treecov import (
     LinearModel,
     NumericalError,
     ObservationSet,
+    SpanningTree,
     StopReason,
     chow_liu,
     compute_omega,
@@ -315,6 +317,29 @@ class TestRunEm:
         assert refits == 3
         assert (p, p) not in shapes["solve"]
         assert shapes["cholesky"].count((p, p)) == 2 * refits
+
+    def test_repeated_trees_are_validated_once(self, monkeypatch):
+        # Most refits return the tree of the iterate before; chow_liu then
+        # reuses that tree, validated and traversed once.
+        p, m = 40, 20
+        _, sigma0, model, obs = make_scenario(p=p, m=m, r=200, seed=30)
+        config = EmConfig(sigma0, l_max=8, epsilon=1e-12)
+        treecov.tree._interned_tree.cache_clear()
+        validations = []
+        original = SpanningTree.__post_init__
+
+        def counting(tree):
+            validations.append(tree.edges)
+            original(tree)
+
+        monkeypatch.setattr(SpanningTree, "__post_init__", counting)
+        trace = run_em(config, model, obs)
+        refits = [rec.tree for rec in trace.iterations[1:]]
+        distinct = {tree.edges for tree in refits}
+        assert len(refits) == 7 and len(distinct) < len(refits)
+        assert len(validations) == len(distinct)
+        for before, after in zip(refits, refits[1:]):
+            assert (after is before) == (after.edges == before.edges)
 
     def test_bitwise_deterministic(self):
         _, sigma0, model, obs = make_scenario(seed=21)

@@ -7,6 +7,7 @@ as oracles for the Kruskal implementation.
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -136,6 +137,43 @@ class TestSpanningTree:
         tree = SpanningTree(3, ((0, 1), (1, 2)))
         assert tree.adjacency() == [[1], [0, 2], [1]]
 
+    @pytest.mark.parametrize(
+        "bad", [(0, 1.9), (0, 1, 7), (0,), (0, "1"), 0, (np.float64(0.0), 1)]
+    )
+    def test_rejects_edge_that_is_not_a_pair_of_integers(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"edge {bad!r} is not a pair")):
+            SpanningTree(3, (bad, (1, 2)))
+
+    def test_accepts_numpy_integer_vertices(self):
+        tree = SpanningTree(3, ((np.int64(2), np.int32(1)), (np.intp(1), 0)))
+        assert tree.edges == ((0, 1), (1, 2))
+        assert all(type(x) is int for edge in tree.edges for x in edge)
+
+
+class TestBfsOrder:
+    @pytest.mark.parametrize("p", [1, 2, 3, 10, 80])
+    def test_parents_precede_children_along_tree_edges(self, p):
+        rng = np.random.default_rng(300 + p)
+        if p == 1:
+            trees = [SpanningTree(1, ())]
+        else:
+            trees = [random_tree(rng, p) for _ in range(3)]
+            trees += [chow_liu(random_spd(rng, p)).tree for _ in range(3)]
+        for tree in trees:
+            position, parent_position, parent_edge = tree.bfs_order
+            assert not any(a.flags.writeable for a in tree.bfs_order)
+            assert sorted(position.tolist()) == list(range(p))
+            order = np.argsort(position)
+            assert order[0] == 0
+            assert parent_position.shape == parent_edge.shape == (p - 1,)
+            adjacency = tree.adjacency()
+            for k in range(1, p):
+                parent = int(parent_position[k - 1])
+                assert parent < k
+                child, above = int(order[k]), int(order[parent])
+                assert above in adjacency[child]
+                assert tree.edges[parent_edge[k - 1]] == (min(child, above), max(child, above))
+
 
 class TestEdgeSetEqual:
     # Normalized, sorted edge tuples make equal edge sets compare equal.
@@ -249,6 +287,24 @@ class TestTreeCovariance:
     def test_vertex_count_mismatch(self):
         with pytest.raises(ValueError, match="vertex count"):
             tree_covariance(CovMatrix(np.eye(3)), SpanningTree(2, ((0, 1),)))
+
+    @pytest.mark.parametrize(
+        "diag, edge_cov, match",
+        [
+            (np.ones(4), [0.1, 0.2], "need 3 variances"),
+            (np.ones(2), [0.1, 0.2], "need 3 variances"),
+            (np.ones((3, 1)), [0.1, 0.2], "need 3 variances"),
+            (-np.ones(3), [0.1, 0.2], "finite and positive"),
+            ([1.0, 0.0, 1.0], [0.1, 0.2], "finite and positive"),
+            ([1.0, np.nan, 1.0], [0.1, 0.2], "finite and positive"),
+            ([1.0, np.inf, 1.0], [0.1, 0.2], "finite and positive"),
+            (np.ones(3), [0.1], "need 2 edge covariances"),
+        ],
+    )
+    def test_completion_rejects_bad_variances_and_edge_counts(self, diag, edge_cov, match):
+        chain = SpanningTree(3, ((0, 1), (1, 2)))
+        with pytest.raises(ValueError, match=match):
+            tree_completion(diag, chain, edge_cov)
 
 
 class TestTreeCovMatrix:
@@ -414,6 +470,117 @@ class TestPartialSelection:
         monkeypatch.setattr(treecov.tree, "_kruskal", spy)
         assert chow_liu(sigma).tree.edges == sorted_kruskal_tree(sigma)
         assert scans[0] == 8 * p and len(scans) >= 2
+
+
+class TestUpperPairWeights:
+    """chow_liu weighs the pairs u < v only, with the operations of the
+    matrix form: the weights must equal its upper triangle bit for bit."""
+
+    @staticmethod
+    def weights_of(sigma: CovMatrix, monkeypatch) -> np.ndarray:
+        seen = []
+        original = treecov.tree._heaviest_first
+
+        def spy(weights, k):
+            seen.append(weights.copy())
+            return original(weights, k)
+
+        monkeypatch.setattr(treecov.tree, "_heaviest_first", spy)
+        chow_liu(sigma)
+        return seen[0]
+
+    def assert_bitwise_upper_triangle(self, sigma: CovMatrix, monkeypatch) -> None:
+        expected = mutual_information_matrix(sigma)[np.triu_indices(sigma.dim, 1)]
+        assert self.weights_of(sigma, monkeypatch).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("p", [2, 3, 10, 80, 160])
+    def test_random_inputs(self, p, monkeypatch):
+        rng = np.random.default_rng(700 + p)
+        for _ in range(3):
+            self.assert_bitwise_upper_triangle(random_spd(rng, p), monkeypatch)
+
+    def test_tie_heavy_inputs(self, monkeypatch):
+        p = 20
+        rng = np.random.default_rng(710)
+        block = np.arange(p) % 4
+        for entries in (
+            np.diag(rng.uniform(0.5, 2.0, size=p)),
+            np.full((p, p), 0.3) + 0.7 * np.eye(p),
+            np.where(block[:, None] == block[None, :], 0.6, 0.1) + 0.4 * np.eye(p),
+        ):
+            self.assert_bitwise_upper_triangle(CovMatrix(entries), monkeypatch)
+
+    def test_correlations_just_inside_the_degenerate_bound(self, monkeypatch):
+        near_one = np.nextafter(1.0 - 1e-12, 0.0)
+        entries = np.eye(4)
+        entries[0, 2] = entries[2, 0] = near_one
+        entries[1, 3] = entries[3, 1] = -near_one
+        self.assert_bitwise_upper_triangle(CovMatrix(entries), monkeypatch)
+
+    def test_degenerate_pair_raises_the_matrix_form_error(self):
+        # Two degenerate pairs; the error names the first in (u, v) order.
+        near_one = 1.0 - 1e-13
+        entries = np.eye(4)
+        entries[1, 2] = entries[2, 1] = near_one
+        entries[0, 3] = entries[3, 0] = -near_one
+        with pytest.raises(DegenerateCorrelationError) as excinfo:
+            chow_liu(CovMatrix(entries))
+        assert str(excinfo.value) == (
+            f"correlation {-near_one!r} between 0 and 3 is numerically degenerate"
+        )
+
+
+class TestInternedTrees:
+    """A refit of the same edge set returns the tree already validated."""
+
+    @staticmethod
+    def count_validations(monkeypatch) -> list[int]:
+        calls = []
+        original = SpanningTree.__post_init__
+
+        def spy(self):
+            calls.append(self.num_vertices)
+            original(self)
+
+        monkeypatch.setattr(SpanningTree, "__post_init__", spy)
+        return calls
+
+    def test_repeated_fit_returns_the_same_tree_validated_once(self, monkeypatch):
+        treecov.tree._interned_tree.cache_clear()
+        validations = self.count_validations(monkeypatch)
+        sigma = random_spd(np.random.default_rng(720), 12)
+        first = chow_liu(sigma)
+        order = first.tree.bfs_order
+        second = chow_liu(CovMatrix(sigma.entries.copy()))
+        assert second.tree is first.tree
+        assert second.tree.bfs_order is order
+        assert validations == [12]
+        assert np.array_equal(second.cov.entries, first.cov.entries)
+
+    def test_traced_layers_are_still_called_per_fit(self, monkeypatch):
+        # Per-layer tracing wraps tree_covariance and the widening test wraps
+        # _kruskal, both at the module attribute chow_liu looks up.
+        calls = {"tree_covariance": 0, "_kruskal": 0}
+        for name in calls:
+            original = getattr(treecov.tree, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(treecov.tree, name, counting)
+        sigma = random_spd(np.random.default_rng(721), 10)
+        for _ in range(3):
+            chow_liu(sigma)
+        assert calls["tree_covariance"] == 3
+        assert calls["_kruskal"] >= 3
+
+    def test_cache_is_bounded(self):
+        rng = np.random.default_rng(722)
+        for _ in range(20):
+            chow_liu(random_spd(rng, 6))
+        info = treecov.tree._interned_tree.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize <= 16
 
 
 class TestChowLiu:
