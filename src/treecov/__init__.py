@@ -25,7 +25,6 @@ from .tree import (
     TreeCovMatrix,
     chow_liu,
     prufer_decode,
-    tree_completion,
     tree_covariance,
 )
 from .linear import (

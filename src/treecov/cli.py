@@ -76,6 +76,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if value is not None:
             mapping[key] = value
     config = config_from_mapping(mapping)
+    out_dir = Path(config.output).parent
+    if not out_dir.is_dir():
+        raise OSError(f"output directory {str(out_dir)!r} does not exist")
     result = run_sweep(config)
     doc_path, csv_path = emit_results(result, Path(config.output))
     for agg in result.aggregates:

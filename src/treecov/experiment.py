@@ -28,7 +28,7 @@ from .linear import (
     read_matrix_csv,
     sample_observations,
 )
-from .tree import SpanningTree, chow_liu, prufer_decode, tree_completion
+from .tree import SpanningTree, TreeCovMatrix, chow_liu, prufer_decode
 
 MAX_MIXING_REDRAWS = 10
 SNR_DEFINITION = "snr_db = 10*log10(trace(H Sigma H^T) / trace(D)) with white noise D = s^2 I"
@@ -65,7 +65,7 @@ def generate_ground_truth(p: int, seed: int) -> CovMatrix:
     signs = np.where(rng.integers(0, 2, size=p - 1) == 0, -1.0, 1.0)
     rho = dict(zip(edges, magnitudes * signs))
     tree = SpanningTree(p, edges)
-    return CovMatrix(tree_completion(np.ones(p), tree, [rho[e] for e in tree.edges]))
+    return CovMatrix(TreeCovMatrix(tree, np.ones(p), [rho[e] for e in tree.edges]).entries)
 
 
 def generate_prior(sigma: CovMatrix, alpha: float, seed: int) -> CovMatrix:
@@ -206,14 +206,15 @@ assert CONFIG_KEYS == tuple(f.name for f in fields(ExperimentConfig))
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Read a flat ``key = value`` config file into a string mapping.
 
-    Blank lines and lines starting with ``#`` are ignored. Keys must be
-    ExperimentConfig field names, each at most once.
+    ``#`` starts a comment that runs to the end of its line; lines left
+    blank are ignored. Keys must be ExperimentConfig field names, each at
+    most once.
     """
     mapping: dict[str, str] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
@@ -307,14 +308,12 @@ def _load_cov_csv(path: str, expected_dim: int, label: str) -> CovMatrix:
     return CovMatrix(matrix)
 
 
-MixingFactory = Callable[[int, int, float, CovMatrix, int], LinearModel]
 TraceHook = Callable[[int, int, EmTrace], None]
 
 
 def run_sweep(
     config: ExperimentConfig,
     *,
-    mixing_factory: MixingFactory | None = None,
     on_trace: TraceHook | None = None,
 ) -> SweepResult:
     """Run the full comparison sweep described by ``config``.
@@ -327,12 +326,9 @@ def run_sweep(
     truth). Per-trial numerical failures are recorded and excluded; the
     sweep only fails when every attempted trial failed.
 
-    ``mixing_factory`` substitutes generate_mixing (a test hook, e.g. to
-    force H = I); ``on_trace`` receives (m, trial, trace) for each
-    successful trial in deterministic order. Results are deterministic
-    functions of the config.
+    ``on_trace`` receives (m, trial, trace) for each successful trial in
+    deterministic order. Results are deterministic functions of the config.
     """
-    factory = mixing_factory if mixing_factory is not None else generate_mixing
     if config.sigma_csv is not None:
         sigma = _load_cov_csv(config.sigma_csv, config.p, "ground-truth covariance")
     else:
@@ -355,7 +351,7 @@ def run_sweep(
     for m in config.m_values:
         for trial in range(config.trials):
             try:
-                model = factory(
+                model = generate_mixing(
                     config.p, m, config.snr_db, sigma,
                     derive_seed(config.seed, "mixing", m, trial),
                 )

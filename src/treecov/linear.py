@@ -9,7 +9,7 @@ CSV matrix format used by the command-line tools.
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +29,7 @@ class LinearModel:
 
     H must be a finite m x p matrix with m <= p and full numerical row rank
     (smallest singular value above 1e-10 times the largest, else
-    RankDeficientError). Pass ``check_rank=False`` to build intentionally
-    degenerate models, e.g. H = 0 when exercising no-information limits in
-    tests.
+    RankDeficientError).
 
     Parameters
     ----------
@@ -43,9 +41,8 @@ class LinearModel:
 
     h: np.ndarray
     d: CovMatrix
-    check_rank: InitVar[bool] = True
 
-    def __post_init__(self, check_rank: bool) -> None:
+    def __post_init__(self) -> None:
         h = np.array(self.h, dtype=float)
         if h.ndim != 2:
             raise ValueError(f"H must be a matrix, got shape {h.shape}")
@@ -58,10 +55,9 @@ class LinearModel:
             raise ValueError(f"observation dimension m={m} exceeds latent dimension p={p}")
         if self.d.dim != m:
             raise ValueError(f"noise covariance dimension {self.d.dim} != m={m}")
-        if check_rank:
-            sv = np.linalg.svd(h, compute_uv=False)
-            if sv[-1] <= RANK_RTOL * sv[0]:
-                raise RankDeficientError("H is numerically rank deficient")
+        sv = np.linalg.svd(h, compute_uv=False)
+        if sv[-1] <= RANK_RTOL * sv[0]:
+            raise RankDeficientError("H is numerically rank deficient")
         h.setflags(write=False)
         object.__setattr__(self, "h", h)
 

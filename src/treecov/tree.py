@@ -11,21 +11,23 @@ because sigma_T's log-determinant is sum_v ln s_vv + sum_T ln(1 - rho_uv^2)
 and its inverse is zero off the diagonal and the tree edges (Lauritzen 1996,
 decomposable case).
 
-A fitted tree covariance is a ``TreeCovMatrix`` that keeps those closed
-forms: its log-determinant and its sparse precision, p diagonal and p - 1
-edge coefficients built once per fit. As the second argument of
-``kl_gaussian`` it pairs with the first in O(p), reading it only on the
-diagonal and at the tree's edges; a result within roundoff of zero falls
-back to the dense evaluation through both Cholesky factors, which a tree
-covariance computes only when read.
+A tree covariance is a ``TreeCovMatrix``, built only from its parameters:
+the tree, p variances and p - 1 edge covariances. One pass validates them,
+completes the entries by path products and builds the closed forms, the
+log-determinant and the sparse precision of p diagonal and p - 1 edge
+coefficients. As the second argument of ``kl_gaussian`` it pairs with the
+first in O(p), reading it only on the diagonal and at the tree's edges; a
+result within roundoff of zero falls back to the dense evaluation through
+both Cholesky factors, which a tree covariance computes only when read.
 
 A fit makes one pass over what Kruskal needs: mutual-information weights for
 the pairs u < v only, the heaviest of them ordered, and components tracked
 by vertex labels, the same helper that validates a ``SpanningTree``.
 Consecutive EM iterates mostly refit the same tree, so fitted trees are
 interned: a repeated edge set returns the existing frozen ``SpanningTree``,
-which keeps its index arrays and its breadth-first order, and the
-completion reads that order off the tree instead of traversing it again.
+which keeps its index arrays and its breadth-first order, and
+``TreeCovMatrix`` reads that order off the tree instead of traversing it
+again.
 """
 
 from __future__ import annotations
@@ -158,15 +160,24 @@ class SpanningTree:
 
 @dataclass(frozen=True, eq=False)
 class TreeCovMatrix(CovMatrix):
-    """Covariance with a spanning tree's Markov structure, in closed form.
+    """Covariance with a spanning tree's Markov structure, built from its parameters.
 
-    ``entries`` is the tree's completion, as built by ``tree_completion``;
-    it is kept, not copied, and made read-only. Construction reads the
-    edge index arrays ``u`` and ``v`` (u < v) off the tree, and the
-    variances ``d`` and edge correlations ``rho`` off the entries. It checks
-    finite entries, d > 0 and |rho| < 1, which for a tree completion is
-    exactly positive definiteness; ``chol`` is computed on first read and
-    raises NotPositiveDefiniteError if roundoff defeats it.
+    ``d`` holds p finite, positive variances and ``edge_cov[k]`` the
+    covariance of ``tree.edges[k]``; both are copied and made read-only.
+    With std = sqrt(d), the edge correlations are
+    rho = edge_cov / (std[u] * std[v]) over the edge index arrays ``u`` and
+    ``v`` (u < v), and |rho| < 1 is exactly positive definiteness, so a
+    larger one raises NotPositiveDefiniteError. A ``d`` or ``edge_cov`` of
+    the wrong shape, or a variance that is not finite and positive, raises
+    ValueError.
+
+    ``entries`` is the completion: variances and edge covariances verbatim,
+    and every other (u, v) entry std[u] * std[v] times the product of edge
+    correlations along the tree path from u to v. The correlations are
+    filled in the tree's cached breadth-first order
+    (``SpanningTree.bfs_order``): each vertex's row over the vertices placed
+    before it is its parent's row times one edge correlation. ``chol`` is
+    computed on first read.
 
     The precision is D^-1/2 P D^-1/2 with D = diag(d) and P the inverse
     correlation matrix, which is zero off the diagonal and the edges:
@@ -178,10 +189,12 @@ class TreeCovMatrix(CovMatrix):
     1 - rho^2 as (1 - rho)(1 + rho), which stays accurate as |rho| -> 1.
     """
 
+    entries: np.ndarray = field(init=False, repr=False)
     tree: SpanningTree
+    d: np.ndarray
+    edge_cov: np.ndarray
     u: np.ndarray = field(init=False, repr=False)
     v: np.ndarray = field(init=False, repr=False)
-    d: np.ndarray = field(init=False, repr=False)
     rho: np.ndarray = field(init=False, repr=False)
     precision_diag: np.ndarray = field(init=False, repr=False)
     precision_edge: np.ndarray = field(init=False, repr=False)
@@ -189,39 +202,49 @@ class TreeCovMatrix(CovMatrix):
     _roundoff_scale: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.entries, dtype=float)
-        if a.shape != (self.tree.num_vertices,) * 2:
-            raise ValueError(
-                f"covariance shape {a.shape} does not fit {self.tree.num_vertices} vertices"
-            )
-        if not np.all(np.isfinite(a)):
-            raise ValueError("covariance has a non-finite entry")
+        p = self.tree.num_vertices
+        d = np.array(self.d, dtype=float)
+        edge_cov = np.array(self.edge_cov, dtype=float)
+        if d.shape != (p,):
+            raise ValueError(f"need {p} variances, got shape {d.shape}")
+        if not np.all(np.isfinite(d) & (d > 0.0)):
+            raise ValueError("variances must be finite and positive")
+        if edge_cov.shape != (p - 1,):
+            raise ValueError(f"need {p - 1} edge covariances, got shape {edge_cov.shape}")
         u, v = self.tree.edge_index
-        d = np.diag(a).copy()
-        if not np.all(d > 0.0):
-            raise NotPositiveDefiniteError("covariance is not positive definite")
         std = np.sqrt(d)
-        # The product tree_completion divides the edge covariances by.
         edge_scale = std[u] * std[v]
-        rho = a[u, v] / edge_scale
+        rho = edge_cov / edge_scale
         if not np.all(np.abs(rho) < 1.0):
             raise NotPositiveDefiniteError("covariance is not positive definite")
+        position, parent_position, parent_edge = self.tree.bfs_order
+        # Rows and columns in BFS order, so each parent row is a contiguous slice.
+        corr = np.eye(p)
+        steps = zip(parent_position.tolist(), rho[parent_edge].tolist())
+        for k, (parent, r) in enumerate(steps, start=1):
+            row = np.multiply(corr[parent, :k], r, out=corr[k, :k])
+            corr[:k, k] = row
+        a = corr[position][:, position] * np.outer(std, std)
+        np.fill_diagonal(a, d)
+        a[u, v] = edge_cov
+        a[v, u] = edge_cov
         object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "edge_cov", edge_cov)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "d", d)
         object.__setattr__(self, "rho", rho)
         q = 1.0 / self._one_minus_rho_sq
         extra = rho * rho * q
-        p_diag = 1.0 + np.bincount(u, extra, d.size) + np.bincount(v, extra, d.size)
+        p_diag = 1.0 + np.bincount(u, extra, p) + np.bincount(v, extra, p)
         p_edge = -rho * q
-        for arr in (a, d, rho, p_diag, p_edge, edge_scale):
+        for arr in (a, d, edge_cov, rho, p_diag, p_edge, edge_scale):
             arr.setflags(write=False)
         object.__setattr__(self, "precision_diag", p_diag)
         object.__setattr__(self, "precision_edge", p_edge)
         object.__setattr__(self, "_edge_scale", edge_scale)
         # sum_v P_vv + 2 sum_e |P_uv rho_e|: the trace's terms at other = self.
-        object.__setattr__(self, "_roundoff_scale", d.size + 4.0 * float(np.sum(extra)))
+        object.__setattr__(self, "_roundoff_scale", p + 4.0 * float(np.sum(extra)))
 
     @property
     def _one_minus_rho_sq(self) -> np.ndarray:
@@ -303,52 +326,14 @@ def prufer_decode(sequence: Iterable[int], num_vertices: int) -> tuple[tuple[int
     return tuple(edges)
 
 
-def tree_completion(
-    diag: np.ndarray, tree: SpanningTree, edge_cov: Sequence[float]
-) -> np.ndarray:
-    """Covariance entries with variances ``diag`` and the tree's Markov structure.
-
-    ``diag`` holds p finite, positive variances and ``edge_cov[k]`` the
-    covariance of ``tree.edges[k]``. Variances and edge covariances are
-    copied verbatim; every other (u, v) entry is sqrt(diag[u] * diag[v])
-    times the product of edge correlations along the unique tree path from
-    u to v. The correlations are filled in the tree's cached breadth-first
-    order (``SpanningTree.bfs_order``): each vertex's row over the vertices
-    placed before it is its parent's row times one edge correlation.
-    """
-    p = tree.num_vertices
-    diag = np.asarray(diag, dtype=float)
-    edge_cov = np.asarray(edge_cov, dtype=float)
-    if diag.shape != (p,):
-        raise ValueError(f"need {p} variances, got shape {diag.shape}")
-    if not np.all(np.isfinite(diag) & (diag > 0.0)):
-        raise ValueError("variances must be finite and positive")
-    if edge_cov.shape != (p - 1,):
-        raise ValueError(f"need {p - 1} edge covariances, got shape {edge_cov.shape}")
-    u, v = tree.edge_index
-    position, parent_position, parent_edge = tree.bfs_order
-    std = np.sqrt(diag)
-    rho = edge_cov / (std[u] * std[v])
-    # Rows and columns in BFS order, so each parent row is a contiguous slice.
-    corr = np.eye(p)
-    steps = zip(parent_position.tolist(), rho[parent_edge].tolist())
-    for k, (parent, r) in enumerate(steps, start=1):
-        row = np.multiply(corr[parent, :k], r, out=corr[k, :k])
-        corr[:k, k] = row
-    cov = corr[position][:, position] * np.outer(std, std)
-    np.fill_diagonal(cov, diag)
-    cov[u, v] = edge_cov
-    cov[v, u] = edge_cov
-    return cov
-
-
 def tree_covariance(sigma: CovMatrix, tree: SpanningTree) -> TreeCovMatrix:
     """Marginal-matching covariance of ``sigma`` with the tree's Markov structure.
 
-    Variances and tree-edge covariances equal those of ``sigma``; every other
-    entry is sqrt(sigma_uu * sigma_vv) times the product of edge correlations
-    along the unique tree path between u and v. The inverse of the result is
-    sparse outside the tree.
+    The ``TreeCovMatrix`` whose variances and tree-edge covariances are
+    those of ``sigma``; every other entry is sqrt(sigma_uu * sigma_vv) times
+    the product of edge correlations along the unique tree path between u
+    and v. The inverse of the result is sparse outside the tree. An edge
+    correlation that roundoff puts at |rho| >= 1 raises NumericalError.
 
     Parameters
     ----------
@@ -370,7 +355,7 @@ def tree_covariance(sigma: CovMatrix, tree: SpanningTree) -> TreeCovMatrix:
     s = sigma.entries
     u, v = tree.edge_index
     try:
-        return TreeCovMatrix(tree_completion(np.diag(s), tree, s[u, v]), tree)
+        return TreeCovMatrix(tree, np.diag(s), s[u, v])
     except NotPositiveDefiniteError as exc:
         raise NumericalError(
             "tree covariance lost positive definiteness; input assumptions violated"

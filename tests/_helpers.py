@@ -7,6 +7,7 @@ search that serves as the correctness oracle for the Chow-Liu fit.
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -16,7 +17,6 @@ from treecov import (
     SpanningTree,
     TreeApproxResult,
     prufer_decode,
-    tree_completion,
     tree_covariance,
 )
 
@@ -38,6 +38,15 @@ def corr3(r01: float, r12: float, r02: float) -> CovMatrix:
     return CovMatrix(
         np.array([[1.0, r01, r02], [r01, 1.0, r12], [r02, r12, 1.0]])
     )
+
+
+def no_mixing_model(noise: CovMatrix, p: int) -> SimpleNamespace:
+    """Stand-in for a LinearModel with H = 0, the no-information limit.
+
+    A real LinearModel rejects H = 0 as rank deficient; the posterior and
+    pooling code reads only ``h``, ``d``, ``m`` and ``p``.
+    """
+    return SimpleNamespace(h=np.zeros((noise.dim, p)), d=noise, m=noise.dim, p=p)
 
 
 def brute_force_optimal_tree(sigma: CovMatrix) -> TreeApproxResult:
@@ -64,7 +73,7 @@ def brute_force_optimal_tree(sigma: CovMatrix) -> TreeApproxResult:
     best_tree: SpanningTree | None = None
     for seq in itertools.product(range(p), repeat=p - 2):
         tree = SpanningTree(p, prufer_decode(seq, p))
-        tilde = tree_completion(np.diag(s), tree, [s[u, v] for u, v in tree.edges])
+        tilde = tree_covariance(sigma, tree).entries
         sign, logdet_tilde = np.linalg.slogdet(tilde)
         if sign <= 0:
             raise NumericalError("candidate tree covariance not positive definite")

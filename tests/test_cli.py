@@ -283,6 +283,20 @@ class TestSweepCommand:
         assert "must not end in .csv" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    def test_missing_output_directory_fails_before_the_sweep_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_sweep(config):
+            raise AssertionError("run_sweep called despite a missing output directory")
+
+        monkeypatch.setattr("treecov.cli.run_sweep", no_sweep)
+        config = write_sweep_config(tmp_path)
+        out = tmp_path / "absent" / "results.txt"
+        code = main(["sweep", "--config", str(config), "--output", str(out)])
+        assert code == 3
+        assert "i/o error:" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_no_parameters_is_a_config_error(self):
         assert main(["sweep"]) == 1
 

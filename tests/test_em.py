@@ -33,7 +33,7 @@ from treecov import (
     sample_observations,
 )
 
-from _helpers import random_spd
+from _helpers import no_mixing_model, random_spd
 
 
 def make_scenario(p: int = 4, m: int = 2, r: int = 150, seed: int = 0):
@@ -61,7 +61,7 @@ class TestPosterior:
         assert post.gain[0, 0] == pytest.approx(0.8, abs=1e-14)
 
     def test_no_mixing_returns_the_prior(self):
-        model = LinearModel(np.zeros((2, 3)), CovMatrix(np.eye(2)), check_rank=False)
+        model = no_mixing_model(CovMatrix(np.eye(2)), 3)
         prior = random_spd(np.random.default_rng(2), 3)
         post = posterior(prior, model, observation_cov(model, prior))
         np.testing.assert_allclose(post.cov, prior.entries, atol=1e-10)
@@ -157,7 +157,7 @@ class TestComputeOmega:
         assert not np.allclose(base.entries, moved.entries, atol=1e-6)
 
     def test_no_mixing_returns_the_prior(self):
-        model = LinearModel(np.zeros((2, 3)), CovMatrix(np.eye(2)), check_rank=False)
+        model = no_mixing_model(CovMatrix(np.eye(2)), 3)
         prior = random_spd(np.random.default_rng(6), 3)
         obs = ObservationSet(np.random.default_rng(7).standard_normal((20, 2)))
         omega = compute_omega(prior, model, obs, observation_cov(model, prior))
@@ -174,7 +174,7 @@ class TestEmStep:
     def test_no_mixing_tree_prior_is_a_fixed_point(self):
         # With H = 0 the pooled moment is the prior itself, and refitting a
         # tree covariance reproduces it.
-        model = LinearModel(np.zeros((2, 3)), CovMatrix(np.eye(2)), check_rank=False)
+        model = no_mixing_model(CovMatrix(np.eye(2)), 3)
         prior = chow_liu(random_spd(np.random.default_rng(11), 3)).cov
         obs = ObservationSet(np.random.default_rng(12).standard_normal((20, 2)))
         cov = chow_liu(compute_omega(prior, model, obs, observation_cov(model, prior))).cov

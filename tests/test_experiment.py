@@ -10,10 +10,12 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import treecov.experiment
 from treecov import (
     ConfigError,
     CovMatrix,
@@ -41,6 +43,18 @@ def small_config(**overrides) -> ExperimentConfig:
     base = dict(p=4, m_values=(2, 3), r=50, trials=3, seed=123, l_max=8)
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def patch_flaky_mixing(monkeypatch) -> None:
+    """Make every m = 2 trial of a sweep fail in generate_mixing."""
+    original = treecov.experiment.generate_mixing
+
+    def flaky_mixing(p, m, snr_db, sigma, seed):
+        if m == 2:
+            raise NumericalError("synthetic breakdown")
+        return original(p, m, snr_db, sigma, seed)
+
+    monkeypatch.setattr(treecov.experiment, "generate_mixing", flaky_mixing)
 
 
 class TestDeriveSeed:
@@ -228,6 +242,20 @@ class TestConfigParsing:
         assert config.sigma_csv is None
         assert config.output == "out/results.txt"
 
+    def test_readme_example_config_parses(self, tmp_path):
+        # README's sweep.cfg verbatim, trailing comments included.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("where `sweep.cfg` is flat", 1)[1].split("```\n", 2)[1]
+        assert "#" in block
+        path = tmp_path / "sweep.cfg"
+        path.write_text(block)
+        config = config_from_mapping(parse_config_file(path))
+        assert config.p == 10
+        assert config.m_values == (5, 6, 7, 8, 9)
+        assert config.r == 100
+        assert config.alpha == 0.5
+        assert config.output == "results.txt"
+
     def test_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "sweep.cfg"
         path.write_text("p = 4\nm_values = 2\nbogus = 1\n")
@@ -314,16 +342,17 @@ class TestRunSweep:
             assert trace.final.latent_kl == rec.latent_kl_em
             assert len(trace.iterations) == rec.iterations_used
 
-    def test_full_observation_beats_the_corrupted_prior(self):
+    def test_full_observation_beats_the_corrupted_prior(self, monkeypatch):
         # With H = I, tiny noise, many samples, and a fully corrupted prior,
         # the iteration must land far closer to the truth than the prior fit.
-        def identity_factory(p, m, snr_db, sigma, seed):
+        def identity_mixing(p, m, snr_db, sigma, seed):
             return LinearModel(np.eye(p), CovMatrix(1e-4 * np.eye(p)))
 
+        monkeypatch.setattr(treecov.experiment, "generate_mixing", identity_mixing)
         config = small_config(
             p=4, m_values=(4,), r=10_000, trials=1, alpha=1.0, l_max=30, snr_db=40.0
         )
-        result = run_sweep(config, mixing_factory=identity_factory)
+        result = run_sweep(config)
         rec = result.records[0]
         assert rec.latent_kl_em < 0.2 * rec.latent_kl_prior_tree
 
@@ -354,24 +383,21 @@ class TestRunSweep:
                     sample_observations(model, sigma, 100, seed)
                 assert re.match(named, f"{excinfo.type.__name__}: {excinfo.value}")
 
-    def test_records_partial_failures(self):
-        def flaky_factory(p, m, snr_db, sigma, seed):
-            if m == 2:
-                raise NumericalError("synthetic breakdown")
-            return generate_mixing(p, m, snr_db, sigma, seed)
-
-        result = run_sweep(small_config(), mixing_factory=flaky_factory)
+    def test_records_partial_failures(self, monkeypatch):
+        patch_flaky_mixing(monkeypatch)
+        result = run_sweep(small_config())
         assert len(result.failures) == 3
         assert all(f.m == 2 for f in result.failures)
         assert "synthetic breakdown" in result.failures[0].error
         assert [agg.m for agg in result.aggregates] == [3]
 
-    def test_raises_when_every_trial_fails(self):
-        def broken_factory(p, m, snr_db, sigma, seed):
+    def test_raises_when_every_trial_fails(self, monkeypatch):
+        def broken_mixing(p, m, snr_db, sigma, seed):
             raise NumericalError("synthetic breakdown")
 
+        monkeypatch.setattr(treecov.experiment, "generate_mixing", broken_mixing)
         with pytest.raises(NumericalError, match="all 6 trials failed"):
-            run_sweep(small_config(), mixing_factory=broken_factory)
+            run_sweep(small_config())
 
     def test_loads_covariances_from_csv(self, tmp_path):
         sigma = generate_ground_truth(4, seed=99)
@@ -426,13 +452,9 @@ class TestEmitResults:
         assert agg_lines[0].startswith("m,count,mean_kl_em,se_kl_em")
         assert len(agg_lines) >= 3
 
-    def test_failures_section_present_when_trials_fail(self, tmp_path):
-        def flaky_factory(p, m, snr_db, sigma, seed):
-            if m == 2:
-                raise NumericalError("synthetic breakdown")
-            return generate_mixing(p, m, snr_db, sigma, seed)
-
-        result = run_sweep(small_config(), mixing_factory=flaky_factory)
+    def test_failures_section_present_when_trials_fail(self, tmp_path, monkeypatch):
+        patch_flaky_mixing(monkeypatch)
+        result = run_sweep(small_config())
         doc_path, _ = emit_results(result, tmp_path / "results.txt")
         text = doc_path.read_text()
         assert "[failures]" in text

@@ -27,7 +27,7 @@ from treecov import (
     write_matrix_csv,
 )
 
-from _helpers import random_spd
+from _helpers import no_mixing_model, random_spd
 
 
 def average_log_likelihood(obs: ObservationSet, cov: np.ndarray) -> float:
@@ -69,10 +69,6 @@ class TestLinearModel:
         h[1, 2] = bad
         with pytest.raises(ValueError, match="mixing matrix"):
             LinearModel(h, CovMatrix(np.eye(2)))
-
-    def test_rank_check_can_be_disabled_for_degenerate_models(self):
-        model = LinearModel(np.zeros((2, 3)), CovMatrix(np.eye(2)), check_rank=False)
-        assert model.m == 2
 
     def test_rejects_noise_dimension_mismatch(self):
         with pytest.raises(ValueError, match="noise covariance"):
@@ -171,7 +167,7 @@ class TestSampleObservations:
 
 class TestObservationCov:
     def test_zero_mixing_returns_noise(self):
-        model = LinearModel(np.zeros((2, 3)), CovMatrix(np.diag([2.0, 3.0])), check_rank=False)
+        model = no_mixing_model(CovMatrix(np.diag([2.0, 3.0])), 3)
         result = observation_cov(model, CovMatrix(np.eye(3)))
         np.testing.assert_allclose(result.entries, np.diag([2.0, 3.0]))
 

@@ -26,7 +26,6 @@ from treecov import (
     kl_gaussian,
     mutual_information_matrix,
     prufer_decode,
-    tree_completion,
     tree_covariance,
 )
 
@@ -50,8 +49,7 @@ def stiff_tree_cov(rng: np.random.Generator, tree: SpanningTree) -> TreeCovMatri
 def tree_cov_from(tree: SpanningTree, d: np.ndarray, rho: np.ndarray) -> TreeCovMatrix:
     std = np.sqrt(d)
     u, v = tree.edge_index
-    dense = CovMatrix(tree_completion(d, tree, rho * std[u] * std[v]))
-    return tree_covariance(dense, tree)
+    return TreeCovMatrix(tree, d, rho * std[u] * std[v])
 
 
 def dense_kl(p0: CovMatrix, p1: CovMatrix) -> float:
@@ -304,7 +302,7 @@ class TestTreeCovariance:
     def test_completion_rejects_bad_variances_and_edge_counts(self, diag, edge_cov, match):
         chain = SpanningTree(3, ((0, 1), (1, 2)))
         with pytest.raises(ValueError, match=match):
-            tree_completion(diag, chain, edge_cov)
+            TreeCovMatrix(chain, diag, edge_cov)
 
 
 class TestTreeCovMatrix:
@@ -369,7 +367,7 @@ class TestTreeCovMatrix:
             rho = rng.uniform(0.5, 0.9999, size=p - 1) * rng.choice([-1.0, 1.0], size=p - 1)
             rho[: (p - 1) // 4] = 0.9999
             std = rng.uniform(0.3, 3.0, size=p)
-            corr = tree_completion(np.ones(p), tree, rho)
+            corr = TreeCovMatrix(tree, np.ones(p), rho).entries
             exact = CovMatrix(corr * np.outer(std, std))
             fit = tree_covariance(exact, tree)
             assert abs(kl_gaussian(exact, fit) - dense_kl(exact, fit)) <= 1e-10
@@ -403,25 +401,51 @@ class TestTreeCovMatrix:
 
     def test_validation(self):
         tree = SpanningTree(2, ((0, 1),))
-        ok = TreeCovMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]), tree)
+        ok = TreeCovMatrix(tree, [1.0, 1.0], [0.5])
         assert ok.log_det == pytest.approx(np.log(0.75), abs=1e-15)
-        for entries in ([[1.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, -2.0], [-2.0, 4.0]]):
+        # |rho| >= 1, or no rho at all, is exactly a lost positive definiteness.
+        for d, edge_cov in (
+            ([1.0, 1.0], [1.0]),
+            ([1.0, 1.0], [-1.0]),
+            ([1.0, 4.0], [-2.0]),
+            ([1.0, 4.0], [2.5]),
+            ([1.0, 1.0], [np.inf]),
+            ([1.0, 1.0], [np.nan]),
+        ):
             with pytest.raises(NotPositiveDefiniteError):
-                TreeCovMatrix(np.array(entries), tree)
-        with pytest.raises(ValueError, match="non-finite"):
-            TreeCovMatrix(np.array([[1.0, np.inf], [np.inf, 1.0]]), tree)
-        with pytest.raises(ValueError, match="shape"):
-            TreeCovMatrix(np.eye(3), tree)
+                TreeCovMatrix(tree, d, edge_cov)
+        for d in ([1.0, 0.0], [1.0, -1.0], [1.0, np.inf], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="finite and positive"):
+                TreeCovMatrix(tree, d, [0.0])
+        with pytest.raises(ValueError, match="need 2 variances"):
+            TreeCovMatrix(tree, np.eye(2), [0.5])
+        with pytest.raises(ValueError, match="need 1 edge covariances"):
+            TreeCovMatrix(tree, [1.0, 1.0], 0.5)
 
-    def test_factor_of_an_indefinite_matrix_raises_on_read(self):
-        # The 0-2 entry is not the chain's path product, which only the
-        # factor can notice.
+    def test_entries_are_not_a_constructor_argument(self):
+        # The 0-2 entry of this indefinite matrix is not the chain's path
+        # product; there is no way to pass it in as a tree covariance.
         chain = SpanningTree(3, ((0, 1), (1, 2)))
-        bad = TreeCovMatrix(
-            np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]]), chain
-        )
-        with pytest.raises(NotPositiveDefiniteError):
-            bad.chol
+        entries = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
+        with pytest.raises(TypeError):
+            TreeCovMatrix(entries, chain)
+        with pytest.raises(TypeError):
+            TreeCovMatrix(chain, np.ones(3), [0.9, 0.9], entries=entries)
+
+    def test_parameters_are_copied_read_only(self):
+        chain = SpanningTree(3, ((0, 1), (1, 2)))
+        d = np.array([1.0, 4.0, 9.0])
+        edge_cov = np.array([1.0, -3.0])
+        cov = TreeCovMatrix(chain, d, edge_cov)
+        assert d.flags.writeable and edge_cov.flags.writeable
+        d[0] = edge_cov[0] = 0.0
+        assert np.array_equal(cov.d, [1.0, 4.0, 9.0])
+        assert np.array_equal(cov.edge_cov, [1.0, -3.0])
+        np.testing.assert_array_equal(cov.rho, [0.5, -0.5])
+        expected = np.array([[1.0, 1.0, -0.75], [1.0, 4.0, -3.0], [-0.75, -3.0, 9.0]])
+        np.testing.assert_allclose(cov.entries, expected, rtol=1e-15)
+        for arr in (cov.entries, cov.d, cov.edge_cov, cov.rho):
+            assert not arr.flags.writeable
 
 
 class TestPartialSelection:
@@ -640,7 +664,7 @@ class TestChowLiu:
         rho = rng.uniform(0.5, 0.9999, size=p - 1) * rng.choice([-1.0, 1.0], size=p - 1)
         rho[: (p - 1) // 4] = 0.9999
         std = rng.uniform(0.3, 3.0, size=p)
-        corr = tree_completion(np.ones(p), tree, rho)
+        corr = TreeCovMatrix(tree, np.ones(p), rho).entries
         fit = chow_liu(CovMatrix(corr * np.outer(std, std)))
         assert fit.tree.edges == tree.edges
         assert 0.0 <= fit.kl <= 1e-9
