@@ -21,7 +21,6 @@ from .gaussian import (
 )
 from .tree import (
     SpanningTree,
-    TreeApproxResult,
     TreeCovMatrix,
     chow_liu,
     prufer_decode,

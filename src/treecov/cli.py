@@ -24,8 +24,9 @@ from .experiment import (
     parse_config_file,
     run_sweep,
 )
-from .gaussian import CovMatrix, NumericalError
+from .gaussian import CovMatrix, NumericalError, kl_gaussian
 from .linear import LinearModel, ObservationSet, read_matrix_csv, write_matrix_csv
+from .tree import chow_liu
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -69,6 +70,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_dirs(*paths: str | None) -> None:
+    """Raise OSError naming the first output path whose directory is missing,
+    so that a command fails before it computes or writes anything."""
+    for path in filter(None, paths):
+        out_dir = Path(path).parent
+        if not out_dir.is_dir():
+            raise OSError(f"output directory {str(out_dir)!r} does not exist")
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     mapping = parse_config_file(args.config) if args.config else {}
     for key in CONFIG_KEYS:
@@ -76,9 +86,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if value is not None:
             mapping[key] = value
     config = config_from_mapping(mapping)
-    out_dir = Path(config.output).parent
-    if not out_dir.is_dir():
-        raise OSError(f"output directory {str(out_dir)!r} does not exist")
+    _check_output_dirs(config.output)
     result = run_sweep(config)
     doc_path, csv_path = emit_results(result, Path(config.output))
     for agg in result.aggregates:
@@ -95,22 +103,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_chowliu(args: argparse.Namespace) -> int:
-    from .tree import chow_liu
-
+    _check_output_dirs(args.cov_out, args.edges_out)
     sigma = CovMatrix(read_matrix_csv(args.input))
-    result = chow_liu(sigma)
-    print(f"kl = {result.kl:.12g}")
-    print("edges = " + " ".join(f"{u}-{v}" for u, v in result.tree.edges))
+    fit = chow_liu(sigma)
+    print(f"kl = {kl_gaussian(sigma, fit):.12g}")
+    print("edges = " + " ".join(f"{u}-{v}" for u, v in fit.tree.edges))
     if args.cov_out:
-        write_matrix_csv(result.cov.entries, args.cov_out)
+        write_matrix_csv(fit.entries, args.cov_out)
         print(f"wrote {args.cov_out}")
     if args.edges_out:
-        write_matrix_csv(result.tree.edges, args.edges_out)
+        write_matrix_csv(fit.tree.edges, args.edges_out)
         print(f"wrote {args.edges_out}")
     return EXIT_OK
 
 
 def _cmd_em(args: argparse.Namespace) -> int:
+    _check_output_dirs(args.sigma_out, args.trace_out)
     sigma0 = CovMatrix(read_matrix_csv(args.sigma0))
     model = LinearModel(read_matrix_csv(args.h), CovMatrix(read_matrix_csv(args.d)))
     obs = ObservationSet(read_matrix_csv(args.obs))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .gaussian import CovMatrix, NumericalError, kl_gaussian
 from .linear import LinearModel, ObservationSet, empirical_gaussian, observation_cov
-from .tree import SpanningTree, TreeApproxResult, chow_liu
+from .tree import TreeCovMatrix, chow_liu
 
 MONOTONICITY_SLACK = 1e-6
 POSTERIOR_ORDER_TOL = 1e-9
@@ -63,11 +64,15 @@ class EmConfig:
     sigma0: CovMatrix
     epsilon: float = 0.01
     l_max: int = 20
-    prior_fit: TreeApproxResult = field(init=False, repr=False)
+    prior_fit: TreeCovMatrix = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        try:
+            object.__setattr__(self, "l_max", operator.index(self.l_max))
+        except TypeError:
+            raise ValueError(f"l_max must be an integer, got {self.l_max!r}") from None
         if self.l_max < 1:
             raise ValueError(f"l_max must be at least 1, got {self.l_max}")
         object.__setattr__(self, "prior_fit", chow_liu(self.sigma0))
@@ -77,14 +82,14 @@ class EmConfig:
 class EmIteration:
     """One recorded iterate.
 
-    step_kl is the divergence from the previous iterate to this one
-    (infinite for the first, where no previous iterate exists); latent_kl
-    is the divergence from the ground truth when one was supplied.
+    sigma_tree is the fitted tree covariance, its ``tree`` the spanning tree.
+    step_kl is the divergence from the previous iterate to this one (infinite
+    for the first, where no previous iterate exists); latent_kl is the
+    divergence from the ground truth when one was supplied.
     """
 
     index: int
-    sigma_tree: CovMatrix
-    tree: SpanningTree
+    sigma_tree: TreeCovMatrix
     obs_kl: float
     step_kl: float
     latent_kl: float | None = None
@@ -210,15 +215,12 @@ def run_em(
         raise ValueError(f"observation dimension {obs.m} != model m={model.m}")
     empirical = empirical_gaussian(obs)
 
-    def record(
-        index: int, cov: CovMatrix, tree: SpanningTree, step_kl: float, k: CovMatrix
-    ) -> EmIteration:
+    def record(index: int, cov: TreeCovMatrix, step_kl: float, k: CovMatrix) -> EmIteration:
         obs_kl = kl_gaussian(empirical, k)
         latent = kl_gaussian(ground_truth, cov) if ground_truth is not None else None
         return EmIteration(
             index=index,
             sigma_tree=cov,
-            tree=tree,
             obs_kl=obs_kl,
             step_kl=step_kl,
             latent_kl=latent,
@@ -226,16 +228,15 @@ def run_em(
 
     # One observation covariance K per iterate: it scores the iterate here
     # and conditions on it in the next compute_omega.
-    first = config.prior_fit
-    k = observation_cov(model, first.cov)
-    records = [record(1, first.cov, first.tree, math.inf, k)]
+    k = observation_cov(model, config.prior_fit)
+    records = [record(1, config.prior_fit, math.inf, k)]
     stop = StopReason.LMAX_REACHED
     for index in range(2, config.l_max + 1):
         prev = records[-1]
         fit = chow_liu(compute_omega(prev.sigma_tree, model, obs, k))
-        step_kl = kl_gaussian(prev.sigma_tree, fit.cov)
-        k = observation_cov(model, fit.cov)
-        rec = record(index, fit.cov, fit.tree, step_kl, k)
+        step_kl = kl_gaussian(prev.sigma_tree, fit)
+        k = observation_cov(model, fit)
+        rec = record(index, fit, step_kl, k)
         if rec.obs_kl > prev.obs_kl + MONOTONICITY_SLACK:
             warnings.warn(
                 f"observation objective rose from {prev.obs_kl:.9g} to "

@@ -12,6 +12,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import math
+import operator
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -139,7 +140,16 @@ class ExperimentConfig:
     output: str = "results.txt"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
+        for name in ("p", "r", "trials", "seed", "l_max"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        try:
+            object.__setattr__(self, "m_values", tuple(map(operator.index, self.m_values)))
+        except TypeError:
+            raise ConfigError(f"every m must be an integer, got {self.m_values!r}") from None
         if self.p < 2:
             raise ConfigError(f"p must be at least 2, got {self.p}")
         if not self.m_values:
@@ -339,8 +349,8 @@ def run_sweep(
         sigma0 = generate_prior(sigma, config.alpha, derive_seed(config.seed, "prior"))
 
     em_config = EmConfig(sigma0=sigma0, epsilon=config.epsilon, l_max=config.l_max)
-    kl_prior_tree = kl_gaussian(sigma, em_config.prior_fit.cov)
-    kl_oracle_tree = chow_liu(sigma).kl
+    kl_prior_tree = kl_gaussian(sigma, em_config.prior_fit)
+    kl_oracle_tree = kl_gaussian(sigma, chow_liu(sigma))
     if kl_oracle_tree > kl_prior_tree + 1e-9:
         raise NumericalError(
             "oracle tree is worse than the prior tree; tree fit is broken"

@@ -1,15 +1,15 @@
 """Zero-mean multivariate Gaussian primitives.
 
 Validated covariance matrices, KL divergences between zero-mean Gaussians
-(each identified by its covariance), and the pairwise mutual-information
-matrix read off a covariance. Every information quantity in this package is
-measured in nats.
+(each identified by its covariance), and the pairwise mutual information
+read off a covariance, computed once per pair u < v for both the Chow-Liu
+fit and the matrix form. Every information quantity is measured in nats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -103,11 +103,11 @@ def _factor_log_det(cov: CovMatrix) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(cov.chol))))
 
 
-def _clamp_kl(kl: float, bound: float = KL_CLAMP) -> float:
+def _clamp_kl(kl: float) -> float:
     # Roundoff may push a true zero slightly negative; anything worse is a fault.
     if kl >= 0.0:
         return kl
-    if kl >= -bound:
+    if kl >= -KL_CLAMP:
         return 0.0
     raise NumericalError(f"KL divergence {kl:.6e} is negative beyond roundoff")
 
@@ -155,23 +155,45 @@ def kl_gaussian(p0: CovMatrix, p1: CovMatrix) -> float:
     return _clamp_kl(kl)
 
 
+@lru_cache(maxsize=8)
+def _upper_pairs(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair u < v in (u, v) order, as read-only ``np.triu_indices(p, k=1)``
+    and the flat indices u * p + v of those entries in a C-ordered p x p array."""
+    u, v = np.triu_indices(p, k=1)
+    flat = u * p + v
+    for arr in (u, v, flat):
+        arr.setflags(write=False)
+    return u, v, flat
+
+
+def _upper_pair_weights(sigma: CovMatrix) -> np.ndarray:
+    """Mutual information -0.5 * ln(1 - rho^2), rho = s_uv / sqrt(s_uu * s_vv), of
+    every pair u < v in ``_upper_pairs`` order; a |rho| >= 1 - 1e-12 raises
+    DegenerateCorrelationError naming the first such pair."""
+    s = sigma.entries
+    u, v, flat = _upper_pairs(sigma.dim)
+    var = np.diag(s)
+    rho = np.take(s, flat) / np.sqrt(var[u] * var[v])
+    degenerate = np.abs(rho) >= DEGENERATE_CORRELATION
+    if degenerate.any():
+        i = int(np.argmax(degenerate))
+        raise DegenerateCorrelationError(
+            f"correlation {float(rho[i])!r} between {u[i]} and {v[i]} is numerically degenerate"
+        )
+    return -0.5 * np.log1p(-rho * rho)
+
+
 def mutual_information_matrix(sigma: CovMatrix) -> np.ndarray:
     """Gaussian mutual information between every pair of components, in nats.
 
-    Entry (u, v) is -0.5 * ln(1 - rho^2) with rho = s_uv / sqrt(s_uu * s_vv),
-    read from the canonical upper-triangle entry (u < v) so the matrix is
-    exactly symmetric; it is invariant to diagonal rescaling of ``sigma``.
-    The diagonal, which no spanning tree uses, is zero.
+    Entry (u, v) is the Chow-Liu weight -0.5 * ln(1 - rho^2) of the pair, with
+    rho = s_uv / sqrt(s_uu * s_vv), computed once for u < v and mirrored, so
+    the matrix is exactly symmetric and invariant to diagonal rescaling of
+    ``sigma``. The diagonal, which no spanning tree uses, is zero.
     Correlations with |rho| >= 1 - 1e-12 are rejected as degenerate.
     """
-    s = sigma.entries
-    var = np.diag(s)
-    rho = np.triu(s, 1) / np.sqrt(np.outer(var, var))
-    bad = np.argwhere(np.abs(rho) >= DEGENERATE_CORRELATION)
-    if bad.size:
-        u, v = bad[0]
-        raise DegenerateCorrelationError(
-            f"correlation {float(rho[u, v])!r} between {u} and {v} is numerically degenerate"
-        )
-    rho = rho + rho.T
-    return -0.5 * np.log1p(-rho * rho)
+    p = sigma.dim
+    u, v, _ = _upper_pairs(p)
+    mi = np.zeros((p, p))
+    mi[u, v] = mi[v, u] = _upper_pair_weights(sigma)
+    return mi

@@ -2,14 +2,15 @@
 
 The optimal tree approximation of a covariance matrix is the maximum-weight
 spanning tree under pairwise mutual-information edge weights, completed to a
-full covariance by the path-product rule. Its divergence has a closed form
-(Chow & Liu 1968): the total correlation of the input less the tree's weight,
+full covariance by the path-product rule. The fit is that ``TreeCovMatrix``
+itself, and its divergence from the input is ``kl_gaussian(sigma, fit)``:
+because the fit matches sigma on the diagonal and the tree edges, where its
+inverse lives (Lauritzen 1996, decomposable case), the trace term is p and
+the divergence is (Chow & Liu 1968)
 
-    D(sigma || sigma_T) = 0.5 * (sum_v ln s_vv - ln det sigma) - sum_{(u,v) in T} w_uv,
+    D(sigma || sigma_T) = 0.5 * (ln det sigma_T - ln det sigma),
 
-because sigma_T's log-determinant is sum_v ln s_vv + sum_T ln(1 - rho_uv^2)
-and its inverse is zero off the diagonal and the tree edges (Lauritzen 1996,
-decomposable case).
+which ``kl_gaussian`` evaluates in O(p) from the closed-form log-determinant.
 
 A tree covariance is a ``TreeCovMatrix``, built only from its parameters:
 the tree, p variances and p - 1 edge covariances. One pass validates them,
@@ -20,9 +21,10 @@ first in O(p), reading it only on the diagonal and at the tree's edges; a
 result within roundoff of zero falls back to the dense evaluation through
 both Cholesky factors, which a tree covariance computes only when read.
 
-A fit makes one pass over what Kruskal needs: mutual-information weights for
-the pairs u < v only, the heaviest of them ordered, and components tracked
-by vertex labels, the same helper that validates a ``SpanningTree``.
+A fit makes one pass over what Kruskal needs: the mutual-information weights
+of the pairs u < v (the computation behind ``mutual_information_matrix``),
+the heaviest of them ordered, and components tracked by vertex labels, the
+same helper that validates a ``SpanningTree``.
 Consecutive EM iterates mostly refit the same tree, so fitted trees are
 interned: a repeated edge set returns the existing frozen ``SpanningTree``,
 which keeps its index arrays and its breadth-first order, and
@@ -41,13 +43,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .gaussian import (
-    DEGENERATE_CORRELATION,
     CovMatrix,
     NotPositiveDefiniteError,
     NumericalError,
     _cholesky,
-    _clamp_kl,
-    mutual_information_matrix,
+    _upper_pair_weights,
+    _upper_pairs,
 )
 
 # Kruskal on a Chow-Liu input scans a few p candidates, so chow_liu orders
@@ -165,11 +166,10 @@ class TreeCovMatrix(CovMatrix):
     ``d`` holds p finite, positive variances and ``edge_cov[k]`` the
     covariance of ``tree.edges[k]``; both are copied and made read-only.
     With std = sqrt(d), the edge correlations are
-    rho = edge_cov / (std[u] * std[v]) over the edge index arrays ``u`` and
-    ``v`` (u < v), and |rho| < 1 is exactly positive definiteness, so a
-    larger one raises NotPositiveDefiniteError. A ``d`` or ``edge_cov`` of
-    the wrong shape, or a variance that is not finite and positive, raises
-    ValueError.
+    rho = edge_cov / (std[u] * std[v]) over ``tree.edge_index`` (u < v), and
+    |rho| < 1 is exactly positive definiteness, so a larger one raises
+    NotPositiveDefiniteError. A ``d`` or ``edge_cov`` of the wrong shape, or
+    a variance that is not finite and positive, raises ValueError.
 
     ``entries`` is the completion: variances and edge covariances verbatim,
     and every other (u, v) entry std[u] * std[v] times the product of edge
@@ -193,8 +193,6 @@ class TreeCovMatrix(CovMatrix):
     tree: SpanningTree
     d: np.ndarray
     edge_cov: np.ndarray
-    u: np.ndarray = field(init=False, repr=False)
-    v: np.ndarray = field(init=False, repr=False)
     rho: np.ndarray = field(init=False, repr=False)
     precision_diag: np.ndarray = field(init=False, repr=False)
     precision_edge: np.ndarray = field(init=False, repr=False)
@@ -231,8 +229,6 @@ class TreeCovMatrix(CovMatrix):
         object.__setattr__(self, "entries", a)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "edge_cov", edge_cov)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
         object.__setattr__(self, "rho", rho)
         q = 1.0 / self._one_minus_rho_sq
         extra = rho * rho * q
@@ -276,21 +272,13 @@ class TreeCovMatrix(CovMatrix):
         the closed form's roundoff stays below eps times it.
         """
         s0 = other.entries
+        u, v = self.tree.edge_index
         a_dev = (np.diagonal(s0) - self.d) / self.d
-        c = s0[self.u, self.v] / self._edge_scale
+        c = s0[u, v] / self._edge_scale
         trace = self.d.size + float(
             self.precision_diag @ a_dev + 2.0 * (self.precision_edge @ (c - self.rho))
         )
         return trace, self._roundoff_scale
-
-
-@dataclass(frozen=True, eq=False)
-class TreeApproxResult:
-    """A spanning tree, its marginal-matching covariance, and the KL cost."""
-
-    tree: SpanningTree
-    cov: TreeCovMatrix
-    kl: float
 
 
 def prufer_decode(sequence: Iterable[int], num_vertices: int) -> tuple[tuple[int, int], ...]:
@@ -362,17 +350,6 @@ def tree_covariance(sigma: CovMatrix, tree: SpanningTree) -> TreeCovMatrix:
         ) from exc
 
 
-@lru_cache(maxsize=8)
-def _upper_pairs(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every pair u < v in (u, v) order, as read-only ``np.triu_indices(p, k=1)``
-    and the flat indices u * p + v of those entries in a C-ordered p x p array."""
-    u, v = np.triu_indices(p, k=1)
-    flat = u * p + v
-    for arr in (u, v, flat):
-        arr.setflags(write=False)
-    return u, v, flat
-
-
 def _heaviest_first(weights: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest weights and every tie with the k-th, heaviest first.
 
@@ -423,45 +400,38 @@ def _interned_tree(p: int, edges: tuple[tuple[int, int], ...]) -> SpanningTree:
     return SpanningTree(p, edges)
 
 
-def chow_liu(sigma: CovMatrix) -> TreeApproxResult:
+def chow_liu(sigma: CovMatrix) -> TreeCovMatrix:
     """Best tree approximation of ``sigma`` in KL divergence.
 
     Runs Kruskal on the complete graph with pairwise mutual-information
-    weights w, maximizing total weight. The weights are computed for the
-    pairs u < v only, with the operations of ``mutual_information_matrix``,
-    and a pair with |rho| >= 1 - 1e-12 raises its DegenerateCorrelationError.
+    weights w, maximizing total weight. The weights of the pairs u < v are
+    those of ``mutual_information_matrix``, from the same computation, and a
+    pair with |rho| >= 1 - 1e-12 raises its DegenerateCorrelationError.
     Ties are broken deterministically by ordering candidate edges on
     (weight descending, smaller vertex, larger vertex). Only the heaviest 8p
     candidates, with every tie at the cut, are ordered; should Kruskal
     exhaust them the cut doubles, so the tree is the one a full ordering
     gives. Kruskal tracks components by vertex labels. The tree is shared
     with recent fits of the same edge set, so a repeated tree is neither
-    validated nor traversed again. The returned covariance matches ``sigma``
-    on all variances and tree-edge covariances, and ``kl`` is the
-    approximation divergence
-
-        0.5 * (sum_v ln s_vv - ln det sigma) - sum_{(u,v) in tree} w_uv,
-
-    read off the weights of the chosen edges, summed in the order Kruskal
-    accepts them, and the factor of ``sigma``.
+    validated nor traversed again.
 
     Parameters
     ----------
     sigma : CovMatrix
         Covariance to approximate, dimension at least 2.
+
+    Returns
+    -------
+    TreeCovMatrix
+        ``tree_covariance(sigma, tree)`` for the fitted tree: it matches
+        ``sigma`` on all variances and tree-edge covariances, and its
+        approximation divergence is ``kl_gaussian(sigma, fit)``.
     """
     p = sigma.dim
     if p < 2:
         raise ValueError(f"need at least two vertices, got {p}")
-    u_all, v_all, flat = _upper_pairs(p)
-    s = sigma.entries
-    var = np.diag(s)
-    rho = np.take(s, flat) / np.sqrt(var[u_all] * var[v_all])
-    if np.any(np.abs(rho) >= DEGENERATE_CORRELATION):
-        # The matrix form applies the same test to the same values and
-        # raises, naming the first degenerate pair.
-        mutual_information_matrix(sigma)
-    weights = -0.5 * np.log1p(-rho * rho)
+    u_all, v_all, _ = _upper_pairs(p)
+    weights = _upper_pair_weights(sigma)
     # Pairs come in (u, v) order, which the stable ordering keeps for ties.
     k = CANDIDATES_PER_VERTEX * p
     while True:
@@ -472,10 +442,4 @@ def chow_liu(sigma: CovMatrix) -> TreeApproxResult:
         k *= 2
     chosen = order[accepted]
     edges = sorted(zip(u_all[chosen].tolist(), v_all[chosen].tolist()))
-    tree = _interned_tree(p, tuple(edges))
-    tree_weight = float(sum(weights[chosen].tolist()))
-    total_correlation = 0.5 * (float(np.sum(np.log(var))) - sigma.log_det)
-    # Both terms grow with p and with |rho|, so their difference carries
-    # more roundoff than a single divergence evaluation.
-    kl = _clamp_kl(total_correlation - tree_weight, bound=1e-9)
-    return TreeApproxResult(tree=tree, cov=tree_covariance(sigma, tree), kl=kl)
+    return tree_covariance(sigma, _interned_tree(p, tuple(edges)))

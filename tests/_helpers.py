@@ -15,7 +15,6 @@ from treecov import (
     CovMatrix,
     NumericalError,
     SpanningTree,
-    TreeApproxResult,
     prufer_decode,
     tree_covariance,
 )
@@ -49,12 +48,12 @@ def no_mixing_model(noise: CovMatrix, p: int) -> SimpleNamespace:
     return SimpleNamespace(h=np.zeros((noise.dim, p)), d=noise, m=noise.dim, p=p)
 
 
-def brute_force_optimal_tree(sigma: CovMatrix) -> TreeApproxResult:
+def brute_force_optimal_tree(sigma: CovMatrix) -> tuple[SpanningTree, float]:
     """Exhaustive minimum-KL spanning tree, the small-dimension oracle.
 
     Decodes every length-(p-2) vertex sequence into a labelled tree (each
     tree appears exactly once), completes each marginal-matching covariance,
-    and returns the argmin of the approximation divergence, scored as
+    and returns the argmin tree with its approximation divergence, scored as
     0.5 * (ln det tilde - ln det sigma) with both log-determinants from
     ``np.linalg.slogdet``, unclamped. Exact ties are broken by lexicographic
     edge-list order. Rejects p > 8, where the p^(p-2) enumeration stops
@@ -81,6 +80,4 @@ def brute_force_optimal_tree(sigma: CovMatrix) -> TreeApproxResult:
         if kl < best_kl or (kl == best_kl and tree.edges < best_tree.edges):
             best_kl = kl
             best_tree = tree
-    return TreeApproxResult(
-        tree=best_tree, cov=tree_covariance(sigma, best_tree), kl=float(best_kl)
-    )
+    return best_tree, float(best_kl)

@@ -101,6 +101,27 @@ class TestChowliuCommand:
         assert main(["chowliu", str(path)]) == 1
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("missing, written", [
+        ("--cov_out", "--edges_out"), ("--edges_out", "--cov_out"),
+    ])
+    def test_missing_output_directory_fails_before_the_fit(
+        self, tmp_path, sigma_csv, capsys, monkeypatch, missing, written
+    ):
+        def no_fit(sigma):
+            raise AssertionError("chow_liu called despite a missing output directory")
+
+        monkeypatch.setattr("treecov.cli.chow_liu", no_fit)
+        ok_path = tmp_path / "written.csv"
+        code = main([
+            "chowliu", str(sigma_csv),
+            written, str(ok_path), missing, str(tmp_path / "absent" / "out.csv"),
+        ])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "i/o error:" in captured.err
+        assert not ok_path.exists()
+
 
 class TestEmCommand:
     def test_happy_path_writes_trace(self, tmp_path, em_inputs, capsys):
@@ -130,6 +151,27 @@ class TestEmCommand:
             cells = line.split(",")
             assert int(cells[0]) == lineno
             assert float(cells[1]) >= 0.0
+
+    @pytest.mark.parametrize("missing, written", [
+        ("--trace_out", "--sigma_out"), ("--sigma_out", "--trace_out"),
+    ])
+    def test_missing_output_directory_fails_before_the_fit(
+        self, tmp_path, em_inputs, capsys, monkeypatch, missing, written
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("run_em called despite a missing output directory")
+
+        monkeypatch.setattr("treecov.cli.run_em", no_fit)
+        ok_path = tmp_path / "written.csv"
+        inputs = [f"--{name}={path}" for name, path in em_inputs.items()]
+        code = main([
+            "em", *inputs, written, str(ok_path), missing, str(tmp_path / "absent" / "out.csv"),
+        ])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "i/o error:" in captured.err
+        assert not ok_path.exists()
 
     def test_nonpositive_epsilon_is_a_config_error(self, em_inputs):
         code = main(

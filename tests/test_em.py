@@ -175,24 +175,24 @@ class TestEmStep:
         # With H = 0 the pooled moment is the prior itself, and refitting a
         # tree covariance reproduces it.
         model = no_mixing_model(CovMatrix(np.eye(2)), 3)
-        prior = chow_liu(random_spd(np.random.default_rng(11), 3)).cov
+        prior = chow_liu(random_spd(np.random.default_rng(11), 3))
         obs = ObservationSet(np.random.default_rng(12).standard_normal((20, 2)))
-        cov = chow_liu(compute_omega(prior, model, obs, observation_cov(model, prior))).cov
+        cov = chow_liu(compute_omega(prior, model, obs, observation_cov(model, prior)))
         np.testing.assert_allclose(cov.entries, prior.entries, atol=1e-10)
 
     def test_iteration_reaches_a_fixed_point(self):
         sigma, sigma0, model, obs = make_scenario(p=3, m=3, r=200, seed=13)
-        cov = chow_liu(sigma0).cov
+        cov = chow_liu(sigma0)
         for _ in range(500):
             k = observation_cov(model, cov)
-            new_cov = chow_liu(compute_omega(cov, model, obs, k)).cov
+            new_cov = chow_liu(compute_omega(cov, model, obs, k))
             delta = kl_gaussian(cov, new_cov)
             cov = new_cov
             if delta < 1e-13:
                 break
         else:
             pytest.fail("no fixed point within 500 refinements")
-        settled = chow_liu(compute_omega(cov, model, obs, observation_cov(model, cov))).cov
+        settled = chow_liu(compute_omega(cov, model, obs, observation_cov(model, cov)))
         assert kl_gaussian(cov, settled) < 1e-10
 
 
@@ -210,6 +210,11 @@ class TestEmConfig:
         with pytest.raises(ValueError, match="l_max"):
             EmConfig(CovMatrix(np.eye(2)), l_max=0)
 
+    def test_rejects_non_integer_cap(self):
+        with pytest.raises(ValueError, match="l_max must be an integer"):
+            EmConfig(CovMatrix(np.eye(2)), l_max=2.5)
+        assert EmConfig(CovMatrix(np.eye(2)), l_max=np.int64(3)).l_max == 3
+
     def test_defaults(self):
         config = EmConfig(CovMatrix(np.eye(2)))
         assert config.epsilon == 0.01
@@ -220,7 +225,7 @@ class TestEmConfig:
         config = EmConfig(sigma0)
         expected = chow_liu(sigma0)
         assert config.prior_fit.tree.edges == expected.tree.edges
-        assert np.array_equal(config.prior_fit.cov.entries, expected.cov.entries)
+        assert np.array_equal(config.prior_fit.entries, expected.entries)
         with pytest.raises(TypeError):
             EmConfig(sigma0, prior_fit=expected)
 
@@ -233,7 +238,7 @@ class TestRunEm:
         assert trace.stop_reason is StopReason.LMAX_REACHED
         assert trace.final.step_kl == math.inf
         expected = chow_liu(sigma0)
-        assert np.array_equal(trace.final.sigma_tree.entries, expected.cov.entries)
+        assert np.array_equal(trace.final.sigma_tree.entries, expected.entries)
 
     def test_huge_epsilon_stops_after_two(self):
         _, sigma0, model, obs = make_scenario(seed=15)
@@ -334,7 +339,7 @@ class TestRunEm:
 
         monkeypatch.setattr(SpanningTree, "__post_init__", counting)
         trace = run_em(config, model, obs)
-        refits = [rec.tree for rec in trace.iterations[1:]]
+        refits = [rec.sigma_tree.tree for rec in trace.iterations[1:]]
         distinct = {tree.edges for tree in refits}
         assert len(refits) == 7 and len(distinct) < len(refits)
         assert len(validations) == len(distinct)
@@ -373,7 +378,7 @@ class TestRunEm:
             assert np.array_equal(np.diag(rec.sigma_tree.entries), np.diag(source.entries))
             precision = np.linalg.inv(rec.sigma_tree.entries)
             scale = np.abs(precision).max()
-            adjacency = rec.tree.adjacency()
+            adjacency = rec.sigma_tree.tree.adjacency()
             for u in range(rec.sigma_tree.dim):
                 for v in range(u + 1, rec.sigma_tree.dim):
                     if v not in adjacency[u]:

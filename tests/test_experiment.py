@@ -31,6 +31,7 @@ from treecov import (
     generate_ground_truth,
     generate_mixing,
     generate_prior,
+    kl_gaussian,
     parse_config_file,
     run_sweep,
     sample_observations,
@@ -85,7 +86,7 @@ class TestGenerateGroundTruth:
     def test_is_exactly_tree_structured(self):
         sigma = generate_ground_truth(6, seed=7)
         fit = chow_liu(sigma)
-        assert fit.kl < 1e-9
+        assert kl_gaussian(sigma, fit) < 1e-9
         precision = np.linalg.inv(sigma.entries)
         scale = np.abs(precision).max()
         strong = {
@@ -176,9 +177,14 @@ class TestGenerateMixing:
 
 class TestExperimentConfig:
     def test_coerces_m_values_to_int_tuple(self):
-        config = ExperimentConfig(p=5, m_values=[np.int64(2), 3])
+        config = ExperimentConfig(
+            p=np.int64(5), m_values=[np.int64(2), 3], r=np.int32(20), trials=np.int16(2),
+            seed=np.uint8(3), l_max=np.int64(5),
+        )
         assert config.m_values == (2, 3)
         assert all(type(m) is int for m in config.m_values)
+        counts = (config.p, config.r, config.trials, config.seed, config.l_max)
+        assert counts == (5, 20, 2, 3, 5) and all(type(n) is int for n in counts)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -206,6 +212,24 @@ class TestExperimentConfig:
         base = dict(p=4, m_values=(2,))
         base.update(overrides)
         with pytest.raises(ConfigError):
+            ExperimentConfig(**base)
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("p", 4.0, "p must be an integer"),
+            ("r", 20.5, "r must be an integer"),
+            ("trials", 2.5, "trials must be an integer"),
+            ("seed", 1.5, "seed must be an integer"),
+            ("l_max", 2.5, "l_max must be an integer"),
+            ("m_values", (2.5,), "every m must be an integer"),
+            ("m_values", (2, "3"), "every m must be an integer"),
+        ],
+    )
+    def test_rejects_non_integer_counts_by_name(self, field, value, named):
+        base = dict(p=4, m_values=(2,), trials=2)
+        base[field] = value
+        with pytest.raises(ConfigError, match=named):
             ExperimentConfig(**base)
 
 

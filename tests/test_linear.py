@@ -244,7 +244,7 @@ class TestObservationKl:
         model = LinearModel(rng.standard_normal((3, 4)), CovMatrix(0.3 * np.eye(3)))
         raw = sample_observations(model, sigma, 200, seed=12)
         centered = ObservationSet(raw.samples - raw.mean)
-        candidates = [sigma, chow_liu(sigma).cov] + [random_spd(rng, 4) for _ in range(4)]
+        candidates = [sigma, chow_liu(sigma)] + [random_spd(rng, 4) for _ in range(4)]
         div = [observation_kl(centered, model, c) for c in candidates]
         lik = [
             average_log_likelihood(centered, observation_cov(model, c).entries)

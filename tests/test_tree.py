@@ -329,7 +329,8 @@ class TestTreeCovMatrix:
         cov = stiff_tree_cov(rng, tree)
         std = np.sqrt(cov.d)
         precision = np.diag(cov.precision_diag)
-        precision[cov.u, cov.v] = precision[cov.v, cov.u] = cov.precision_edge
+        u, v = cov.tree.edge_index
+        precision[u, v] = precision[v, u] = cov.precision_edge
         precision /= np.outer(std, std)
         np.testing.assert_allclose(precision @ cov.entries, np.eye(p), atol=1e-9)
 
@@ -337,8 +338,8 @@ class TestTreeCovMatrix:
     def test_divergence_matches_dense_reference(self, p):
         rng = np.random.default_rng(420 + p)
         for _ in range(3):
-            tree1 = chow_liu(random_spd(rng, p)).cov
-            tree0 = chow_liu(random_spd(rng, p)).cov
+            tree1 = chow_liu(random_spd(rng, p))
+            tree0 = chow_liu(random_spd(rng, p))
             for p0 in (random_spd(rng, p), tree0):
                 expected = reference_kl(p0.entries, tree1.entries)
                 assert expected > 1e-6
@@ -579,7 +580,7 @@ class TestInternedTrees:
         assert second.tree is first.tree
         assert second.tree.bfs_order is order
         assert validations == [12]
-        assert np.array_equal(second.cov.entries, first.cov.entries)
+        assert np.array_equal(second.entries, first.entries)
 
     def test_traced_layers_are_still_called_per_fit(self, monkeypatch):
         # Per-layer tracing wraps tree_covariance and the widening test wraps
@@ -612,8 +613,8 @@ class TestChowLiu:
         sigma = CovMatrix(np.array([[1.0, 0.4], [0.4, 2.0]]))
         fit = chow_liu(sigma)
         assert fit.tree.edges == ((0, 1),)
-        assert np.array_equal(fit.cov.entries, sigma.entries)
-        assert fit.kl == 0.0
+        assert np.array_equal(fit.entries, sigma.entries)
+        assert kl_gaussian(sigma, fit) == 0.0
 
     def test_diagonal_tie_break_gives_star_at_zero(self):
         fit = chow_liu(CovMatrix(np.diag([1.0, 2.0, 3.0, 4.0])))
@@ -632,16 +633,16 @@ class TestChowLiu:
         fit = chow_liu(sigma)
         assert best_edges == ((0, 1), (1, 2))
         assert fit.tree.edges == best_edges
-        assert fit.kl > 0.0
-        assert fit.kl == pytest.approx(candidates[best_edges], abs=1e-12)
+        assert kl_gaussian(sigma, fit) > 0.0
+        assert kl_gaussian(sigma, fit) == pytest.approx(candidates[best_edges], abs=1e-12)
 
     def test_consistent_chain_reaches_zero(self):
         # Unit-variance chain whose 0-2 correlation already is the path product.
         sigma = corr3(0.9, 0.8, 0.72)
         fit = chow_liu(sigma)
         assert fit.tree.edges == ((0, 1), (1, 2))
-        assert fit.kl <= 1e-12
-        assert kl_gaussian(sigma, fit.cov) == pytest.approx(0.0, abs=1e-12)
+        assert kl_gaussian(sigma, fit) <= 1e-12
+        assert kl_gaussian(sigma, CovMatrix(fit.entries)) == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_single_vertex(self):
         with pytest.raises(ValueError, match="at least two"):
@@ -652,22 +653,23 @@ class TestChowLiu:
     def test_kl_agrees_with_full_divergence(self, seed, p):
         sigma = random_spd(np.random.default_rng(seed), p)
         fit = chow_liu(sigma)
-        assert abs(fit.kl - kl_gaussian(sigma, fit.cov)) < 1e-9
+        assert abs(kl_gaussian(sigma, fit) - kl_gaussian(sigma, CovMatrix(fit.entries))) < 1e-9
 
     @pytest.mark.parametrize("p", [10, 40, 80, 160])
     def test_exact_tree_divergence_is_roundoff(self, p):
         # Tree-structured input with unequal variances and some edges at
-        # |rho| = 0.9999: the true divergence is zero, so the closed form's
-        # roundoff must stay inside 1e-9 (below -1e-9 the clamp raises).
+        # |rho| = 0.9999: the true divergence is zero, so the fit's O(p)
+        # divergence must be roundoff, inside 1e-9 (below -1e-12 it raises).
         rng = np.random.default_rng(p)
         tree = random_tree(rng, p)
         rho = rng.uniform(0.5, 0.9999, size=p - 1) * rng.choice([-1.0, 1.0], size=p - 1)
         rho[: (p - 1) // 4] = 0.9999
         std = rng.uniform(0.3, 3.0, size=p)
         corr = TreeCovMatrix(tree, np.ones(p), rho).entries
-        fit = chow_liu(CovMatrix(corr * np.outer(std, std)))
+        sigma = CovMatrix(corr * np.outer(std, std))
+        fit = chow_liu(sigma)
         assert fit.tree.edges == tree.edges
-        assert 0.0 <= fit.kl <= 1e-9
+        assert 0.0 <= kl_gaussian(sigma, fit) <= 1e-9
 
     def test_rejects_degenerate_correlation(self):
         near_one = 1.0 - 1e-13
@@ -679,10 +681,10 @@ class TestChowLiu:
     def test_idempotent(self, seed, p):
         sigma = random_spd(np.random.default_rng(seed), p)
         first = chow_liu(sigma)
-        second = chow_liu(first.cov)
-        assert second.kl <= 1e-9
+        second = chow_liu(first)
+        assert kl_gaussian(first, second) <= 1e-9
         assert abs(
-            total_mi_weight(first.cov, first.tree) - total_mi_weight(first.cov, second.tree)
+            total_mi_weight(first, first.tree) - total_mi_weight(first, second.tree)
         ) <= 1e-9
 
     @settings(deadline=None, max_examples=20)
@@ -714,19 +716,19 @@ class TestBruteForce:
         for seed in range(8):
             p = 3 + seed % 4
             sigma = random_spd(np.random.default_rng(seed), p)
-            fit = chow_liu(sigma)
-            oracle = brute_force_optimal_tree(sigma)
-            assert abs(fit.kl - oracle.kl) <= 1e-9
+            _, oracle_kl = brute_force_optimal_tree(sigma)
+            assert abs(kl_gaussian(sigma, chow_liu(sigma)) - oracle_kl) <= 1e-9
 
     def test_two_vertices(self):
         sigma = CovMatrix(np.array([[1.0, 0.4], [0.4, 2.0]]))
-        assert brute_force_optimal_tree(sigma).tree.edges == ((0, 1),)
+        tree, _ = brute_force_optimal_tree(sigma)
+        assert tree.edges == ((0, 1),)
 
     def test_tie_break_is_lexicographic(self):
         # Diagonal input makes every tree equally good; the edge-list
         # minimum is the star at vertex 0.
-        oracle = brute_force_optimal_tree(CovMatrix(np.diag([1.0, 2.0, 3.0, 4.0])))
-        assert oracle.tree.edges == ((0, 1), (0, 2), (0, 3))
+        tree, _ = brute_force_optimal_tree(CovMatrix(np.diag([1.0, 2.0, 3.0, 4.0])))
+        assert tree.edges == ((0, 1), (0, 2), (0, 3))
 
     def test_rejects_large_dimension(self):
         with pytest.raises(ValueError, match="p <= 8"):
