@@ -41,10 +41,8 @@ from .em import (
     EmIteration,
     EmMonotonicityWarning,
     EmTrace,
-    PosteriorGaussian,
     StopReason,
     compute_omega,
-    posterior,
     run_em,
 )
 from .experiment import (

@@ -1,10 +1,16 @@
 """Alternating posterior / tree-refit iteration.
 
-Starting from a prior guess of the latent covariance, each iteration forms
-the latent posterior given the observations, pools the posterior second
-moments, and refits the best spanning-tree covariance to the pooled moment.
-The loop stops when consecutive iterates are closer than epsilon in latent
-KL divergence or when the iteration cap is reached.
+Starting from a prior guess of the latent covariance, each iteration
+conditions the latent vector on the observations, pools the posterior
+second moments, and refits the best spanning-tree covariance to the pooled
+moment. The loop stops when consecutive iterates are closer than epsilon in
+latent KL divergence or when the iteration cap is reached.
+
+The refit needs only the pooled moment, never the posterior covariance C
+itself (Dempster, Laird & Rubin 1977). Since C = sigma - G K G^T with gain
+G = sigma H^T K^-1, ``compute_omega`` forms the pooled moment C + G M G^T as
+one Gram update, sigma + G (M - K) G^T, and that conditioning never
+inflates the covariance holds by construction rather than by a check.
 """
 
 from __future__ import annotations
@@ -17,12 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import CovMatrix, NumericalError, kl_gaussian
+from .gaussian import CovMatrix, NotPositiveDefiniteError, NumericalError, kl_gaussian
 from .linear import LinearModel, ObservationSet, empirical_gaussian, observation_cov
 from .tree import TreeCovMatrix, chow_liu
 
 MONOTONICITY_SLACK = 1e-6
-POSTERIOR_ORDER_TOL = 1e-9
 
 
 class EmMonotonicityWarning(RuntimeWarning):
@@ -36,21 +41,6 @@ class EmMonotonicityWarning(RuntimeWarning):
 class StopReason(enum.Enum):
     EPSILON_REACHED = "EpsilonReached"
     LMAX_REACHED = "LmaxReached"
-
-
-@dataclass(frozen=True, eq=False)
-class PosteriorGaussian:
-    """Latent posterior p(x | y): shared covariance C and the map y -> mean.
-
-    gain is sigma H^T K^-1 (p x m) with K = H sigma H^T + D the observation
-    covariance; the posterior mean for observation y is gain @ y.
-    Conditioning never inflates uncertainty, so 0 <= C <= prior in the
-    positive semidefinite order. C is a plain symmetric array, not a
-    CovMatrix: as the noise vanishes it becomes singular along the rows of H.
-    """
-
-    gain: np.ndarray
-    cov: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,67 +108,45 @@ class EmTrace:
         return min(self.iterations, key=lambda rec: rec.latent_kl).index
 
 
-def posterior(sigma_tree: CovMatrix, model: LinearModel, k: CovMatrix) -> PosteriorGaussian:
-    """Latent posterior under prior N(0, sigma_tree) and the observation model.
+def compute_omega(
+    sigma_tree: CovMatrix, model: LinearModel, obs: ObservationSet, k: CovMatrix
+) -> CovMatrix:
+    """Posterior second moment pooled over the observation set.
+
+    Under prior N(0, sigma) the latent posterior given y has covariance
+    C = sigma - G K G^T and mean G y, with gain G = sigma H^T K^-1. Pooled
+    over the samples, Omega = C + G M G^T with M the uncentered second
+    moment of the observations, that is
+
+        Omega = sigma + G (M - K) G^T,
+
+    from one solve G^T = K^-1 H sigma with the m x m K and two products; C
+    itself is never formed. Conditioning never inflates the covariance, and
+    that holds by construction: sigma - C = (G L_K)(G L_K)^T for the
+    Cholesky factor L_K that ``CovMatrix(k)`` already holds. Omega is
+    positive definite even where C is singular; should it not be, its
+    Cholesky fails and NumericalError names the sample count r and m.
 
     ``k`` is the iterate's observation covariance K = H sigma H^T + D, as
     built by ``observation_cov(model, sigma_tree)``; the caller passes it so
-    that one K per iterate serves both the objective and the posterior.
-
-    Covariance (Joseph) form, which solves only with the m x m K (Bucy &
-    Joseph 1968): gain = sigma H^T K^-1, from one ``numpy.linalg.solve(K,
-    H sigma)``, and C = (I - gain H) sigma (I - gain H)^T + gain D gain^T, a
-    sum of positive semidefinite terms at any noise level.
+    that one K per iterate serves both the objective and the update.
     """
     if sigma_tree.dim != model.p or k.dim != model.m:
         raise ValueError(
             f"dimension mismatch: prior {sigma_tree.dim} and K {k.dim} "
             f"against model p={model.p}, m={model.m}"
         )
-    sigma = sigma_tree.entries
-    gain = np.linalg.solve(k.entries, model.h @ sigma).T
-    a = np.eye(model.p) - gain @ model.h
-    c = a @ sigma @ a.T + gain @ model.d.entries @ gain.T
-    c = (c + c.T) / 2.0
-    _check_order(sigma - c)
-    return PosteriorGaussian(gain=gain, cov=c)
-
-
-def _check_order(gap: np.ndarray) -> None:
-    """Raise unless the smallest eigenvalue of gap = sigma - C is at least -1e-9.
-
-    A Cholesky factor of gap + 1e-9 I exists exactly when that holds, so it
-    accepts the common case; the eigenvalues are computed only when it fails,
-    to decide near the boundary and to report. At p = 80 the factor takes
-    0.03 ms against 0.3 ms for ``eigvalsh``, which numpy's OpenBLAS also
-    splits over its worker thread: one call in ten then took 4-8 ms, and the
-    woken worker spins for ~0.1 s beside the caller.
-    """
-    try:
-        np.linalg.cholesky(gap + POSTERIOR_ORDER_TOL * np.eye(gap.shape[0]))
-    except np.linalg.LinAlgError:
-        min_eig = float(np.linalg.eigvalsh(gap).min())
-        if min_eig < -POSTERIOR_ORDER_TOL:
-            raise NumericalError(
-                f"posterior covariance exceeds the prior (eigenvalue {min_eig:.3e})"
-            ) from None
-
-
-def compute_omega(
-    sigma_tree: CovMatrix, model: LinearModel, obs: ObservationSet, k: CovMatrix
-) -> CovMatrix:
-    """Posterior second moment pooled over the observation set.
-
-    Omega = C + gain M gain^T with M the uncentered second moment of the
-    observations; equivalently the average over samples of
-    C + mean_y mean_y^T. Omega is positive definite even where C is singular.
-    ``k`` is the iterate's observation covariance, as for ``posterior``.
-    """
     if obs.m != model.m:
         raise ValueError(f"observation dimension {obs.m} != model m={model.m}")
-    post = posterior(sigma_tree, model, k)
-    omega = post.cov + post.gain @ obs.second_moment @ post.gain.T
-    return CovMatrix((omega + omega.T) / 2.0)
+    sigma = sigma_tree.entries
+    gain_t = np.linalg.solve(k.entries, model.h @ sigma)
+    omega = sigma + gain_t.T @ ((obs.second_moment - k.entries) @ gain_t)
+    try:
+        return CovMatrix((omega + omega.T) / 2.0)
+    except NotPositiveDefiniteError as exc:
+        raise NumericalError(
+            f"pooled posterior moment is not positive definite (r={obs.r}, m={model.m})"
+        ) from exc
 
 
 def run_em(

@@ -410,10 +410,11 @@ def chow_liu(sigma: CovMatrix) -> TreeCovMatrix:
     Ties are broken deterministically by ordering candidate edges on
     (weight descending, smaller vertex, larger vertex). Only the heaviest 8p
     candidates, with every tie at the cut, are ordered; should Kruskal
-    exhaust them the cut doubles, so the tree is the one a full ordering
-    gives. Kruskal tracks components by vertex labels. The tree is shared
-    with recent fits of the same edge set, so a repeated tree is neither
-    validated nor traversed again.
+    exhaust them the cut doubles and the scan resumes from the forest it
+    accepted, so the tree is the one a full ordering gives. Kruskal tracks
+    components by vertex labels. The tree is shared with recent fits of the
+    same edge set, so a repeated tree is neither validated nor traversed
+    again.
 
     Parameters
     ----------
@@ -433,13 +434,18 @@ def chow_liu(sigma: CovMatrix) -> TreeCovMatrix:
     u_all, v_all, _ = _upper_pairs(p)
     weights = _upper_pair_weights(sigma)
     # Pairs come in (u, v) order, which the stable ordering keeps for ties.
+    # A doubled cut orders a longer prefix of the same stable order, and a
+    # candidate already rejected closes a cycle in the forest accepted so far,
+    # so a rescan resumes from that forest and the newly ordered slice alone.
     k = CANDIDATES_PER_VERTEX * p
-    while True:
+    chosen = np.empty(0, dtype=np.intp)
+    scanned = 0
+    while len(chosen) < p - 1:
         order = _heaviest_first(weights, k)
-        accepted = _kruskal(p, u_all[order].tolist(), v_all[order].tolist())
-        if len(accepted) == p - 1:
-            break
+        candidates = np.concatenate((chosen, order[scanned:]))
+        accepted = _kruskal(p, u_all[candidates].tolist(), v_all[candidates].tolist())
+        chosen = candidates[accepted]
+        scanned = order.size
         k *= 2
-    chosen = order[accepted]
     edges = sorted(zip(u_all[chosen].tolist(), v_all[chosen].tolist()))
     return tree_covariance(sigma, _interned_tree(p, tuple(edges)))

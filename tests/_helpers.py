@@ -1,7 +1,9 @@
 """Shared test fixtures and oracles.
 
-Seeded random SPD covariance matrices, and the exhaustive spanning-tree
-search that serves as the correctness oracle for the Chow-Liu fit.
+Seeded random SPD covariance matrices, the exhaustive spanning-tree search
+that serves as the correctness oracle for the Chow-Liu fit, and the Joseph
+form of the latent posterior with its order check, the oracle for the
+pooled posterior moment.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from treecov import (
 )
 
 BRUTE_FORCE_MAX_VERTICES = 8
+POSTERIOR_ORDER_TOL = 1e-9
 
 
 def random_spd(rng: np.random.Generator, p: int, vary_scale: bool = True) -> CovMatrix:
@@ -46,6 +49,47 @@ def no_mixing_model(noise: CovMatrix, p: int) -> SimpleNamespace:
     pooling code reads only ``h``, ``d``, ``m`` and ``p``.
     """
     return SimpleNamespace(h=np.zeros((noise.dim, p)), d=noise, m=noise.dim, p=p)
+
+
+def joseph_posterior(
+    sigma: CovMatrix, model, k: CovMatrix
+) -> tuple[np.ndarray, np.ndarray]:
+    """Latent posterior (gain, cov) under prior N(0, sigma), in Joseph form.
+
+    Covariance (Joseph) form, which solves only with the m x m observation
+    covariance K = H sigma H^T + D (Bucy & Joseph 1968): gain = sigma H^T
+    K^-1, from one ``numpy.linalg.solve(K, H sigma)``, and C = (I - gain H)
+    sigma (I - gain H)^T + gain D gain^T, a sum of positive semidefinite
+    terms at any noise level. The posterior mean for observation y is
+    gain @ y. C is returned as a plain symmetric array, since it becomes
+    singular along the rows of H as the noise vanishes, after
+    ``check_order(sigma - C)``.
+    """
+    s = sigma.entries
+    gain = np.linalg.solve(k.entries, model.h @ s).T
+    a = np.eye(model.p) - gain @ model.h
+    c = a @ s @ a.T + gain @ model.d.entries @ gain.T
+    c = (c + c.T) / 2.0
+    check_order(s - c)
+    return gain, c
+
+
+def check_order(gap: np.ndarray) -> None:
+    """Raise unless the smallest eigenvalue of gap = sigma - C is at least -1e-9.
+
+    Conditioning never inflates the covariance. A Cholesky factor of
+    gap + 1e-9 I exists exactly when the bound holds, so it accepts the
+    common case; the eigenvalues are computed only when it fails, to decide
+    near the boundary and to report.
+    """
+    try:
+        np.linalg.cholesky(gap + POSTERIOR_ORDER_TOL * np.eye(gap.shape[0]))
+    except np.linalg.LinAlgError:
+        min_eig = float(np.linalg.eigvalsh(gap).min())
+        if min_eig < -POSTERIOR_ORDER_TOL:
+            raise NumericalError(
+                f"posterior covariance exceeds the prior (eigenvalue {min_eig:.3e})"
+            ) from None
 
 
 def brute_force_optimal_tree(sigma: CovMatrix) -> tuple[SpanningTree, float]:

@@ -28,14 +28,13 @@ from treecov import (
     emit_results,
     kl_gaussian,
     observation_cov,
-    posterior,
     prufer_decode,
     run_sweep,
     sample_observations,
     tree_covariance,
 )
 
-from _helpers import brute_force_optimal_tree, random_spd
+from _helpers import brute_force_optimal_tree, joseph_posterior, random_spd
 
 SWEEP_CONFIG = ExperimentConfig(
     p=10,
@@ -115,8 +114,9 @@ def test_a2_simplified_divergence_matches_full_form(capsys):
 
 
 def test_a3_pooled_moment_matches_per_sample_average(capsys):
-    # 50 seeded instances (p <= 6, m <= p, r <= 100): the matrix form of the
-    # pooled posterior moment must match averaging over samples to 1e-8.
+    # 50 seeded instances (p <= 6, m <= p, r <= 100): the Gram update of the
+    # pooled posterior moment must match averaging the Joseph-form posterior
+    # moment over samples to 1e-8.
     gap = 0.0
     for seed in range(50):
         rng = np.random.default_rng(10_000 + seed)
@@ -128,11 +128,11 @@ def test_a3_pooled_moment_matches_per_sample_average(capsys):
         model = LinearModel(rng.standard_normal((m, p)), CovMatrix(0.2 * np.eye(m)))
         obs = sample_observations(model, sigma, r, seed=seed)
         k = observation_cov(model, prior)
-        post = posterior(prior, model, k)
+        gain, cov = joseph_posterior(prior, model, k)
         pooled = np.zeros((p, p))
         for y in obs.samples:
-            mu = post.gain @ y
-            pooled += post.cov + np.outer(mu, mu)
+            mu = gain @ y
+            pooled += cov + np.outer(mu, mu)
         pooled /= obs.r
         omega = compute_omega(prior, model, obs, k)
         gap = max(gap, float(np.abs(omega.entries - pooled).max()))

@@ -1,8 +1,9 @@
 """Posterior statistics, the pooled moment refit, and the iteration loop.
 
-The pooled second moment has a per-sample oracle (average the posterior
-moment over individual observations) that the matrix-form implementation
-must reproduce.
+The pooled second moment has two oracles that the Gram update must
+reproduce: the Joseph-form posterior of ``_helpers`` (itself checked here
+against closed forms and dense inverses), and the per-sample average of the
+posterior moment over individual observations.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from treecov import (
     EmConfig,
     EmMonotonicityWarning,
     LinearModel,
+    NotPositiveDefiniteError,
     NumericalError,
     ObservationSet,
     SpanningTree,
@@ -28,12 +30,11 @@ from treecov import (
     compute_omega,
     kl_gaussian,
     observation_cov,
-    posterior,
     run_em,
     sample_observations,
 )
 
-from _helpers import no_mixing_model, random_spd
+from _helpers import check_order, joseph_posterior, no_mixing_model, random_spd
 
 
 def make_scenario(p: int = 4, m: int = 2, r: int = 150, seed: int = 0):
@@ -47,30 +48,34 @@ def make_scenario(p: int = 4, m: int = 2, r: int = 150, seed: int = 0):
 
 
 class TestPosterior:
+    """The Joseph-form oracle against closed forms and dense inverses."""
+
     def test_identity_everything_halves_the_covariance(self):
         model = LinearModel(np.eye(2), CovMatrix(np.eye(2)))
-        post = posterior(CovMatrix(np.eye(2)), model, CovMatrix(2.0 * np.eye(2)))
-        np.testing.assert_allclose(post.cov, 0.5 * np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(post.gain, 0.5 * np.eye(2), atol=1e-14)
+        gain, cov = joseph_posterior(CovMatrix(np.eye(2)), model, CovMatrix(2.0 * np.eye(2)))
+        np.testing.assert_allclose(cov, 0.5 * np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(gain, 0.5 * np.eye(2), atol=1e-14)
 
     def test_scalar_closed_form(self):
         # K = 4 + 1, gain = 4/5 = 0.8 and C = 0.2 * 4 * 0.2 + 0.8 * 0.8 = 0.8.
         model = LinearModel(np.eye(1), CovMatrix(np.eye(1)))
-        post = posterior(CovMatrix(np.array([[4.0]])), model, CovMatrix(np.array([[5.0]])))
-        assert post.cov[0, 0] == pytest.approx(0.8, abs=1e-14)
-        assert post.gain[0, 0] == pytest.approx(0.8, abs=1e-14)
+        gain, cov = joseph_posterior(
+            CovMatrix(np.array([[4.0]])), model, CovMatrix(np.array([[5.0]]))
+        )
+        assert cov[0, 0] == pytest.approx(0.8, abs=1e-14)
+        assert gain[0, 0] == pytest.approx(0.8, abs=1e-14)
 
     def test_no_mixing_returns_the_prior(self):
         model = no_mixing_model(CovMatrix(np.eye(2)), 3)
         prior = random_spd(np.random.default_rng(2), 3)
-        post = posterior(prior, model, observation_cov(model, prior))
-        np.testing.assert_allclose(post.cov, prior.entries, atol=1e-10)
-        np.testing.assert_allclose(post.gain, np.zeros((3, 2)), atol=1e-14)
+        gain, cov = joseph_posterior(prior, model, observation_cov(model, prior))
+        np.testing.assert_allclose(cov, prior.entries, atol=1e-10)
+        np.testing.assert_allclose(gain, np.zeros((3, 2)), atol=1e-14)
 
     def test_conditioning_never_inflates_uncertainty(self):
         sigma, _, model, _ = make_scenario(seed=3)
-        post = posterior(sigma, model, observation_cov(model, sigma))
-        gap = sigma.entries - post.cov
+        _, cov = joseph_posterior(sigma, model, observation_cov(model, sigma))
+        gap = sigma.entries - cov
         assert np.linalg.eigvalsh(gap).min() > -1e-10
 
     def test_vanishing_noise_pins_the_observed_directions(self):
@@ -78,9 +83,9 @@ class TestPosterior:
         # to I and C to 0, a singular posterior that must still be returned.
         model = LinearModel(np.eye(3), CovMatrix(1e-30 * np.eye(3)))
         prior = random_spd(np.random.default_rng(26), 3)
-        post = posterior(prior, model, observation_cov(model, prior))
-        np.testing.assert_allclose(post.gain, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(post.cov, np.zeros((3, 3)), atol=1e-12)
+        gain, cov = joseph_posterior(prior, model, observation_cov(model, prior))
+        np.testing.assert_allclose(gain, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(cov, np.zeros((3, 3)), atol=1e-12)
 
     @pytest.mark.parametrize("m", [20, 80])
     def test_matches_dense_forms_at_p80(self, m):
@@ -92,11 +97,11 @@ class TestPosterior:
         noise_var = float(np.trace(h @ sigma.entries @ h.T)) / (m * 100.0)
         model = LinearModel(h, CovMatrix(noise_var * np.eye(m)))
         k = observation_cov(model, sigma)
-        post = posterior(sigma, model, k)
+        post_gain, post_cov = joseph_posterior(sigma, model, k)
         gain = sigma.entries @ h.T @ np.linalg.inv(k.entries)
         cov = np.linalg.inv(np.linalg.inv(sigma.entries) + h.T @ h / noise_var)
-        np.testing.assert_allclose(post.gain, gain, rtol=0.0, atol=1e-10)
-        np.testing.assert_allclose(post.cov, cov, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(post_gain, gain, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(post_cov, cov, rtol=0.0, atol=1e-10)
 
     def test_order_guard_needs_no_eigensolve_when_it_holds(self, monkeypatch):
         # sigma - C has rank m < p here, so its smallest eigenvalues are
@@ -107,22 +112,15 @@ class TestPosterior:
             raise AssertionError("eigvalsh called on the accepting path")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
-        post = posterior(sigma, model, observation_cov(model, sigma))
-        assert post.cov.shape == (80, 80)
+        _, cov = joseph_posterior(sigma, model, observation_cov(model, sigma))
+        assert cov.shape == (80, 80)
 
     def test_order_guard_tolerance(self):
         u = np.linalg.qr(np.random.default_rng(8).standard_normal((5, 5)))[0]
         for lowest in (0.0, -5e-10):
-            treecov.em._check_order(u @ np.diag([2.0, 1.0, 0.5, 0.0, lowest]) @ u.T)
+            check_order(u @ np.diag([2.0, 1.0, 0.5, 0.0, lowest]) @ u.T)
         with pytest.raises(NumericalError, match=r"exceeds the prior \(eigenvalue -1\.0"):
-            treecov.em._check_order(u @ np.diag([2.0, 1.0, 0.5, 0.0, -1e-8]) @ u.T)
-
-    def test_rejects_dimension_mismatch(self):
-        model = LinearModel(np.eye(2, 3), CovMatrix(np.eye(2)))
-        with pytest.raises(ValueError, match="dimension"):
-            posterior(CovMatrix(np.eye(2)), model, CovMatrix(np.eye(2)))
-        with pytest.raises(ValueError, match="dimension"):
-            posterior(CovMatrix(np.eye(3)), model, CovMatrix(np.eye(3)))
+            check_order(u @ np.diag([2.0, 1.0, 0.5, 0.0, -1e-8]) @ u.T)
 
 
 class TestComputeOmega:
@@ -138,11 +136,11 @@ class TestComputeOmega:
     def test_matches_per_sample_average(self):
         # Oracle: average C + mu_i mu_i^T over samples, mu_i = gain y_i.
         sigma, sigma0, model, obs = make_scenario(seed=4)
-        post = posterior(sigma0, model, observation_cov(model, sigma0))
+        gain, cov = joseph_posterior(sigma0, model, observation_cov(model, sigma0))
         pooled = np.zeros((model.p, model.p))
         for y in obs.samples:
-            mu = post.gain @ y
-            pooled += post.cov + np.outer(mu, mu)
+            mu = gain @ y
+            pooled += cov + np.outer(mu, mu)
         pooled /= obs.r
         omega = compute_omega(sigma0, model, obs, observation_cov(model, sigma0))
         np.testing.assert_allclose(omega.entries, pooled, atol=1e-12)
@@ -162,6 +160,53 @@ class TestComputeOmega:
         obs = ObservationSet(np.random.default_rng(7).standard_normal((20, 2)))
         omega = compute_omega(prior, model, obs, observation_cov(model, prior))
         np.testing.assert_allclose(omega.entries, prior.entries, atol=1e-10)
+
+    @pytest.mark.parametrize("p", [4, 10, 40])
+    def test_agrees_with_joseph_form(self, p):
+        # sigma + G (M - K) G^T against C + G M G^T from the Joseph oracle,
+        # from -10 to 400 dB with r > m, the samples run_em accepts. Where
+        # r <= m at 140 dB and beyond, Omega is numerically singular and the
+        # two forms may fail on different cases, so that corner is left out.
+        for snr_db in (-10.0, 20.0, 100.0, 140.0, 400.0):
+            for seed in (0, 1):
+                rng = np.random.default_rng([p, seed, int(snr_db) + 10])
+                sigma = random_spd(rng, p)
+                truth = random_spd(rng, p)
+                for m in sorted({1, p // 2, p}):
+                    h = rng.standard_normal((m, p))
+                    power = float(np.trace(h @ sigma.entries @ h.T))
+                    noise = power / (m * 10.0 ** (snr_db / 10.0))
+                    model = LinearModel(h, CovMatrix(noise * np.eye(m)))
+                    k = observation_cov(model, sigma)
+                    gain, cov = joseph_posterior(sigma, model, k)
+                    for r in sorted({m + 1, 2 * m}):
+                        obs = sample_observations(model, truth, r, seed=seed)
+                        expected = cov + gain @ obs.second_moment @ gain.T
+                        expected = CovMatrix((expected + expected.T) / 2.0).entries
+                        omega = compute_omega(sigma, model, obs, k).entries
+                        gap = np.abs(omega - expected).max() / np.abs(expected).max()
+                        assert gap <= 1e-11, (snr_db, seed, m, r, gap)
+
+    def test_indefinite_moment_fails_by_name(self):
+        # With all-zero samples M = 0, and K scaled by 0.1 scales the gain
+        # by 10, so Omega = sigma - 10 G0 K0 G0^T, which is indefinite.
+        sigma, _, model, _ = make_scenario(seed=9)
+        obs = ObservationSet(np.zeros((5, model.m)))
+        k = CovMatrix(0.1 * observation_cov(model, sigma).entries)
+        with pytest.raises(
+            NumericalError,
+            match=r"^pooled posterior moment is not positive definite \(r=5, m=2\)$",
+        ) as info:
+            compute_omega(sigma, model, obs, k)
+        assert isinstance(info.value.__cause__, NotPositiveDefiniteError)
+
+    def test_rejects_dimension_mismatch(self):
+        model = LinearModel(np.eye(2, 3), CovMatrix(np.eye(2)))
+        obs = ObservationSet(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            compute_omega(CovMatrix(np.eye(2)), model, obs, CovMatrix(np.eye(2)))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            compute_omega(CovMatrix(np.eye(3)), model, obs, CovMatrix(np.eye(3)))
 
     def test_rejects_observation_mismatch(self):
         _, sigma0, model, _ = make_scenario(seed=8)
@@ -302,8 +347,8 @@ class TestRunEm:
         assert built == [rec.sigma_tree for rec in trace.iterations]
 
     def test_no_dense_latent_solve_per_iterate(self, monkeypatch):
-        # The p x p work left per refit is two Cholesky factors, the order
-        # guard's and the pooled moment's; the tree divergences take O(p).
+        # The p x p work left per refit is one Cholesky factor, the pooled
+        # moment's; the tree divergences take O(p).
         # With m < p every p x p solve would be a dense tree divergence.
         p, m = 80, 40
         sigma, sigma0, model, obs = make_scenario(p=p, m=m, r=200, seed=28)
@@ -321,7 +366,7 @@ class TestRunEm:
         refits = len(trace.iterations) - 1
         assert refits == 3
         assert (p, p) not in shapes["solve"]
-        assert shapes["cholesky"].count((p, p)) == 2 * refits
+        assert shapes["cholesky"].count((p, p)) == refits
 
     def test_repeated_trees_are_validated_once(self, monkeypatch):
         # Most refits return the tree of the iterate before; chow_liu then

@@ -2,7 +2,8 @@
 
 A second linear-algebra runtime in the same process (scipy links its own
 OpenBLAS build) starts a second BLAS thread pool that contends with numpy's,
-so the package imports nothing beyond the stdlib and numpy.
+so the package imports nothing beyond the stdlib and numpy. A sweep's
+results do not depend on how many threads that one pool runs.
 """
 
 from __future__ import annotations
@@ -40,3 +41,41 @@ def test_package_imports_only_stdlib_and_numpy():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+SWEEP_CELL = """
+import hashlib
+from treecov import ExperimentConfig, run_sweep
+
+iterates = hashlib.sha256()
+
+def keep(m, trial, trace):
+    for rec in trace.iterations:
+        iterates.update(rec.sigma_tree.entries.tobytes())
+
+config = ExperimentConfig(p=80, m_values=(80,), r=100, trials=1, seed=3)
+result = run_sweep(config, on_trace=keep)
+print(repr(result.records), repr(result.failures), iterates.hexdigest())
+"""
+
+
+def test_sweep_cell_does_not_depend_on_blas_thread_count():
+    # One p=80, m=p cell, whose products are large enough for OpenBLAS to
+    # split over its threads; its records and iterates must be bit-identical
+    # with one BLAS thread and with the library's default count.
+    default = {
+        key: value
+        for key, value in os.environ.items()
+        if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    }
+    outputs = []
+    for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        env = dict(default, PYTHONPATH="src", **extra)
+        proc = subprocess.run(
+            [sys.executable, "-c", SWEEP_CELL],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert "TrialRecord" in outputs[0]
+    assert outputs[0] == outputs[1]

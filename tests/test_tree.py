@@ -474,7 +474,8 @@ class TestPartialSelection:
     def test_dominant_clique_widens_the_candidate_set(self, monkeypatch):
         # 30 vertices share a strong factor: their 435 edges outrank every
         # other pair, yet span only 30 of the 40 vertices, so the first 320
-        # candidates cannot complete the tree.
+        # candidates cannot complete the tree. A widened scan resumes from
+        # the forest already accepted and passes no other candidate again.
         rng = np.random.default_rng(520)
         p, clique = 40, 30
         loading = np.zeros(p)
@@ -485,16 +486,28 @@ class TestPartialSelection:
         assert weights[:clique, :clique][np.triu_indices(clique, 1)].min() > weights[
             clique:, :
         ].max()
+        expected = sorted_kruskal_tree(sigma)
+        assert chow_liu(sigma).tree.edges == expected  # interns the tree
         scans = []
         kruskal = treecov.tree._kruskal
 
         def spy(p, us, vs):
-            scans.append(len(us))
-            return kruskal(p, us, vs)
+            pairs = list(zip(us, vs))
+            accepted = kruskal(p, us, vs)
+            scans.append((pairs, [pairs[i] for i in accepted]))
+            return accepted
 
         monkeypatch.setattr(treecov.tree, "_kruskal", spy)
-        assert chow_liu(sigma).tree.edges == sorted_kruskal_tree(sigma)
-        assert scans[0] == 8 * p and len(scans) >= 2
+        assert chow_liu(sigma).tree.edges == expected
+        assert len(scans[0][0]) == 8 * p and len(scans) >= 2
+        passed = set()
+        forest = []
+        for pairs, accepted in scans:
+            assert pairs[: len(forest)] == forest
+            fresh = pairs[len(forest):]
+            assert len(set(fresh)) == len(fresh) and not passed & set(fresh)
+            passed |= set(fresh)
+            forest = accepted
 
 
 class TestUpperPairWeights:
