@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import CovMatrix, NotPositiveDefiniteError, NumericalError, kl_gaussian
+from .gaussian import CovMatrix, NotPositiveDefiniteError, NumericalError, _as_int, kl_gaussian
 from .linear import LinearModel, ObservationSet, empirical_gaussian, observation_cov
 from .tree import TreeCovMatrix, chow_liu
 
@@ -57,12 +57,11 @@ class EmConfig:
     prior_fit: TreeCovMatrix = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.epsilon, numbers.Real):
+            raise ValueError(f"epsilon must be a real number, got {self.epsilon!r}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        try:
-            object.__setattr__(self, "l_max", operator.index(self.l_max))
-        except TypeError:
-            raise ValueError(f"l_max must be an integer, got {self.l_max!r}") from None
+        object.__setattr__(self, "l_max", _as_int(self.l_max, "l_max"))
         if self.l_max < 1:
             raise ValueError(f"l_max must be at least 1, got {self.l_max}")
         object.__setattr__(self, "prior_fit", chow_liu(self.sigma0))
@@ -95,17 +94,6 @@ class EmTrace:
     @property
     def final(self) -> EmIteration:
         return self.iterations[-1]
-
-    def best_latent_index(self) -> int | None:
-        """Iteration index with the smallest divergence from the ground truth.
-
-        None when the run had no ground truth. On scenarios where the truth
-        is known this calibrates the iteration cap: a cap near the returned
-        index avoids both under- and over-iterating.
-        """
-        if any(rec.latent_kl is None for rec in self.iterations):
-            return None
-        return min(self.iterations, key=lambda rec: rec.latent_kl).index
 
 
 def compute_omega(

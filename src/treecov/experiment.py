@@ -12,7 +12,9 @@ from __future__ import annotations
 import datetime
 import hashlib
 import math
+import numbers
 import operator
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .em import EmConfig, EmTrace, StopReason, run_em
-from .gaussian import CovMatrix, NumericalError, kl_gaussian
+from .gaussian import CovMatrix, NumericalError, _as_int, kl_gaussian
 from .linear import (
     LinearModel,
     RankDeficientError,
@@ -141,11 +143,15 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for name in ("p", "r", "trials", "seed", "l_max"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, ConfigError))
+        for name in ("snr_db", "epsilon", "alpha"):
             value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+            if not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+        for name in ("sigma_csv", "sigma0_csv", "output"):
+            value = getattr(self, name)
+            if not (isinstance(value, (str, os.PathLike)) or (value is None and name != "output")):
+                raise ConfigError(f"{name} must be a path, got {value!r}")
         try:
             object.__setattr__(self, "m_values", tuple(map(operator.index, self.m_values)))
         except TypeError:
@@ -221,7 +227,11 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     most once.
     """
     mapping: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ConfigError(f"{path}: non-UTF-8 byte {byte:#04x} at offset {exc.start}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.partition("#")[0].strip()
         if not line:

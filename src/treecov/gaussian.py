@@ -2,12 +2,13 @@
 
 Validated covariance matrices, KL divergences between zero-mean Gaussians
 (each identified by its covariance), and the pairwise mutual information
-read off a covariance, computed once per pair u < v for both the Chow-Liu
-fit and the matrix form. Every information quantity is measured in nats.
+read off a covariance, computed once per pair u < v for the Chow-Liu fit.
+Every information quantity is measured in nats.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -87,6 +88,15 @@ class CovMatrix:
         """
         a = np.linalg.solve(self.chol, other.chol)
         return float(np.sum(a * a)), 0.0
+
+
+def _as_int(value: object, name: str, error: type[ValueError] = ValueError) -> int:
+    """``value`` as an int if it is a Python or numpy integer, else ``error``
+    naming ``name``; floats and strings are rejected, not converted."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
@@ -181,19 +191,3 @@ def _upper_pair_weights(sigma: CovMatrix) -> np.ndarray:
             f"correlation {float(rho[i])!r} between {u[i]} and {v[i]} is numerically degenerate"
         )
     return -0.5 * np.log1p(-rho * rho)
-
-
-def mutual_information_matrix(sigma: CovMatrix) -> np.ndarray:
-    """Gaussian mutual information between every pair of components, in nats.
-
-    Entry (u, v) is the Chow-Liu weight -0.5 * ln(1 - rho^2) of the pair, with
-    rho = s_uv / sqrt(s_uu * s_vv), computed once for u < v and mirrored, so
-    the matrix is exactly symmetric and invariant to diagonal rescaling of
-    ``sigma``. The diagonal, which no spanning tree uses, is zero.
-    Correlations with |rho| >= 1 - 1e-12 are rejected as degenerate.
-    """
-    p = sigma.dim
-    u, v, _ = _upper_pairs(p)
-    mi = np.zeros((p, p))
-    mi[u, v] = mi[v, u] = _upper_pair_weights(sigma)
-    return mi

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gaussian import CovMatrix, NotPositiveDefiniteError
+from .gaussian import CovMatrix, NotPositiveDefiniteError, _as_int
 
 RANK_RTOL = 1e-10
 
@@ -129,6 +129,7 @@ def sample_observations(
         raise ValueError(
             f"latent covariance dimension {sigma_true.dim} != model p={model.p}"
         )
+    r = _as_int(r, "r")
     if r < 1:
         raise ValueError(f"need at least one sample, got r={r}")
     # Every product takes C-ordered operands. numpy's OpenBLAS (0.3.31) hands

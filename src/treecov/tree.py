@@ -22,9 +22,8 @@ result within roundoff of zero falls back to the dense evaluation through
 both Cholesky factors, which a tree covariance computes only when read.
 
 A fit makes one pass over what Kruskal needs: the mutual-information weights
-of the pairs u < v (the computation behind ``mutual_information_matrix``),
-the heaviest of them ordered, and components tracked by vertex labels, the
-same helper that validates a ``SpanningTree``.
+of the pairs u < v, the heaviest of them ordered, and components tracked by
+vertex labels, the same helper that validates a ``SpanningTree``.
 Consecutive EM iterates mostly refit the same tree, so fitted trees are
 interned: a repeated edge set returns the existing frozen ``SpanningTree``,
 which keeps its index arrays and its breadth-first order, and
@@ -46,6 +45,7 @@ from .gaussian import (
     CovMatrix,
     NotPositiveDefiniteError,
     NumericalError,
+    _as_int,
     _cholesky,
     _upper_pair_weights,
     _upper_pairs,
@@ -80,7 +80,7 @@ class SpanningTree:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        p = self.num_vertices
+        p = _as_int(self.num_vertices, "num_vertices")
         if p < 1:
             raise ValueError(f"need at least one vertex, got {p}")
         normalized = []
@@ -103,14 +103,8 @@ class SpanningTree:
         if len(accepted) < len(normalized):
             u, v = normalized[min(set(range(len(normalized))).difference(accepted))]
             raise ValueError(f"edge ({u}, {v}) closes a cycle")
+        object.__setattr__(self, "num_vertices", p)
         object.__setattr__(self, "edges", tuple(normalized))
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
 
     @cached_property
     def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -128,7 +122,7 @@ class SpanningTree:
         k = 1..p-1, ``parent_position[k - 1]`` is the place of that vertex's
         parent, which comes earlier, and ``parent_edge[k - 1]`` the index in
         ``edges`` of the edge joining them. Neighbours are visited in the
-        order ``adjacency()`` lists them.
+        order of ``edges``.
         """
         p = self.num_vertices
         adj: list[list[tuple[int, int]]] = [[] for _ in range(p)]
@@ -404,9 +398,9 @@ def chow_liu(sigma: CovMatrix) -> TreeCovMatrix:
     """Best tree approximation of ``sigma`` in KL divergence.
 
     Runs Kruskal on the complete graph with pairwise mutual-information
-    weights w, maximizing total weight. The weights of the pairs u < v are
-    those of ``mutual_information_matrix``, from the same computation, and a
-    pair with |rho| >= 1 - 1e-12 raises its DegenerateCorrelationError.
+    weights w = -0.5 * ln(1 - rho^2), maximizing total weight. The weights
+    are computed once, for the pairs u < v, and a pair with
+    |rho| >= 1 - 1e-12 raises DegenerateCorrelationError.
     Ties are broken deterministically by ordering candidate edges on
     (weight descending, smaller vertex, larger vertex). Only the heaviest 8p
     candidates, with every tie at the cut, are ordered; should Kruskal

@@ -1,25 +1,23 @@
 """Shared test fixtures and oracles.
 
-Seeded random SPD covariance matrices, the exhaustive spanning-tree search
-that serves as the correctness oracle for the Chow-Liu fit, and the Joseph
-form of the latent posterior with its order check, the oracle for the
-pooled posterior moment.
+Seeded random SPD covariance matrices, a tree's adjacency lists, the
+per-pair scalar mutual information that is the oracle for the Chow-Liu
+weights, the exhaustive spanning-tree search that serves as the
+correctness oracle for the Chow-Liu fit, and the Joseph form of the latent
+posterior with its order check, the oracle for the pooled posterior
+moment.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
 
-from treecov import (
-    CovMatrix,
-    NumericalError,
-    SpanningTree,
-    prufer_decode,
-    tree_covariance,
-)
+from treecov import CovMatrix, NumericalError, SpanningTree, tree_covariance
+from treecov.tree import prufer_decode
 
 BRUTE_FORCE_MAX_VERTICES = 8
 POSTERIOR_ORDER_TOL = 1e-9
@@ -40,6 +38,27 @@ def corr3(r01: float, r12: float, r02: float) -> CovMatrix:
     return CovMatrix(
         np.array([[1.0, r01, r02], [r01, 1.0, r12], [r02, r12, 1.0]])
     )
+
+
+def adjacency(tree: SpanningTree) -> list[list[int]]:
+    """Neighbours of every vertex, in the order of ``tree.edges``."""
+    adj: list[list[int]] = [[] for _ in range(tree.num_vertices)]
+    for u, v in tree.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def scalar_pair_weights(sigma: CovMatrix) -> list[float]:
+    """Mutual information -0.5 * ln(1 - rho^2) of every pair u < v, in
+    ``np.triu_indices`` order, one pair at a time with Python floats and the
+    C library's log1p."""
+    s = sigma.entries
+    weights = []
+    for u, v in zip(*np.triu_indices(sigma.dim, k=1)):
+        rho = float(s[u, v]) / math.sqrt(float(s[u, u]) * float(s[v, v]))
+        weights.append(-0.5 * math.log1p(-rho * rho))
+    return weights
 
 
 def no_mixing_model(noise: CovMatrix, p: int) -> SimpleNamespace:

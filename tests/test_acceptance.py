@@ -24,15 +24,15 @@ from treecov import (
     SpanningTree,
     SweepResult,
     chow_liu,
-    compute_omega,
     emit_results,
     kl_gaussian,
-    observation_cov,
-    prufer_decode,
     run_sweep,
     sample_observations,
     tree_covariance,
 )
+from treecov.em import compute_omega
+from treecov.linear import observation_cov
+from treecov.tree import prufer_decode
 
 from _helpers import brute_force_optimal_tree, joseph_posterior, random_spd
 

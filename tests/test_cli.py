@@ -15,13 +15,12 @@ import pytest
 from treecov import (
     CovMatrix,
     LinearModel,
-    generate_ground_truth,
-    generate_prior,
     read_matrix_csv,
     sample_observations,
     write_matrix_csv,
 )
 from treecov.cli import main
+from treecov.experiment import generate_ground_truth, generate_prior
 
 
 @pytest.fixture
@@ -310,6 +309,13 @@ class TestSweepCommand:
         )
         assert code == 1
         assert "config error:" in capsys.readouterr().err
+
+    def test_non_utf8_config_file_is_a_config_error_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"p = 4\nm_values = 2 # caf\xe9\n")
+        assert main(["sweep", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {path}: non-UTF-8 byte 0xe9 at offset 24\n"
 
     def test_missing_config_file_is_an_io_error(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 3

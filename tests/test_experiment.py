@@ -22,22 +22,24 @@ from treecov import (
     ExperimentConfig,
     LinearModel,
     NumericalError,
-    StopReason,
     SweepResult,
     chow_liu,
-    config_from_mapping,
-    derive_seed,
     emit_results,
-    generate_ground_truth,
-    generate_mixing,
-    generate_prior,
     kl_gaussian,
-    parse_config_file,
     run_sweep,
     sample_observations,
     write_matrix_csv,
 )
-from treecov.experiment import CSV_HEADER
+from treecov.em import StopReason
+from treecov.experiment import (
+    CSV_HEADER,
+    config_from_mapping,
+    derive_seed,
+    generate_ground_truth,
+    generate_mixing,
+    generate_prior,
+    parse_config_file,
+)
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -232,6 +234,31 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=named):
             ExperimentConfig(**base)
 
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("snr_db", "20", "snr_db must be a real number"),
+            ("snr_db", None, "snr_db must be a real number"),
+            ("epsilon", "0.1", "epsilon must be a real number"),
+            ("alpha", "0.5", "alpha must be a real number"),
+            ("output", None, "output must be a path"),
+            ("sigma_csv", 3, "sigma_csv must be a path"),
+            ("sigma0_csv", b"prior.csv", "sigma0_csv must be a path"),
+        ],
+    )
+    def test_rejects_non_numeric_and_non_path_fields_by_name(self, field, value, named):
+        base = dict(p=4, m_values=(2,))
+        base[field] = value
+        with pytest.raises(ConfigError, match=named):
+            ExperimentConfig(**base)
+
+    def test_accepts_numpy_scalars_and_path_objects(self):
+        config = ExperimentConfig(
+            p=4, m_values=(2,), snr_db=np.float64(20.0), epsilon=np.float32(0.125),
+            alpha=np.float64(0.5), output=Path("out/results.txt"),
+        )
+        assert (config.snr_db, config.epsilon, config.alpha) == (20.0, 0.125, 0.5)
+
 
 CONFIG_TEXT = """\
 # comparison sweep
@@ -291,6 +318,13 @@ class TestConfigParsing:
         path.write_text("p = 4\np = 5\n")
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_file(path)
+
+    def test_rejects_non_utf8_byte_naming_the_path(self, tmp_path):
+        path = tmp_path / "sweep.cfg"
+        path.write_bytes(b"p = 4\nm_values = \xff2\n")
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config_file(path)
+        assert str(excinfo.value) == f"{path}: non-UTF-8 byte 0xff at offset 17"
 
     def test_rejects_line_without_assignment(self, tmp_path):
         path = tmp_path / "sweep.cfg"

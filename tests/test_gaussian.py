@@ -1,5 +1,5 @@
 """Gaussian primitives: covariance validation, KL divergences, and the
-pairwise mutual-information matrix.
+pairwise mutual-information weights.
 
 The Monte-Carlo log-likelihood-ratio estimator below is the independent
 oracle for the closed-form KL values; it shares no code with the package.
@@ -21,11 +21,10 @@ from treecov import (
     NumericalError,
     chow_liu,
     kl_gaussian,
-    mutual_information_matrix,
 )
-from treecov.gaussian import _clamp_kl
+from treecov.gaussian import _clamp_kl, _upper_pair_weights
 
-from _helpers import corr3, random_spd
+from _helpers import corr3, random_spd, scalar_pair_weights
 
 # Frozen closed-form expectations, cross-checked by the Monte-Carlo oracle.
 KL_1D_1_VS_4 = 0.5 * (0.25 - 1.0 + math.log(4.0))          # 0.3181471805599453
@@ -182,29 +181,29 @@ class TestKlTreeSimplified:
 
 
 def mi(entries) -> np.ndarray:
-    return mutual_information_matrix(gm(entries))
+    return _upper_pair_weights(gm(entries))
 
 
 class TestCorrelation:
     # rho = s_uv / sqrt(s_uu * s_vv), observed through I = -0.5 ln(1 - rho^2).
     def test_independent_components(self):
-        assert mi(np.eye(2))[0, 1] == 0.0
+        assert mi(np.eye(2))[0] == 0.0
 
     def test_plain_value(self):
         expected = -0.5 * math.log(1.0 - 0.09)
-        assert mi([[1.0, 0.3], [0.3, 1.0]])[0, 1] == pytest.approx(expected, abs=1e-12)
+        assert mi([[1.0, 0.3], [0.3, 1.0]])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_normalizes_by_variances(self):
-        assert mi([[4.0, 1.0], [1.0, 1.0]])[0, 1] == pytest.approx(MI_RHO_05, abs=1e-12)
+        assert mi([[4.0, 1.0], [1.0, 1.0]])[0] == pytest.approx(MI_RHO_05, abs=1e-12)
 
 
 class TestPairwiseMutualInformation:
     def test_zero_at_independence(self):
-        assert np.array_equal(mutual_information_matrix(CovMatrix(np.eye(3))), np.zeros((3, 3)))
+        assert np.array_equal(mi(np.eye(3)), np.zeros(3))
 
     def test_frozen_values(self):
-        assert mi([[1.0, 0.5], [0.5, 1.0]])[0, 1] == pytest.approx(MI_RHO_05, abs=1e-12)
-        assert mi([[1.0, 0.9], [0.9, 1.0]])[0, 1] == pytest.approx(MI_RHO_09, abs=1e-12)
+        assert mi([[1.0, 0.5], [0.5, 1.0]])[0] == pytest.approx(MI_RHO_05, abs=1e-12)
+        assert mi([[1.0, 0.9], [0.9, 1.0]])[0] == pytest.approx(MI_RHO_09, abs=1e-12)
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 10**6), st.integers(2, 7))
@@ -212,20 +211,10 @@ class TestPairwiseMutualInformation:
         # Same formula one pair at a time; numpy's log1p and the C library's
         # may round differently, by an ulp.
         sigma = random_spd(np.random.default_rng(seed), p)
-        s = sigma.entries
-        values = mutual_information_matrix(sigma)
-        for u in range(p):
-            for v in range(u + 1, p):
-                rho = float(s[u, v]) / math.sqrt(float(s[u, u]) * float(s[v, v]))
-                expected = -0.5 * math.log1p(-rho * rho)
-                assert values[u, v] == pytest.approx(expected, rel=4 * np.finfo(float).eps, abs=0)
-
-    @settings(deadline=None, max_examples=40)
-    @given(st.integers(0, 10**6), st.integers(2, 7))
-    def test_symmetry_is_exact(self, seed, p):
-        rng = np.random.default_rng(seed)
-        values = mutual_information_matrix(random_spd(rng, p))
-        assert np.array_equal(values, values.T)
+        np.testing.assert_allclose(
+            _upper_pair_weights(sigma), scalar_pair_weights(sigma),
+            rtol=4 * np.finfo(float).eps, atol=0,
+        )
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 10**6), st.integers(2, 7))
@@ -234,11 +223,11 @@ class TestPairwiseMutualInformation:
         sigma = random_spd(rng, p)
         scale = rng.uniform(0.2, 5.0, size=p)
         scaled = CovMatrix(sigma.entries * np.outer(scale, scale))
-        gap = mutual_information_matrix(sigma) - mutual_information_matrix(scaled)
+        gap = _upper_pair_weights(sigma) - _upper_pair_weights(scaled)
         assert np.max(np.abs(gap)) < 1e-10
 
     def test_rejects_degenerate_correlation(self):
         near_one = 1.0 - 1e-13
         cov = CovMatrix(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, near_one], [0.0, near_one, 1.0]]))
         with pytest.raises(DegenerateCorrelationError, match="between 1 and 2"):
-            mutual_information_matrix(cov)
+            _upper_pair_weights(cov)

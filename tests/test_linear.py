@@ -19,13 +19,12 @@ from treecov import (
     ObservationSet,
     RankDeficientError,
     chow_liu,
-    empirical_gaussian,
     kl_gaussian,
-    observation_cov,
     read_matrix_csv,
     sample_observations,
     write_matrix_csv,
 )
+from treecov.linear import empirical_gaussian, observation_cov
 
 from _helpers import no_mixing_model, random_spd
 
@@ -158,6 +157,13 @@ class TestSampleObservations:
         model = LinearModel(np.eye(2), CovMatrix(np.eye(2)))
         with pytest.raises(ValueError, match="at least one"):
             sample_observations(model, CovMatrix(np.eye(2)), 0, seed=0)
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, "3"])
+    def test_rejects_non_integer_sample_count_by_name(self, bad):
+        model = LinearModel(np.eye(2), CovMatrix(np.eye(2)))
+        with pytest.raises(ValueError, match="r must be an integer"):
+            sample_observations(model, CovMatrix(np.eye(2)), bad, seed=0)
+        assert sample_observations(model, CovMatrix(np.eye(2)), np.int64(3), seed=0).r == 3
 
     def test_rejects_dimension_mismatch(self):
         model = LinearModel(np.eye(2, 3), CovMatrix(np.eye(2)))

@@ -24,12 +24,18 @@ from treecov import (
     TreeCovMatrix,
     chow_liu,
     kl_gaussian,
-    mutual_information_matrix,
-    prufer_decode,
     tree_covariance,
 )
+from treecov.gaussian import _upper_pair_weights
+from treecov.tree import prufer_decode
 
-from _helpers import brute_force_optimal_tree, corr3, random_spd
+from _helpers import (
+    adjacency,
+    brute_force_optimal_tree,
+    corr3,
+    random_spd,
+    scalar_pair_weights,
+)
 
 
 def random_tree(rng: np.random.Generator, p: int) -> SpanningTree:
@@ -79,9 +85,8 @@ def reference_kl(s0: np.ndarray, s1: np.ndarray) -> float:
 def sorted_kruskal_tree(sigma: CovMatrix) -> tuple[tuple[int, int], ...]:
     """Kruskal over every pair, fully stable-sorted by weight descending."""
     p = sigma.dim
-    mi = mutual_information_matrix(sigma)
     u_all, v_all = np.triu_indices(p, k=1)
-    order = np.argsort(-mi[u_all, v_all], kind="stable")
+    order = np.argsort(-_upper_pair_weights(sigma), kind="stable")
     parent = list(range(p))
 
     def find(x):
@@ -99,8 +104,10 @@ def sorted_kruskal_tree(sigma: CovMatrix) -> tuple[tuple[int, int], ...]:
 
 
 def total_mi_weight(sigma: CovMatrix, tree: SpanningTree) -> float:
-    mi = mutual_information_matrix(sigma)
-    return sum(float(mi[u, v]) for u, v in tree.edges)
+    s = sigma.entries
+    u, v = tree.edge_index
+    rho = s[u, v] / np.sqrt(s[u, u] * s[v, v])
+    return float(np.sum(-0.5 * np.log1p(-rho * rho)))
 
 
 class TestSpanningTree:
@@ -131,9 +138,12 @@ class TestSpanningTree:
     def test_single_vertex(self):
         assert SpanningTree(1, ()).edges == ()
 
-    def test_adjacency(self):
-        tree = SpanningTree(3, ((0, 1), (1, 2)))
-        assert tree.adjacency() == [[1], [0, 2], [1]]
+    @pytest.mark.parametrize("bad", [3.0, "3", None])
+    def test_rejects_non_integer_vertex_count_by_name(self, bad):
+        with pytest.raises(ValueError, match="num_vertices must be an integer"):
+            SpanningTree(bad, ((0, 1), (1, 2)))
+        tree = SpanningTree(np.int64(3), ((0, 1), (1, 2)))
+        assert type(tree.num_vertices) is int and tree.num_vertices == 3
 
     @pytest.mark.parametrize(
         "bad", [(0, 1.9), (0, 1, 7), (0,), (0, "1"), 0, (np.float64(0.0), 1)]
@@ -164,12 +174,12 @@ class TestBfsOrder:
             order = np.argsort(position)
             assert order[0] == 0
             assert parent_position.shape == parent_edge.shape == (p - 1,)
-            adjacency = tree.adjacency()
+            adj = adjacency(tree)
             for k in range(1, p):
                 parent = int(parent_position[k - 1])
                 assert parent < k
                 child, above = int(order[k]), int(order[parent])
-                assert above in adjacency[child]
+                assert above in adj[child]
                 assert tree.edges[parent_edge[k - 1]] == (min(child, above), max(child, above))
 
 
@@ -267,7 +277,7 @@ class TestTreeCovariance:
         tree = random_tree(rng, p)
         s = sigma.entries
         std = np.sqrt(np.diag(s))
-        adj = tree.adjacency()
+        adj = adjacency(tree)
         expected = np.empty((p, p))
         for root in range(p):
             prod = {root: 1.0}
@@ -482,10 +492,9 @@ class TestPartialSelection:
         loading[:clique] = rng.uniform(2.0, 4.0, size=clique)
         noise = random_spd(rng, p).entries
         sigma = CovMatrix(np.outer(loading, loading) + noise)
-        weights = mutual_information_matrix(sigma)
-        assert weights[:clique, :clique][np.triu_indices(clique, 1)].min() > weights[
-            clique:, :
-        ].max()
+        weights = _upper_pair_weights(sigma)
+        in_clique = np.triu_indices(p, 1)[1] < clique
+        assert weights[in_clique].min() > weights[~in_clique].max()
         expected = sorted_kruskal_tree(sigma)
         assert chow_liu(sigma).tree.edges == expected  # interns the tree
         scans = []
@@ -511,8 +520,8 @@ class TestPartialSelection:
 
 
 class TestUpperPairWeights:
-    """chow_liu weighs the pairs u < v only, with the operations of the
-    matrix form: the weights must equal its upper triangle bit for bit."""
+    """chow_liu ranks exactly ``_upper_pair_weights(sigma)``, bit for bit, and
+    those weights match the scalar per-pair reference to a few ulp."""
 
     @staticmethod
     def weights_of(sigma: CovMatrix, monkeypatch) -> np.ndarray:
@@ -527,15 +536,19 @@ class TestUpperPairWeights:
         chow_liu(sigma)
         return seen[0]
 
-    def assert_bitwise_upper_triangle(self, sigma: CovMatrix, monkeypatch) -> None:
-        expected = mutual_information_matrix(sigma)[np.triu_indices(sigma.dim, 1)]
-        assert self.weights_of(sigma, monkeypatch).tobytes() == expected.tobytes()
+    def assert_ranked_weights(self, sigma: CovMatrix, monkeypatch) -> None:
+        ranked = self.weights_of(sigma, monkeypatch)
+        assert ranked.tobytes() == _upper_pair_weights(sigma).tobytes()
+        # numpy's log1p and the C library's may round differently, by an ulp.
+        np.testing.assert_allclose(
+            ranked, scalar_pair_weights(sigma), rtol=4 * np.finfo(float).eps, atol=0
+        )
 
     @pytest.mark.parametrize("p", [2, 3, 10, 80, 160])
     def test_random_inputs(self, p, monkeypatch):
         rng = np.random.default_rng(700 + p)
         for _ in range(3):
-            self.assert_bitwise_upper_triangle(random_spd(rng, p), monkeypatch)
+            self.assert_ranked_weights(random_spd(rng, p), monkeypatch)
 
     def test_tie_heavy_inputs(self, monkeypatch):
         p = 20
@@ -546,26 +559,27 @@ class TestUpperPairWeights:
             np.full((p, p), 0.3) + 0.7 * np.eye(p),
             np.where(block[:, None] == block[None, :], 0.6, 0.1) + 0.4 * np.eye(p),
         ):
-            self.assert_bitwise_upper_triangle(CovMatrix(entries), monkeypatch)
+            self.assert_ranked_weights(CovMatrix(entries), monkeypatch)
 
     def test_correlations_just_inside_the_degenerate_bound(self, monkeypatch):
         near_one = np.nextafter(1.0 - 1e-12, 0.0)
         entries = np.eye(4)
         entries[0, 2] = entries[2, 0] = near_one
         entries[1, 3] = entries[3, 1] = -near_one
-        self.assert_bitwise_upper_triangle(CovMatrix(entries), monkeypatch)
+        self.assert_ranked_weights(CovMatrix(entries), monkeypatch)
 
     def test_degenerate_pair_raises_the_matrix_form_error(self):
-        # Two degenerate pairs; the error names the first in (u, v) order.
+        # Two degenerate pairs; the weights and the fit both name the first
+        # in (u, v) order.
         near_one = 1.0 - 1e-13
         entries = np.eye(4)
         entries[1, 2] = entries[2, 1] = near_one
         entries[0, 3] = entries[3, 0] = -near_one
-        with pytest.raises(DegenerateCorrelationError) as excinfo:
-            chow_liu(CovMatrix(entries))
-        assert str(excinfo.value) == (
-            f"correlation {-near_one!r} between 0 and 3 is numerically degenerate"
-        )
+        message = f"correlation {-near_one!r} between 0 and 3 is numerically degenerate"
+        for fn in (_upper_pair_weights, chow_liu):
+            with pytest.raises(DegenerateCorrelationError) as excinfo:
+                fn(CovMatrix(entries))
+            assert str(excinfo.value) == message
 
 
 class TestInternedTrees:
