@@ -47,7 +47,8 @@ def derive_seed(master: int, *parts: object) -> int:
     SHA-256 over the repr of (master, *parts); fixed across runs and
     platforms, so every trial gets a reproducible, decorrelated stream.
     """
-    digest = hashlib.sha256(repr((int(master),) + parts).encode("ascii")).digest()
+    master = _as_int(master, "master")
+    digest = hashlib.sha256(repr((master,) + parts).encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
 
@@ -59,9 +60,10 @@ def generate_ground_truth(p: int, seed: int) -> CovMatrix:
     unit variances, completed by path products. A truth off the tree set
     can be supplied to a sweep through the ``sigma_csv`` key instead.
     """
+    p = _as_int(p, "p")
     if p < 2:
         raise ValueError(f"need at least two vertices, got p={p}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_int(seed, "seed"))
     sequence = [int(s) for s in rng.integers(0, p, size=p - 2)]
     edges = prufer_decode(sequence, p)
     magnitudes = rng.uniform(0.5, 0.95, size=p - 1)
@@ -81,7 +83,7 @@ def generate_prior(sigma: CovMatrix, alpha: float, seed: int) -> CovMatrix:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {alpha}")
     p = sigma.dim
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_int(seed, "seed"))
     g = rng.standard_normal((p, 2 * p))
     raw = g @ g.T / (2 * p)
     scale = np.sqrt(np.diag(sigma.entries) / np.diag(raw))
@@ -105,7 +107,7 @@ def generate_mixing(
         raise ValueError(f"need 1 <= m <= p, got m={m}, p={p}")
     if sigma.dim != p:
         raise ValueError(f"covariance dimension {sigma.dim} != p={p}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_int(seed, "seed"))
     for _ in range(MAX_MIXING_REDRAWS):
         h = rng.standard_normal((m, p))
         signal_power = float(np.trace(h @ sigma.entries @ h.T))
@@ -153,7 +155,13 @@ class ExperimentConfig:
             if not (isinstance(value, (str, os.PathLike)) or (value is None and name != "output")):
                 raise ConfigError(f"{name} must be a path, got {value!r}")
         try:
-            object.__setattr__(self, "m_values", tuple(map(operator.index, self.m_values)))
+            members = iter(self.m_values)
+        except TypeError:
+            raise ConfigError(
+                f"m_values must be a sequence of integers, got {self.m_values!r}"
+            ) from None
+        try:
+            object.__setattr__(self, "m_values", tuple(map(operator.index, members)))
         except TypeError:
             raise ConfigError(f"every m must be an integer, got {self.m_values!r}") from None
         if self.p < 2:

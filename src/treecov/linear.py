@@ -17,6 +17,9 @@ import numpy as np
 from .gaussian import CovMatrix, NotPositiveDefiniteError, _as_int
 
 RANK_RTOL = 1e-10
+# Rows per block when observations are drawn and summarised: beyond the
+# r x m samples, only one block's temporaries are held.
+ROW_BLOCK = 4096
 
 
 class RankDeficientError(ValueError):
@@ -79,6 +82,13 @@ class ObservationSet:
     sample covariance S_Y. Both are kept because the model is zero-mean yet
     finite samples have a nonzero empirical mean. Samples whose second
     moment overflows the float range are rejected.
+
+    The constructor keeps a private copy of the samples. It sums y^T y over
+    near-equal row blocks of at most ``ROW_BLOCK`` rows, so it holds the
+    copy plus one block's temporaries. With r <= ROW_BLOCK there is one
+    block and the moment is bit for bit the one-shot product y^T y / r;
+    above that the block sums reassociate it, which moves it by roundoff
+    only.
     """
 
     samples: np.ndarray
@@ -95,8 +105,15 @@ class ObservationSet:
             raise ValueError("observations have a non-finite entry")
         r = y.shape[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            # A C-ordered copy of y^T: see sample_observations.
-            second = np.ascontiguousarray(y.T) @ y / r
+            # Each block's y^T is a C-ordered copy: see sample_observations.
+            # The first block's product starts the sum, so a lone block is
+            # the one-shot product exactly (adding it to zeros would turn a
+            # -0.0 into +0.0).
+            blocks = [y[i:j] for i, j in _row_blocks(r)]
+            second = _gram(blocks[0])
+            for block in blocks[1:]:
+                second += _gram(block)
+            second /= r
         if not np.all(np.isfinite(second)):
             raise ValueError("observations' second moment overflows the float range")
         second = (second + second.T) / 2.0
@@ -115,15 +132,38 @@ class ObservationSet:
         return self.samples.shape[1]
 
 
+def _row_blocks(r: int) -> list[tuple[int, int]]:
+    """Bounds (i, j) of consecutive row blocks covering r rows.
+
+    Their sizes differ by at most one and none exceeds ROW_BLOCK. Near-equal
+    sizes keep every block of a split above one row: numpy computes a
+    one-row product as a matrix-vector product, whose bits differ from
+    those of the same row inside a matrix-matrix product.
+    """
+    n = -(-r // ROW_BLOCK)
+    return [(r * k // n, r * (k + 1) // n) for k in range(n)]
+
+
+def _gram(block: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(block.T) @ block
+
+
 def sample_observations(
     model: LinearModel, sigma_true: CovMatrix, r: int, seed: int
 ) -> ObservationSet:
     """Draw r independent samples of y = H x + w.
 
     x ~ N(0, sigma_true) and w ~ N(0, D) are realized by applying the
-    Cholesky factors to standard normal blocks from numpy's PCG64 generator
-    (``numpy.random.default_rng``); the latent block is drawn before the
-    noise block, so a seed fixes the output bit for bit.
+    Cholesky factors to standard normal draws from numpy's PCG64 generator
+    (``numpy.random.default_rng``); all r latent rows are drawn before the
+    r noise rows, so a seed fixes the output bit for bit.
+
+    The r x m output is filled in near-equal row blocks of at most
+    ``ROW_BLOCK`` rows: every latent block, then every noise block added in
+    place. Besides the samples, only one block's draws and products are
+    held. The blocks consume the generator's stream in the order one r-row
+    draw would, and each row is the same row-wise product, so the samples
+    are bit for bit those of the one-shot draw at any r.
     """
     if sigma_true.dim != model.p:
         raise ValueError(
@@ -138,11 +178,16 @@ def sample_observations(
     # worker spins for ~0.1 s beside the caller. At r=100, p=m=80 the
     # transposed forms woke it in every sweep cell; on a loaded 2-vCPU host
     # that spinning halved the sweep's throughput.
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_int(seed, "seed"))
     c = np.ascontiguousarray
-    x = rng.standard_normal((r, model.p)) @ c(sigma_true.chol.T)
-    w = rng.standard_normal((r, model.m)) @ c(model.d.chol.T)
-    return ObservationSet(x @ c(model.h.T) + w)
+    chol_t, h_t, noise_t = c(sigma_true.chol.T), c(model.h.T), c(model.d.chol.T)
+    y = np.empty((r, model.m))
+    blocks = _row_blocks(r)
+    for i, j in blocks:
+        np.matmul(rng.standard_normal((j - i, model.p)) @ chol_t, h_t, out=y[i:j])
+    for i, j in blocks:
+        y[i:j] += rng.standard_normal((j - i, model.m)) @ noise_t
+    return ObservationSet(y)
 
 
 def observation_cov(model: LinearModel, sigma: CovMatrix) -> CovMatrix:

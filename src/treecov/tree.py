@@ -283,7 +283,7 @@ def prufer_decode(sequence: Iterable[int], num_vertices: int) -> tuple[tuple[int
     sequence at p = 2 decodes to the single edge (0, 1).
     """
     seq = [int(s) for s in sequence]
-    p = num_vertices
+    p = _as_int(num_vertices, "num_vertices")
     if p < 2:
         raise ValueError(f"need at least two vertices, got {p}")
     if len(seq) != p - 2:

@@ -3,9 +3,10 @@
 Seeded random SPD covariance matrices, a tree's adjacency lists, the
 per-pair scalar mutual information that is the oracle for the Chow-Liu
 weights, the exhaustive spanning-tree search that serves as the
-correctness oracle for the Chow-Liu fit, and the Joseph form of the latent
+correctness oracle for the Chow-Liu fit, the Joseph form of the latent
 posterior with its order check, the oracle for the pooled posterior
-moment.
+moment, and the one-shot observation sampler and second moment, the
+oracles for their row-blocked forms.
 """
 
 from __future__ import annotations
@@ -68,6 +69,25 @@ def no_mixing_model(noise: CovMatrix, p: int) -> SimpleNamespace:
     pooling code reads only ``h``, ``d``, ``m`` and ``p``.
     """
     return SimpleNamespace(h=np.zeros((noise.dim, p)), d=noise, m=noise.dim, p=p)
+
+
+def one_shot_samples(model, sigma_true: CovMatrix, r: int, seed: int) -> np.ndarray:
+    """The r x m samples of ``sample_observations`` drawn in one piece.
+
+    All r x p latent normals, then all r x m noise normals, from one PCG64
+    stream, each mapped through one whole-array product.
+    """
+    rng = np.random.default_rng(seed)
+    c = np.ascontiguousarray
+    x = rng.standard_normal((r, model.p)) @ c(sigma_true.chol.T)
+    w = rng.standard_normal((r, model.m)) @ c(model.d.chol.T)
+    return x @ c(model.h.T) + w
+
+
+def one_shot_second_moment(y: np.ndarray) -> np.ndarray:
+    """Symmetrized (1/r) y^T y from one whole-array product."""
+    second = np.ascontiguousarray(y.T) @ y / y.shape[0]
+    return (second + second.T) / 2.0
 
 
 def joseph_posterior(

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import treecov
 from treecov.experiment import TrialRecord
+from treecov.linear import ObservationSet
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,6 +43,8 @@ BENCHMARK_RECORD_FIELDS = {
     "m", "trial", "latent_kl_em", "latent_kl_prior_tree", "latent_kl_oracle_tree",
     "iterations_used", "stop_reason",
 }
+# CliFitWorkload.prepare writes the sampled observations from this field.
+BENCHMARK_OBSERVATION_FIELDS = {"samples"}
 
 
 def test_public_surface_is_documented_and_keeps_what_the_benchmark_reads():
@@ -64,3 +67,4 @@ def test_public_surface_is_documented_and_keeps_what_the_benchmark_reads():
     ]
     assert missing == []
     assert BENCHMARK_RECORD_FIELDS <= {f.name for f in fields(TrialRecord)}
+    assert BENCHMARK_OBSERVATION_FIELDS <= {f.name for f in fields(ObservationSet)}

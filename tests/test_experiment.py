@@ -40,6 +40,7 @@ from treecov.experiment import (
     generate_prior,
     parse_config_file,
 )
+from treecov.tree import prufer_decode
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -58,6 +59,33 @@ def patch_flaky_mixing(monkeypatch) -> None:
         return original(p, m, snr_db, sigma, seed)
 
     monkeypatch.setattr(treecov.experiment, "generate_mixing", flaky_mixing)
+
+
+IDENTITY_MODEL = LinearModel(np.eye(2), CovMatrix(np.eye(2)))
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        pytest.param(
+            lambda: sample_observations(IDENTITY_MODEL, CovMatrix(np.eye(2)), 3, seed=2.5),
+            "seed", id="sample_observations",
+        ),
+        pytest.param(lambda: generate_ground_truth(3.0, 1), "p", id="ground_truth-p"),
+        pytest.param(lambda: generate_ground_truth(3, 1.0), "seed", id="ground_truth-seed"),
+        pytest.param(
+            lambda: generate_prior(CovMatrix(np.eye(2)), 0.5, "1"), "seed", id="prior"
+        ),
+        pytest.param(
+            lambda: generate_mixing(2, 2, 20.0, CovMatrix(np.eye(2)), 0.0), "seed", id="mixing"
+        ),
+        pytest.param(lambda: prufer_decode([0], 3.0), "num_vertices", id="prufer_decode"),
+        pytest.param(lambda: derive_seed(1.5, "x"), "master", id="derive_seed"),
+    ],
+)
+def test_generators_reject_non_integer_seeds_and_counts_by_name(call, named):
+    with pytest.raises(ValueError, match=rf"^{named} must be an integer"):
+        call()
 
 
 class TestDeriveSeed:
@@ -226,6 +254,7 @@ class TestExperimentConfig:
             ("l_max", 2.5, "l_max must be an integer"),
             ("m_values", (2.5,), "every m must be an integer"),
             ("m_values", (2, "3"), "every m must be an integer"),
+            ("m_values", 5, "m_values must be a sequence of integers"),
         ],
     )
     def test_rejects_non_integer_counts_by_name(self, field, value, named):

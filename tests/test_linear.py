@@ -7,6 +7,7 @@ oracle for the observation-space divergence on pre-centered data.
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,9 +25,9 @@ from treecov import (
     sample_observations,
     write_matrix_csv,
 )
-from treecov.linear import empirical_gaussian, observation_cov
+from treecov.linear import ROW_BLOCK, empirical_gaussian, observation_cov
 
-from _helpers import no_mixing_model, random_spd
+from _helpers import no_mixing_model, one_shot_samples, one_shot_second_moment, random_spd
 
 
 def average_log_likelihood(obs: ObservationSet, cov: np.ndarray) -> float:
@@ -169,6 +170,57 @@ class TestSampleObservations:
         model = LinearModel(np.eye(2, 3), CovMatrix(np.eye(2)))
         with pytest.raises(ValueError, match="dimension"):
             sample_observations(model, CovMatrix(np.eye(2)), 10, seed=0)
+
+
+def cli_fit_shaped_problem() -> tuple[LinearModel, CovMatrix]:
+    """A p=40, m=30 model and latent covariance, the shape of cli_fit's input."""
+    rng = np.random.default_rng(21)
+    sigma = random_spd(rng, 40)
+    return LinearModel(rng.standard_normal((30, 40)), CovMatrix(0.1 * np.eye(30))), sigma
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that ``call()`` held above its start, as tracemalloc sees numpy's buffers."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize(
+        "r", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 5]
+    )
+    def test_blocked_path_matches_the_one_shot_oracles(self, r):
+        sigma = random_spd(np.random.default_rng(4), 6)
+        model = LinearModel(
+            np.random.default_rng(5).standard_normal((4, 6)), CovMatrix(0.1 * np.eye(4))
+        )
+        obs = sample_observations(model, sigma, r, seed=17)
+        y = one_shot_samples(model, sigma, r, 17)
+        assert obs.samples.tobytes() == y.tobytes()
+        second = one_shot_second_moment(y)
+        if r <= ROW_BLOCK:
+            assert obs.second_moment.tobytes() == second.tobytes()
+        else:
+            gap = np.max(np.abs(obs.second_moment - second))
+            assert gap <= 1e-13 * np.max(np.abs(second))
+
+    def test_sampling_holds_two_copies_plus_a_block(self):
+        model, sigma = cli_fit_shaped_problem()
+        r = 4 * ROW_BLOCK
+        peak = traced_peak(lambda: sample_observations(model, sigma, r, seed=3))
+        # The returned samples, ObservationSet's private copy and one block.
+        assert peak < 2.5 * r * model.m * 8
+
+    def test_summarising_holds_one_copy_plus_a_block(self):
+        model, sigma = cli_fit_shaped_problem()
+        y = np.array(sample_observations(model, sigma, 4 * ROW_BLOCK, seed=3).samples)
+        peak = traced_peak(lambda: ObservationSet(y))
+        assert peak < 1.5 * y.nbytes
 
 
 class TestObservationCov:
