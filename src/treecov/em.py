@@ -11,6 +11,9 @@ itself (Dempster, Laird & Rubin 1977). Since C = sigma - G K G^T with gain
 G = sigma H^T K^-1, ``compute_omega`` forms the pooled moment C + G M G^T as
 one Gram update, sigma + G (M - K) G^T, and that conditioning never
 inflates the covariance holds by construction rather than by a check.
+Each iterate's K = H sigma H^T + D is built and factored once: one solve
+K^-1 [H sigma | L_S] yields G^T and, with S_Y = L_S L_S^T, the trace
+tr(K^-1 S_Y) = sum(L_S * K^-1 L_S) of the objective KL(N(0, S_Y) || N(0, K)).
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import CovMatrix, NotPositiveDefiniteError, NumericalError, _as_int, kl_gaussian
+from .gaussian import (
+    CovMatrix, NotPositiveDefiniteError, NumericalError, _as_int, _clamp_kl, kl_gaussian,
+)
 from .linear import LinearModel, ObservationSet, empirical_gaussian, observation_cov
 from .tree import TreeCovMatrix, chow_liu
 
@@ -96,44 +101,47 @@ class EmTrace:
         return self.iterations[-1]
 
 
+def _condition(
+    model: LinearModel, empirical: CovMatrix, sigma_tree: CovMatrix
+) -> tuple[CovMatrix, np.ndarray, float]:
+    """K = H sigma H^T + D of an iterate, the transposed gain G^T = K^-1 H sigma
+    and the objective KL(N(0, S_Y) || N(0, K)), from one solve with K whose
+    right-hand side is [H sigma | L_S], L_S the factor of ``empirical``."""
+    k = observation_cov(model, sigma_tree)
+    rhs = np.hstack((model.h @ sigma_tree.entries, empirical.chol))
+    solved = np.linalg.solve(k.entries, rhs)
+    trace = float(np.sum(empirical.chol * solved[:, model.p :]))
+    obs_kl = 0.5 * (trace - model.m + k.log_det - empirical.log_det)
+    return k, solved[:, : model.p], _clamp_kl(obs_kl)
+
+
 def compute_omega(
-    sigma_tree: CovMatrix, model: LinearModel, obs: ObservationSet, k: CovMatrix
+    sigma_tree: CovMatrix, obs: ObservationSet, k: CovMatrix, gain_t: np.ndarray
 ) -> CovMatrix:
     """Posterior second moment pooled over the observation set.
 
     Under prior N(0, sigma) the latent posterior given y has covariance
-    C = sigma - G K G^T and mean G y, with gain G = sigma H^T K^-1. Pooled
-    over the samples, Omega = C + G M G^T with M the uncentered second
-    moment of the observations, that is
+    C = sigma - G K G^T and mean G y, with gain G = sigma H^T K^-1 and K the
+    iterate's observation covariance H sigma H^T + D. Pooled over the
+    samples, Omega = C + G M G^T with M the uncentered second moment of the
+    observations, that is
 
         Omega = sigma + G (M - K) G^T,
 
-    from one solve G^T = K^-1 H sigma with the m x m K and two products; C
-    itself is never formed. Conditioning never inflates the covariance, and
-    that holds by construction: sigma - C = (G L_K)(G L_K)^T for the
-    Cholesky factor L_K that ``CovMatrix(k)`` already holds. Omega is
-    positive definite even where C is singular; should it not be, its
-    Cholesky fails and NumericalError names the sample count r and m.
-
-    ``k`` is the iterate's observation covariance K = H sigma H^T + D, as
-    built by ``observation_cov(model, sigma_tree)``; the caller passes it so
-    that one K per iterate serves both the objective and the update.
+    two products from ``gain_t`` = G^T = K^-1 H sigma; C itself is never
+    formed. ``run_em`` takes G^T from the one solve with K that also scores
+    the iterate, so each iterate factors K once. Conditioning never inflates
+    the covariance, and that holds by construction: sigma - C = (G L_K)(G
+    L_K)^T for the Cholesky factor L_K of K. Omega is positive definite even
+    where C is singular; should it not be, its Cholesky fails and
+    NumericalError names the sample count r and m.
     """
-    if sigma_tree.dim != model.p or k.dim != model.m:
-        raise ValueError(
-            f"dimension mismatch: prior {sigma_tree.dim} and K {k.dim} "
-            f"against model p={model.p}, m={model.m}"
-        )
-    if obs.m != model.m:
-        raise ValueError(f"observation dimension {obs.m} != model m={model.m}")
-    sigma = sigma_tree.entries
-    gain_t = np.linalg.solve(k.entries, model.h @ sigma)
-    omega = sigma + gain_t.T @ ((obs.second_moment - k.entries) @ gain_t)
+    omega = sigma_tree.entries + gain_t.T @ ((obs.second_moment - k.entries) @ gain_t)
     try:
         return CovMatrix((omega + omega.T) / 2.0)
     except NotPositiveDefiniteError as exc:
         raise NumericalError(
-            f"pooled posterior moment is not positive definite (r={obs.r}, m={model.m})"
+            f"pooled posterior moment is not positive definite (r={obs.r}, m={obs.m})"
         ) from exc
 
 
@@ -148,11 +156,12 @@ def run_em(
     The first iterate is the best tree fit of the prior itself
     (``config.prior_fit``); iterate l+1 is the best tree fit of the
     posterior moment pooled under iterate l,
-    ``chow_liu(compute_omega(iterate_l, model, obs, k_l))``, where k_l is
-    the observation covariance of iterate l, built once and also used for
-    its objective. The loop stops once the latent-space divergence from
-    iterate l to iterate l+1 drops below epsilon (EpsilonReached) or after
-    l_max iterates (LmaxReached).
+    ``chow_liu(compute_omega(iterate_l, obs, k_l, gain_l))``, where k_l is
+    the observation covariance of iterate l and gain_l its transposed gain,
+    both from the one solve with k_l that also scores iterate l. The loop
+    stops once the latent-space divergence from iterate l to iterate l+1
+    drops below epsilon (EpsilonReached) or after l_max iterates
+    (LmaxReached).
 
     Each record carries the observation-space objective, which requires a
     positive definite sample covariance (more samples than observed
@@ -170,37 +179,22 @@ def run_em(
     if obs.m != model.m:
         raise ValueError(f"observation dimension {obs.m} != model m={model.m}")
     empirical = empirical_gaussian(obs)
-
-    def record(index: int, cov: TreeCovMatrix, step_kl: float, k: CovMatrix) -> EmIteration:
-        obs_kl = kl_gaussian(empirical, k)
-        latent = kl_gaussian(ground_truth, cov) if ground_truth is not None else None
-        return EmIteration(
-            index=index,
-            sigma_tree=cov,
-            obs_kl=obs_kl,
-            step_kl=step_kl,
-            latent_kl=latent,
-        )
-
-    # One observation covariance K per iterate: it scores the iterate here
-    # and conditions on it in the next compute_omega.
-    k = observation_cov(model, config.prior_fit)
-    records = [record(1, config.prior_fit, math.inf, k)]
-    stop = StopReason.LMAX_REACHED
-    for index in range(2, config.l_max + 1):
-        prev = records[-1]
-        fit = chow_liu(compute_omega(prev.sigma_tree, model, obs, k))
-        step_kl = kl_gaussian(prev.sigma_tree, fit)
-        k = observation_cov(model, fit)
-        rec = record(index, fit, step_kl, k)
-        if rec.obs_kl > prev.obs_kl + MONOTONICITY_SLACK:
+    records: list[EmIteration] = []
+    fit, step_kl, stop = config.prior_fit, math.inf, StopReason.LMAX_REACHED
+    for index in range(1, config.l_max + 1):
+        if records:
+            fit = chow_liu(compute_omega(fit, obs, k, gain_t))
+            step_kl = kl_gaussian(records[-1].sigma_tree, fit)
+        k, gain_t, obs_kl = _condition(model, empirical, fit)
+        if records and obs_kl > records[-1].obs_kl + MONOTONICITY_SLACK:
             warnings.warn(
-                f"observation objective rose from {prev.obs_kl:.9g} to "
-                f"{rec.obs_kl:.9g} at iteration {index}",
+                f"observation objective rose from {records[-1].obs_kl:.9g} to "
+                f"{obs_kl:.9g} at iteration {index}",
                 EmMonotonicityWarning,
                 stacklevel=2,
             )
-        records.append(rec)
+        latent = kl_gaussian(ground_truth, fit) if ground_truth is not None else None
+        records.append(EmIteration(index, fit, obs_kl, step_kl, latent))
         if step_kl < config.epsilon:
             stop = StopReason.EPSILON_REACHED
             break

@@ -45,9 +45,11 @@ def derive_seed(master: int, *parts: object) -> int:
     """Stable 63-bit seed mixed from the master seed and a label tuple.
 
     SHA-256 over the repr of (master, *parts); fixed across runs and
-    platforms, so every trial gets a reproducible, decorrelated stream.
+    platforms, so every trial gets a reproducible, decorrelated stream. A
+    numpy integer part counts as the Python int of equal value.
     """
     master = _as_int(master, "master")
+    parts = tuple(int(part) if isinstance(part, np.integer) else part for part in parts)
     digest = hashlib.sha256(repr((master,) + parts).encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 

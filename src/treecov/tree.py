@@ -282,7 +282,7 @@ def prufer_decode(sequence: Iterable[int], num_vertices: int) -> tuple[tuple[int
     so iterating over all p^(p-2) sequences enumerates all trees. The empty
     sequence at p = 2 decodes to the single edge (0, 1).
     """
-    seq = [int(s) for s in sequence]
+    seq = [_as_int(s, "sequence entry") for s in sequence]
     p = _as_int(num_vertices, "num_vertices")
     if p < 2:
         raise ValueError(f"need at least two vertices, got {p}")

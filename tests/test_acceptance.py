@@ -134,7 +134,8 @@ def test_a3_pooled_moment_matches_per_sample_average(capsys):
             mu = gain @ y
             pooled += cov + np.outer(mu, mu)
         pooled /= obs.r
-        omega = compute_omega(prior, model, obs, k)
+        gain_t = np.linalg.solve(k.entries, model.h @ prior.entries)
+        omega = compute_omega(prior, obs, k, gain_t)
         gap = max(gap, float(np.abs(omega.entries - pooled).max()))
     ok = gap < 1e-8
     report("A3", ok, f"max entrywise gap = {gap:.3e} over 50 instances", capsys)

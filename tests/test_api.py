@@ -30,14 +30,19 @@ PUBLIC = {
     "ConfigError", "ExperimentConfig", "SweepResult", "run_sweep", "emit_results",
 }
 
-# Module attributes that perfbench/workloads.py and perfbench/test_perfbench.py read.
+# Module attributes that perfbench/workloads.py and perfbench/test_perfbench.py
+# read, and the call sites that perfbench/spans.py traces, which it looks up
+# through the calling module and silently skips when they are gone.
 BENCHMARK_ATTRIBUTES = {
     "experiment": (
         "ExperimentConfig", "NumericalError", "derive_seed", "generate_ground_truth",
         "generate_mixing", "generate_prior", "run_em", "run_sweep",
+        "read_matrix_csv", "chow_liu", "kl_gaussian", "sample_observations",
     ),
     "linear": ("sample_observations", "write_matrix_csv"),
-    "cli": ("main",),
+    "cli": ("main", "read_matrix_csv", "write_matrix_csv", "run_em"),
+    "em": ("empirical_gaussian", "observation_cov", "compute_omega", "chow_liu", "kl_gaussian"),
+    "tree": ("tree_covariance",),
 }
 BENCHMARK_RECORD_FIELDS = {
     "m", "trial", "latent_kl_em", "latent_kl_prior_tree", "latent_kl_oracle_tree",

@@ -107,6 +107,11 @@ class TestDeriveSeed:
         for master in range(20):
             assert 0 <= derive_seed(master, "x") < 2**63
 
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_parts_match_python_ints(self, integer):
+        assert derive_seed(0, "mixing", 5, 0) == 1081270873283760506
+        assert derive_seed(0, "mixing", integer(5), integer(0)) == 1081270873283760506
+
 
 class TestGenerateGroundTruth:
     def test_unit_variances(self):

@@ -216,6 +216,12 @@ class TestPruferDecode:
         with pytest.raises(ValueError, match="range"):
             prufer_decode((3,), 3)
 
+    def test_rejects_non_integer_entry_by_name(self):
+        for entry in (0.7, np.float64(2.9)):
+            with pytest.raises(ValueError, match="^sequence entry must be an integer, got "):
+                prufer_decode([entry], 3)
+        assert prufer_decode([np.int64(2)], 3) == prufer_decode([2], 3)
+
 
 class TestTreeCovariance:
     def test_chain_path_product(self):
