@@ -19,12 +19,13 @@ from .em import EmConfig, run_em
 from .experiment import (
     CONFIG_KEYS,
     ConfigError,
+    _file_cov,
     config_from_mapping,
     emit_results,
     parse_config_file,
     run_sweep,
 )
-from .gaussian import CovMatrix, NumericalError, kl_gaussian
+from .gaussian import NumericalError, kl_gaussian
 from .linear import LinearModel, ObservationSet, read_matrix_csv, write_matrix_csv
 from .tree import chow_liu
 
@@ -104,7 +105,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_chowliu(args: argparse.Namespace) -> int:
     _check_output_dirs(args.cov_out, args.edges_out)
-    sigma = CovMatrix(read_matrix_csv(args.input))
+    sigma = _file_cov(read_matrix_csv(args.input), "covariance", args.input)
     fit = chow_liu(sigma)
     print(f"kl = {kl_gaussian(sigma, fit):.12g}")
     print("edges = " + " ".join(f"{u}-{v}" for u, v in fit.tree.edges))
@@ -119,8 +120,9 @@ def _cmd_chowliu(args: argparse.Namespace) -> int:
 
 def _cmd_em(args: argparse.Namespace) -> int:
     _check_output_dirs(args.sigma_out, args.trace_out)
-    sigma0 = CovMatrix(read_matrix_csv(args.sigma0))
-    model = LinearModel(read_matrix_csv(args.h), CovMatrix(read_matrix_csv(args.d)))
+    sigma0 = _file_cov(read_matrix_csv(args.sigma0), "prior covariance", args.sigma0)
+    h = read_matrix_csv(args.h)
+    model = LinearModel(h, _file_cov(read_matrix_csv(args.d), "noise covariance", args.d))
     obs = ObservationSet(read_matrix_csv(args.obs))
     config = EmConfig(sigma0=sigma0, epsilon=args.epsilon, l_max=args.l_max)
     trace = run_em(config, model, obs)

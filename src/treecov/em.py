@@ -62,7 +62,7 @@ class EmConfig:
     prior_fit: TreeCovMatrix = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.epsilon, numbers.Real):
+        if not isinstance(self.epsilon, numbers.Real) or isinstance(self.epsilon, bool):
             raise ValueError(f"epsilon must be a real number, got {self.epsilon!r}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")

@@ -13,7 +13,6 @@ import datetime
 import hashlib
 import math
 import numbers
-import operator
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -150,7 +149,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, _as_int(getattr(self, name), name, ConfigError))
         for name in ("snr_db", "epsilon", "alpha"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
         for name in ("sigma_csv", "sigma0_csv", "output"):
             value = getattr(self, name)
@@ -162,10 +161,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"m_values must be a sequence of integers, got {self.m_values!r}"
             ) from None
-        try:
-            object.__setattr__(self, "m_values", tuple(map(operator.index, members)))
-        except TypeError:
-            raise ConfigError(f"every m must be an integer, got {self.m_values!r}") from None
+        object.__setattr__(
+            self, "m_values", tuple(_as_int(m, "every m", ConfigError) for m in members)
+        )
         if self.p < 2:
             raise ConfigError(f"p must be at least 2, got {self.p}")
         if not self.m_values:
@@ -335,7 +333,16 @@ def _load_cov_csv(path: str, expected_dim: int, label: str) -> CovMatrix:
             f"{label} from {path} has shape {matrix.shape}, expected "
             f"({expected_dim}, {expected_dim})"
         )
-    return CovMatrix(matrix)
+    return _file_cov(matrix, label, path)
+
+
+def _file_cov(matrix: np.ndarray, label: str, path: str | os.PathLike) -> CovMatrix:
+    """``CovMatrix(matrix)`` for a matrix read from ``path``. A ValueError it
+    raises is raised again, of the same class, with the label and path first."""
+    try:
+        return CovMatrix(matrix)
+    except ValueError as exc:
+        raise type(exc)(f"{label} from {path}: {exc}") from exc
 
 
 TraceHook = Callable[[int, int, EmTrace], None]

@@ -92,11 +92,13 @@ class CovMatrix:
 
 def _as_int(value: object, name: str, error: type[ValueError] = ValueError) -> int:
     """``value`` as an int if it is a Python or numpy integer, else ``error``
-    naming ``name``; floats and strings are rejected, not converted."""
+    naming ``name``; bools, floats and strings are rejected, not converted."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise error(f"{name} must be an integer, got {value!r}") from None
+        pass
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:

@@ -405,3 +405,36 @@ class TestParserBehavior:
         proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "chowliu" in proc.stdout
+
+
+ASYMMETRIC = "covariance asymmetry 1.000e+00 exceeds tolerance 1e-10"
+INDEFINITE = "covariance is not positive definite"
+
+
+@pytest.mark.parametrize(
+    "command, flag, content, label, message",
+    [
+        ("sweep", "--sigma_csv", [[1.0, 2.0], [3.0, 1.0]], "ground-truth covariance", ASYMMETRIC),
+        ("sweep", "--sigma0_csv", [[1.0, 2.0], [2.0, 1.0]], "prior covariance", INDEFINITE),
+        ("em", "--sigma0", [[1.0, 2.0], [3.0, 1.0]], "prior covariance", ASYMMETRIC),
+        ("em", "--d", [[1.0, 2.0], [3.0, 1.0]], "noise covariance", ASYMMETRIC),
+        ("em", "--d", [[1.0, 2.0], [2.0, 1.0]], "noise covariance", INDEFINITE),
+        ("chowliu", None, [[1.0, 2.0], [3.0, 1.0]], "covariance", ASYMMETRIC),
+    ],
+)
+def test_invalid_covariance_file_is_named(
+    tmp_path, em_inputs, capsys, command, flag, content, label, message
+):
+    bad = tmp_path / "bad.csv"
+    write_matrix_csv(np.array(content), bad)
+    if command == "sweep":
+        argv = ["sweep", "--p", "2", "--m_values", "1", "--trials", "2",
+                "--output", str(tmp_path / "results.txt"), flag, str(bad)]
+    elif command == "em":
+        argv = ["em"]
+        for name, path in em_inputs.items():
+            argv += [f"--{name}", str(bad if f"--{name}" == flag else path)]
+    else:
+        argv = ["chowliu", str(bad)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"config error: {label} from {bad}: {message}\n"

@@ -244,7 +244,7 @@ class TestEmConfig:
         with pytest.raises(ValueError, match="epsilon"):
             EmConfig(sigma0, epsilon=math.inf)
 
-    @pytest.mark.parametrize("bad", ["0.1", None, [0.1]])
+    @pytest.mark.parametrize("bad", ["0.1", None, [0.1], True])
     def test_rejects_non_numeric_epsilon_by_name(self, bad):
         with pytest.raises(ValueError, match="epsilon must be a real number"):
             EmConfig(CovMatrix(np.eye(2)), epsilon=bad)
@@ -257,6 +257,8 @@ class TestEmConfig:
     def test_rejects_non_integer_cap(self):
         with pytest.raises(ValueError, match="l_max must be an integer"):
             EmConfig(CovMatrix(np.eye(2)), l_max=2.5)
+        with pytest.raises(ValueError, match="l_max must be an integer"):
+            EmConfig(CovMatrix(np.eye(2)), l_max=True)
         assert EmConfig(CovMatrix(np.eye(2)), l_max=np.int64(3)).l_max == 3
 
     def test_defaults(self):

@@ -81,6 +81,7 @@ IDENTITY_MODEL = LinearModel(np.eye(2), CovMatrix(np.eye(2)))
         ),
         pytest.param(lambda: prufer_decode([0], 3.0), "num_vertices", id="prufer_decode"),
         pytest.param(lambda: derive_seed(1.5, "x"), "master", id="derive_seed"),
+        pytest.param(lambda: generate_ground_truth(3, True), "seed", id="ground_truth-bool"),
     ],
 )
 def test_generators_reject_non_integer_seeds_and_counts_by_name(call, named):
@@ -260,6 +261,12 @@ class TestExperimentConfig:
             ("m_values", (2.5,), "every m must be an integer"),
             ("m_values", (2, "3"), "every m must be an integer"),
             ("m_values", 5, "m_values must be a sequence of integers"),
+            ("p", True, "p must be an integer"),
+            ("r", True, "r must be an integer"),
+            ("trials", True, "trials must be an integer"),
+            ("seed", False, "seed must be an integer"),
+            ("l_max", True, "l_max must be an integer"),
+            ("m_values", (2, True), "every m must be an integer"),
         ],
     )
     def test_rejects_non_integer_counts_by_name(self, field, value, named):
@@ -278,6 +285,9 @@ class TestExperimentConfig:
             ("output", None, "output must be a path"),
             ("sigma_csv", 3, "sigma_csv must be a path"),
             ("sigma0_csv", b"prior.csv", "sigma0_csv must be a path"),
+            ("snr_db", True, "snr_db must be a real number"),
+            ("epsilon", True, "epsilon must be a real number"),
+            ("alpha", False, "alpha must be a real number"),
         ],
     )
     def test_rejects_non_numeric_and_non_path_fields_by_name(self, field, value, named):

@@ -6,7 +6,12 @@ oracle for the observation-space divergence on pre-centered data.
 
 from __future__ import annotations
 
+import io
 import math
+import os
+import signal
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -25,6 +30,7 @@ from treecov import (
     sample_observations,
     write_matrix_csv,
 )
+from treecov import linear
 from treecov.linear import ROW_BLOCK, empirical_gaussian, observation_cov
 
 from _helpers import no_mixing_model, one_shot_samples, one_shot_second_moment, random_spd
@@ -159,7 +165,7 @@ class TestSampleObservations:
         with pytest.raises(ValueError, match="at least one"):
             sample_observations(model, CovMatrix(np.eye(2)), 0, seed=0)
 
-    @pytest.mark.parametrize("bad", [2.5, 3.0, "3"])
+    @pytest.mark.parametrize("bad", [2.5, 3.0, "3", True])
     def test_rejects_non_integer_sample_count_by_name(self, bad):
         model = LinearModel(np.eye(2), CovMatrix(np.eye(2)))
         with pytest.raises(ValueError, match="r must be an integer"):
@@ -177,6 +183,15 @@ def cli_fit_shaped_problem() -> tuple[LinearModel, CovMatrix]:
     rng = np.random.default_rng(21)
     sigma = random_spd(rng, 40)
     return LinearModel(rng.standard_normal((30, 40)), CovMatrix(0.1 * np.eye(30))), sigma
+
+
+def random_bit_patterns(rows: int, cols: int) -> np.ndarray:
+    """float64 matrix of random bit patterns, its NaNs zeroed: NaN payloads
+    and signs are not part of the text format."""
+    bits = np.random.default_rng(29).integers(0, 2**64, size=(rows, cols), dtype=np.uint64)
+    matrix = bits.view(np.float64)
+    matrix[np.isnan(matrix)] = 0.0
+    return matrix
 
 
 def traced_peak(call) -> int:
@@ -390,10 +405,7 @@ class TestMatrixCsv:
         assert read_matrix_csv(path).shape == (3, 1)
 
     def test_random_bit_patterns_round_trip_bit_for_bit(self, tmp_path):
-        bits = np.random.default_rng(29).integers(0, 2**64, size=(200, 25), dtype=np.uint64)
-        matrix = bits.view(np.float64)
-        # NaN payloads and signs are not part of the text format.
-        matrix[np.isnan(matrix)] = 0.0
+        matrix = random_bit_patterns(200, 25)
         path = tmp_path / "bits.csv"
         write_matrix_csv(matrix, path)
         assert np.array_equal(read_matrix_csv(path).view(np.uint64), matrix.view(np.uint64))
@@ -404,3 +416,152 @@ class TestMatrixCsv:
         assert path.read_bytes() == (
             b"-0,4.9406564584124654e-324\nnan,inf\n-inf,0.10000000000000001\n"
         )
+
+
+def _csv_text(matrix: np.ndarray) -> bytes:
+    """``matrix`` in write_matrix_csv's format."""
+    with io.BytesIO() as buf:
+        np.savetxt(buf, matrix, fmt="%.17g", delimiter=",")
+        return buf.getvalue()
+
+
+# Each file exceeds 1.5 * PARALLEL_READ_BYTES, so three usable CPUs give
+# three ranges, and its fault sits in the last one.
+_BODY = _csv_text(np.random.default_rng(31).standard_normal((5500, 16)))
+_TAIL = _csv_text(np.random.default_rng(32).standard_normal((3, 16)))
+LARGE_FILES = {
+    "blank-and-whitespace-lines": _BODY + b"\n  \n\t\n" + _TAIL + b"\n\n",
+    "crlf-no-final-newline": (_BODY + _TAIL).replace(b"\n", b"\r\n")[:-2],
+    "ragged-row": _BODY + b"1,2\n" + _TAIL,
+    "non-numeric-cell": _BODY + b"1" + b",x" * 15 + b"\n" + _TAIL,
+    "non-ascii-byte": _BODY + "3,é\n".encode("utf-8") + _TAIL,
+    "blank-last-range": _BODY + b" \n" * (len(_BODY) * 3 // 8),
+    "random-bit-patterns": _csv_text(random_bit_patterns(6000, 16)),
+}
+
+
+def _serial_read(path, monkeypatch):
+    """read_matrix_csv with the helper processes ruled out: the oracle."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linear, "PARALLEL_READ_BYTES", 2**62)
+        return _outcome(path)
+
+
+def _outcome(path):
+    try:
+        return read_matrix_csv(path).view(np.uint64)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(
+    not (hasattr(os, "fork") and sys.platform.startswith("linux")),
+    reason="helper processes need os.fork on Linux",
+)
+class TestParallelRead:
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Pin three usable CPUs and record each fork's pid, -1 for a failed one."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        pids: list[int] = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        return pids
+
+    @pytest.mark.parametrize("name", sorted(LARGE_FILES))
+    @pytest.mark.parametrize("failure", ["none", "fork-raises", "helper-killed"])
+    def test_matches_the_serial_read_and_leaves_no_child(
+        self, tmp_path, monkeypatch, forks, name, failure
+    ):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(LARGE_FILES[name])
+        expected = _serial_read(path, monkeypatch)
+        fork = os.fork
+        if failure == "fork-raises":
+            def second_fork_fails():
+                if forks:
+                    raise OSError("fork refused")
+                return fork()
+
+            monkeypatch.setattr(os, "fork", second_fork_fails)
+        elif failure == "helper-killed":
+            def kill_the_second():
+                pid = fork()
+                if pid and len(forks) == 2:
+                    os.kill(pid, signal.SIGKILL)
+                return pid
+
+            monkeypatch.setattr(os, "fork", kill_the_second)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(path)
+        _assert_no_child_left()
+        assert len(forks) == (1 if failure == "fork-raises" else 3)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("case", ["small-file", "one-cpu", "thread-running", "not-linux"])
+    def test_reads_serially_when_helpers_cannot_help(self, tmp_path, monkeypatch, forks, case):
+        path = tmp_path / "obs.csv"
+        path.write_bytes(_BODY[: _BODY.index(b"\n", 1000) + 1] if case == "small-file" else _BODY)
+        expected = _serial_read(path, monkeypatch)
+        if case == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif case == "not-linux":
+            monkeypatch.setattr(sys, "platform", "darwin")
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if case == "thread-running":
+            thread.start()
+        try:
+            got = _outcome(path)
+        finally:
+            stop.set()
+            if thread.is_alive():
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert np.array_equal(got, expected)
+
+    def test_ranges_of_different_widths_fall_back(self, tmp_path, monkeypatch, forks):
+        # A 17-column half of len(_BODY) - 1 bytes puts the split of two
+        # ranges exactly where _BODY's 16 columns end, so each helper
+        # parses its own range.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        row = b"1" + b",1" * 16 + b"\n"
+        size = len(_BODY) - 1
+        wide = row * (size // len(row) - 1)
+        wide += b" " * (size - len(wide) - len(row)) + row
+        path = tmp_path / "wide.csv"
+        path.write_bytes(_BODY + wide)
+        expected = _serial_read(path, monkeypatch)
+        assert "ragged rows" in expected
+        assert _outcome(path) == expected
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+    def test_holds_one_matrix_beyond_a_small_margin(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        path = tmp_path / "obs.csv"
+        path.write_bytes(_BODY)
+        nbytes = 5500 * 16 * 8
+        peak = traced_peak(lambda: read_matrix_csv(path))
+        assert len(forks) == 2
+        # The result, one header buffer, the pipes' file objects and one line
+        # read while splitting; a part copied or concatenated would add at
+        # least half the matrix.
+        assert peak < nbytes + 16 * 1024
