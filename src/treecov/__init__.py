@@ -26,6 +26,7 @@ from .linear import (
     ObservationSet,
     RankDeficientError,
     read_matrix_csv,
+    read_observations,
     sample_observations,
     write_matrix_csv,
 )

@@ -26,7 +26,7 @@ from .experiment import (
     run_sweep,
 )
 from .gaussian import NumericalError, kl_gaussian
-from .linear import LinearModel, ObservationSet, read_matrix_csv, write_matrix_csv
+from .linear import LinearModel, read_matrix_csv, read_observations, write_matrix_csv
 from .tree import chow_liu
 
 EXIT_OK = 0
@@ -118,12 +118,29 @@ def _cmd_chowliu(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_dimension(
+    label: str, path: str, dim: int, name: str, want: int, h_path: str
+) -> None:
+    """Raise ConfigError naming ``path`` unless the dimension ``dim`` of the
+    matrix read from it is ``want``, the ``name`` of the mixing matrix read
+    from ``h_path``."""
+    if dim != want:
+        raise ConfigError(
+            f"{label} from {path}: dimension {dim} != {name}={want} "
+            f"of the mixing matrix from {h_path}"
+        )
+
+
 def _cmd_em(args: argparse.Namespace) -> int:
     _check_output_dirs(args.sigma_out, args.trace_out)
     sigma0 = _file_cov(read_matrix_csv(args.sigma0), "prior covariance", args.sigma0)
     h = read_matrix_csv(args.h)
-    model = LinearModel(h, _file_cov(read_matrix_csv(args.d), "noise covariance", args.d))
-    obs = ObservationSet(read_matrix_csv(args.obs))
+    noise = _file_cov(read_matrix_csv(args.d), "noise covariance", args.d)
+    _check_dimension("noise covariance", args.d, noise.dim, "m", h.shape[0], args.h)
+    model = LinearModel(h, noise)
+    obs = read_observations(args.obs)
+    _check_dimension("prior covariance", args.sigma0, sigma0.dim, "p", model.p, args.h)
+    _check_dimension("observations", args.obs, obs.m, "m", model.m, args.h)
     config = EmConfig(sigma0=sigma0, epsilon=args.epsilon, l_max=args.l_max)
     trace = run_em(config, model, obs)
     final = trace.final

@@ -18,15 +18,16 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NoReturn
+from typing import Callable, Iterable, Iterator, NoReturn, TypeVar
 
 import numpy as np
 
 from .gaussian import CovMatrix, NotPositiveDefiniteError, _as_int
 
 RANK_RTOL = 1e-10
-# Rows per block when observations are drawn and summarised: beyond the
-# r x m samples, only one block's temporaries are held.
+# Rows per block when observations are drawn, summarised or streamed from
+# helper processes: beyond the r x m samples, if any, only one block's
+# temporaries are held.
 ROW_BLOCK = 4096
 # Files of at least this many bytes are parsed in helper processes (see
 # read_matrix_csv). The forks and the helpers' exits cost a few ms: on a
@@ -96,18 +97,22 @@ class ObservationSet:
     ``second_moment`` is the uncentered (1/R) sum of y y^T used by the
     iterative update; ``centered_cov`` is second_moment - mean mean^T, the
     sample covariance S_Y. Both are kept because the model is zero-mean yet
-    finite samples have a nonzero empirical mean. Samples whose second
-    moment overflows the float range are rejected.
+    finite samples have a nonzero empirical mean. Samples with a non-finite
+    entry, or whose second moment overflows the float range, are rejected.
 
-    The constructor keeps a private copy of the samples. It sums y^T y over
-    near-equal row blocks of at most ``ROW_BLOCK`` rows, so it holds the
-    copy plus one block's temporaries. With r <= ROW_BLOCK there is one
-    block and the moment is bit for bit the one-shot product y^T y / r;
-    above that the block sums reassociate it, which moves it by roundoff
-    only.
+    The constructor keeps a private copy of the samples. It sums y^T y and
+    the column sums of y over near-equal row blocks of at most
+    ``ROW_BLOCK`` rows, so it holds the copy plus one block's temporaries,
+    and divides both sums by R. With r <= ROW_BLOCK there is one block and
+    the mean and moment are bit for bit the one-shot ``y.mean(axis=0)`` and
+    y^T y / r; above that the block sums reassociate them, which moves them
+    by roundoff only.
+
+    A set from ``read_observations`` has the same statistics, bit for bit,
+    but may hold no samples: ``samples`` is then None.
     """
 
-    samples: np.ndarray
+    samples: np.ndarray | None
     r: int = field(init=False)
     mean: np.ndarray = field(init=False)
     second_moment: np.ndarray = field(init=False)
@@ -117,35 +122,62 @@ class ObservationSet:
         y = np.array(self.samples, dtype=float)
         if y.ndim != 2 or y.shape[0] < 1 or y.shape[1] < 1:
             raise ValueError(f"samples must be a nonempty R x m array, got shape {y.shape}")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("observations have a non-finite entry")
-        r = y.shape[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            # Each block's y^T is a C-ordered copy: see sample_observations.
-            # The first block's product starts the sum, so a lone block is
-            # the one-shot product exactly (adding it to zeros would turn a
-            # -0.0 into +0.0).
-            blocks = [y[i:j] for i, j in _row_blocks(r)]
-            second = _gram(blocks[0])
-            for block in blocks[1:]:
-                second += _gram(block)
-            second /= r
-        if not np.all(np.isfinite(second)):
-            raise ValueError("observations' second moment overflows the float range")
-        second = (second + second.T) / 2.0
-        mean = y.mean(axis=0)
-        centered = second - np.outer(mean, mean)
-        for arr in (y, mean, second, centered):
-            arr.setflags(write=False)
-        object.__setattr__(self, "samples", y)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "second_moment", second)
-        object.__setattr__(self, "centered_cov", centered)
+        _summarise(self, y, len(y), _blocks_of(y))
 
     @property
     def m(self) -> int:
-        return self.samples.shape[1]
+        return self.second_moment.shape[0]
+
+
+def _owning(y: np.ndarray) -> ObservationSet:
+    """``ObservationSet(y)`` without its copy, for a fresh nonempty r x m
+    float array that nothing else holds."""
+    return _summarise(object.__new__(ObservationSet), y, len(y), _blocks_of(y))
+
+
+def _blocks_of(y: np.ndarray) -> Iterator[np.ndarray]:
+    return (y[i:j] for i, j in _row_blocks(len(y)))
+
+
+def _summarise(
+    obs: ObservationSet, samples: np.ndarray | None, r: int, blocks: Iterable[np.ndarray]
+) -> ObservationSet:
+    """Fill ``obs`` with the statistics of r rows that arrive as ``blocks``,
+    the C-ordered row blocks of ``_row_blocks(r)`` in order, and keep
+    ``samples`` (read-only) as its samples.
+
+    Each block is checked for a non-finite entry before it is added, so a
+    block may be a buffer that is refilled once the next one is asked for.
+    """
+    total = second = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in blocks:
+            if not np.all(np.isfinite(block)):
+                raise ValueError("observations have a non-finite entry")
+            # Each block's y^T is a C-ordered copy: see sample_observations.
+            # The first block's sums start the totals, so a lone block gives
+            # the one-shot sums exactly (adding it to zeros would turn a
+            # -0.0 into +0.0).
+            if second is None:
+                total, second = block.sum(axis=0), _gram(block)
+            else:
+                total += block.sum(axis=0)
+                second += _gram(block)
+        second /= r
+    if not np.all(np.isfinite(second)):
+        raise ValueError("observations' second moment overflows the float range")
+    second = (second + second.T) / 2.0
+    mean = total / r
+    centered = second - np.outer(mean, mean)
+    for arr in (samples, mean, second, centered):
+        if arr is not None:
+            arr.setflags(write=False)
+    object.__setattr__(obs, "samples", samples)
+    object.__setattr__(obs, "r", r)
+    object.__setattr__(obs, "mean", mean)
+    object.__setattr__(obs, "second_moment", second)
+    object.__setattr__(obs, "centered_cov", centered)
+    return obs
 
 
 def _row_blocks(r: int) -> list[tuple[int, int]]:
@@ -177,9 +209,10 @@ def sample_observations(
     The r x m output is filled in near-equal row blocks of at most
     ``ROW_BLOCK`` rows: every latent block, then every noise block added in
     place. Besides the samples, only one block's draws and products are
-    held. The blocks consume the generator's stream in the order one r-row
-    draw would, and each row is the same row-wise product, so the samples
-    are bit for bit those of the one-shot draw at any r.
+    held, and the returned set keeps the samples without a copy. The blocks
+    consume the generator's stream in the order one r-row draw would, and
+    each row is the same row-wise product, so the samples are bit for bit
+    those of the one-shot draw at any r.
     """
     if sigma_true.dim != model.p:
         raise ValueError(
@@ -203,7 +236,7 @@ def sample_observations(
         np.matmul(rng.standard_normal((j - i, model.p)) @ chol_t, h_t, out=y[i:j])
     for i, j in blocks:
         y[i:j] += rng.standard_normal((j - i, model.m)) @ noise_t
-    return ObservationSet(y)
+    return _owning(y)
 
 
 def observation_cov(model: LinearModel, sigma: CovMatrix) -> CovMatrix:
@@ -254,18 +287,59 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
     line boundaries into one byte range per usable CPU, with no more ranges
     than leave each at least half of ``PARALLEL_READ_BYTES``, and each
     helper parses its range exactly as the serial read would and sends back
-    its rows. The caller's process then holds
-    only the r x m result, which it fills from the helpers' rows. If any
-    helper fails, the file is read serially instead, so the array is bit
-    for bit, and every error message is exactly, that of the serial read.
-    No helper outlives the call.
+    its rows. The caller's process then holds only the r x m result, which
+    it fills from the helpers' rows. If any helper fails, the file is read
+    serially instead, so the array is bit for bit, and every error message
+    is exactly, that of the serial read. No helper outlives the call.
+    ``read_observations`` reads an observation file through the same
+    helpers without holding the r x m array.
     """
     ranges = _helper_ranges(path)
     if ranges:
-        matrix = _read_in_helpers(path, ranges)
+        matrix = _read_in_helpers(path, ranges, _filled_matrix)
         if matrix is not None:
             return matrix
     return _read_serial(path)
+
+
+def read_observations(path: str | Path) -> ObservationSet:
+    """The observation set of a file in write_matrix_csv's format, one
+    sample per row: ``ObservationSet(read_matrix_csv(path))``, with the same
+    statistics bit for bit and the same error messages.
+
+    Where ``read_matrix_csv`` would parse the file in helper processes, the
+    caller's process holds no r x m array: it takes the helpers' rows
+    through one reusable buffer of at most ``ROW_BLOCK`` rows, in the row
+    blocks ``ObservationSet`` sums over, and adds each block into the
+    column sums and y^T y. The set then holds no samples (``samples`` is
+    None). Elsewhere, and if any helper fails, the file is read serially
+    and the set keeps the array it summarised, without a copy.
+    """
+    ranges = _helper_ranges(path)
+    if ranges:
+        obs = _read_in_helpers(path, ranges, _summarised_rows)
+        if obs is not None:
+            return obs
+    return _owning(_read_serial(path))
+
+
+def _filled_matrix(r: int, m: int, fill: Callable[[np.ndarray], None]) -> np.ndarray:
+    matrix = np.empty((r, m))
+    fill(matrix)
+    return matrix
+
+
+def _summarised_rows(r: int, m: int, fill: Callable[[np.ndarray], None]) -> ObservationSet:
+    blocks = _row_blocks(r)
+    buffer = np.empty((max(j - i for i, j in blocks), m))
+
+    def filled_blocks() -> Iterator[np.ndarray]:
+        for i, j in blocks:
+            block = buffer[: j - i]
+            fill(block)
+            yield block
+
+    return _summarise(object.__new__(ObservationSet), None, r, filled_blocks())
 
 
 def _read_serial(path: str | Path) -> np.ndarray:
@@ -324,12 +398,24 @@ def _helper_ranges(path: str | Path) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [size])) if len(starts) > 1 else []
 
 
-def _read_in_helpers(path: str | Path, ranges: list[tuple[int, int]]) -> np.ndarray | None:
-    """The matrix parsed by one forked helper per range, or None on any failure.
+_Result = TypeVar("_Result")
+
+
+def _read_in_helpers(
+    path: str | Path,
+    ranges: list[tuple[int, int]],
+    sink: Callable[[int, int, Callable[[np.ndarray], None]], _Result],
+) -> _Result | None:
+    """What ``sink`` makes of the rows that one forked helper per range
+    parses, or None on any failure.
 
     Each helper writes a (rows, cols) header and then its float64 rows to a
-    pipe. Only after every header has arrived is the result allocated, and
-    each helper's rows are read straight into their slice of it.
+    pipe. Only after every header has arrived is ``sink(r, m, fill)``
+    called, with the total row count r and the common column count m.
+    Each ``fill(rows)`` reads the next len(rows) rows, in file order, into
+    the C-ordered float64 array ``rows`` of m columns; one fill may take
+    rows from two helpers. The sink must ask for all r rows, and what it
+    raises is raised after every helper is gone.
     """
     pids: list[int] = []
     pipes: list[io.FileIO] = []
@@ -347,18 +433,28 @@ def _read_in_helpers(path: str | Path, ranges: list[tuple[int, int]]) -> np.ndar
         header = bytearray(_HEADER.size)
         shapes = []
         for pipe in pipes:
-            if not _read_exactly(pipe, memoryview(header)):
-                return None
+            _read_exactly(pipe, memoryview(header))
             shapes.append(_HEADER.unpack(header))
         cols = {c for _, c in shapes}
         if len(cols) != 1:
             return None
-        matrix = np.empty((sum(r for r, _ in shapes), cols.pop()))
-        row = 0
-        for pipe, (r, _) in zip(pipes, shapes):
-            if not _read_exactly(pipe, memoryview(matrix[row : row + r]).cast("B")):
-                return None
-            row += r
+        m = cols.pop()
+        # Each pipe with the number of its rows' bytes still to be read.
+        unread = [[pipe, rows * m * 8] for pipe, (rows, _) in zip(pipes, shapes)]
+
+        def fill(rows: np.ndarray) -> None:
+            view = memoryview(rows).cast("B")
+            while view:
+                pipe, left = unread[0]
+                n = min(left, len(view))
+                _read_exactly(pipe, view[:n])
+                view = view[n:]
+                if n == left:
+                    del unread[0]
+                else:
+                    unread[0][1] = left - n
+
+        result = sink(sum(r for r, _ in shapes), m, fill)
         # Closed first, so that a helper with rows left unread fails its
         # write and exits rather than block the wait for it.
         for pipe in pipes:
@@ -366,7 +462,7 @@ def _read_in_helpers(path: str | Path, ranges: list[tuple[int, int]]) -> np.ndar
         while pids:
             if _reap(pids.pop()) != 0:
                 return None
-        return matrix
+        return result
     except OSError:
         # A pipe, fork or read that failed: the serial read takes over.
         return None
@@ -407,15 +503,14 @@ def _helper(
         os._exit(code)
 
 
-def _read_exactly(pipe: io.FileIO, view: memoryview) -> bool:
-    """Fill ``view`` from ``pipe``; False if the pipe ends first."""
+def _read_exactly(pipe: io.FileIO, view: memoryview) -> None:
+    """Fill ``view`` from ``pipe``; OSError if the pipe ends first."""
     got = 0
     while got < len(view):
         n = pipe.readinto(view[got:])
         if not n:
-            return False
+            raise OSError("a helper's output ended early")
         got += n
-    return True
 
 
 def _reap(pid: int) -> int | None:

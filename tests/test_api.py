@@ -25,7 +25,7 @@ PUBLIC = {
     "NumericalError",
     "SpanningTree", "TreeCovMatrix", "chow_liu", "tree_covariance",
     "LinearModel", "ObservationSet", "RankDeficientError", "read_matrix_csv",
-    "write_matrix_csv", "sample_observations",
+    "read_observations", "write_matrix_csv", "sample_observations",
     "EmConfig", "EmTrace", "EmMonotonicityWarning", "run_em",
     "ConfigError", "ExperimentConfig", "SweepResult", "run_sweep", "emit_results",
 }

@@ -438,3 +438,26 @@ def test_invalid_covariance_file_is_named(
         argv = ["chowliu", str(bad)]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"config error: {label} from {bad}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flag, content, label, mismatch",
+    [
+        ("--d", np.eye(3), "noise covariance", "dimension 3 != m=2"),
+        ("--sigma0", np.eye(4), "prior covariance", "dimension 4 != p=3"),
+        ("--obs", np.ones((5, 3)), "observations", "dimension 3 != m=2"),
+    ],
+)
+def test_dimension_mismatch_names_the_file(
+    tmp_path, em_inputs, capsys, flag, content, label, mismatch
+):
+    bad = tmp_path / "bad.csv"
+    write_matrix_csv(content, bad)
+    argv = ["em"]
+    for name, path in em_inputs.items():
+        argv += [f"--{name}", str(bad if f"--{name}" == flag else path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {label} from {bad}: {mismatch} "
+        f"of the mixing matrix from {em_inputs['h']}\n"
+    )

@@ -27,6 +27,7 @@ from treecov import (
     chow_liu,
     kl_gaussian,
     read_matrix_csv,
+    read_observations,
     sample_observations,
     write_matrix_csv,
 )
@@ -217,19 +218,23 @@ class TestRowBlocks:
         obs = sample_observations(model, sigma, r, seed=17)
         y = one_shot_samples(model, sigma, r, 17)
         assert obs.samples.tobytes() == y.tobytes()
-        second = one_shot_second_moment(y)
+        second, mean = one_shot_second_moment(y), y.mean(axis=0)
         if r <= ROW_BLOCK:
             assert obs.second_moment.tobytes() == second.tobytes()
+            assert obs.mean.tobytes() == mean.tobytes()
         else:
             gap = np.max(np.abs(obs.second_moment - second))
             assert gap <= 1e-13 * np.max(np.abs(second))
+            assert np.max(np.abs(obs.mean - mean)) <= 1e-13 * np.max(np.abs(y))
 
-    def test_sampling_holds_two_copies_plus_a_block(self):
+    def test_sampling_holds_one_copy_plus_a_block(self):
         model, sigma = cli_fit_shaped_problem()
         r = 4 * ROW_BLOCK
         peak = traced_peak(lambda: sample_observations(model, sigma, r, seed=3))
-        # The returned samples, ObservationSet's private copy and one block.
-        assert peak < 2.5 * r * model.m * 8
+        # The returned samples, which the set keeps without a copy, and one
+        # block's p=40 draws and their product: 1.67 copies of the samples.
+        # A second copy would read 2.26.
+        assert peak < 1.8 * r * model.m * 8
 
     def test_summarising_holds_one_copy_plus_a_block(self):
         model, sigma = cli_fit_shaped_problem()
@@ -425,33 +430,78 @@ def _csv_text(matrix: np.ndarray) -> bytes:
         return buf.getvalue()
 
 
+def _first_rows(text: bytes, rows: int) -> bytes:
+    """The first ``rows`` lines of ``text``."""
+    end = -1
+    for _ in range(rows):
+        end = text.index(b"\n", end + 1)
+    return text[: end + 1]
+
+
 # Each file exceeds 1.5 * PARALLEL_READ_BYTES, so three usable CPUs give
-# three ranges, and its fault sits in the last one.
+# three ranges, and its fault sits in the last one. Every file of more than
+# a few rows has a row block that straddles two helpers' ranges: the r rows
+# split into near-equal thirds among the helpers, and into near-equal
+# blocks of at most ROW_BLOCK rows for read_observations.
 _BODY = _csv_text(np.random.default_rng(31).standard_normal((5500, 16)))
 _TAIL = _csv_text(np.random.default_rng(32).standard_normal((3, 16)))
+_FOUR_BLOCKS = _csv_text(np.random.default_rng(33).standard_normal((4 * ROW_BLOCK + 1, 16)))
 LARGE_FILES = {
     "blank-and-whitespace-lines": _BODY + b"\n  \n\t\n" + _TAIL + b"\n\n",
     "crlf-no-final-newline": (_BODY + _TAIL).replace(b"\n", b"\r\n")[:-2],
     "ragged-row": _BODY + b"1,2\n" + _TAIL,
     "non-numeric-cell": _BODY + b"1" + b",x" * 15 + b"\n" + _TAIL,
     "non-ascii-byte": _BODY + "3,é\n".encode("utf-8") + _TAIL,
+    "nan-cell": _BODY + b"1" + b",nan" * 15 + b"\n" + _TAIL,
     "blank-last-range": _BODY + b" \n" * (len(_BODY) * 3 // 8),
     "random-bit-patterns": _csv_text(random_bit_patterns(6000, 16)),
+    # One block, so its rows come from all three helpers.
+    "one-block-of-wide-rows": _csv_text(
+        np.random.default_rng(34).standard_normal((ROW_BLOCK - 96, 24))
+    ),
+    "four-blocks-less-one-row": _first_rows(_FOUR_BLOCKS, 4 * ROW_BLOCK - 1),
+    "four-blocks-and-one-row": _FOUR_BLOCKS,
 }
 
 
-def _serial_read(path, monkeypatch):
-    """read_matrix_csv with the helper processes ruled out: the oracle."""
+def _observations(path):
+    return ObservationSet(read_matrix_csv(path))
+
+
+# Each reader with the oracle it must match when no helper runs.
+READERS = {
+    "read_matrix_csv": (read_matrix_csv, read_matrix_csv),
+    "read_observations": (read_observations, _observations),
+}
+
+
+def _reader_cases(names):
+    """(reader, name) for every reader and name. A read_matrix_csv case's
+    id is the bare name; a read_observations case's id adds the reader."""
+    return [
+        pytest.param(reader, name, id=name if reader == "read_matrix_csv" else f"{name}-{reader}")
+        for reader in sorted(READERS)
+        for name in names
+    ]
+
+
+def _serial_read(path, monkeypatch, read=read_matrix_csv):
+    """``read`` with the helper processes ruled out: the oracle."""
     with monkeypatch.context() as patch:
         patch.setattr(linear, "PARALLEL_READ_BYTES", 2**62)
-        return _outcome(path)
+        return _outcome(path, read)
 
 
-def _outcome(path):
+def _outcome(path, read=read_matrix_csv):
+    """The bits of what ``read(path)`` returns, or its error message."""
     try:
-        return read_matrix_csv(path).view(np.uint64)
+        got = read(path)
     except ValueError as exc:
         return str(exc)
+    if isinstance(got, ObservationSet):
+        stats = (got.mean, got.second_moment, got.centered_cov)
+        return (got.r, got.m) + tuple(a.tobytes() for a in stats)
+    return got.shape, got.tobytes()
 
 
 def _assert_no_child_left():
@@ -480,14 +530,15 @@ class TestParallelRead:
         monkeypatch.setattr(os, "fork", recording_fork)
         return pids
 
-    @pytest.mark.parametrize("name", sorted(LARGE_FILES))
+    @pytest.mark.parametrize("reader, name", _reader_cases(sorted(LARGE_FILES)))
     @pytest.mark.parametrize("failure", ["none", "fork-raises", "helper-killed"])
     def test_matches_the_serial_read_and_leaves_no_child(
-        self, tmp_path, monkeypatch, forks, name, failure
+        self, tmp_path, monkeypatch, forks, reader, name, failure
     ):
+        read, oracle = READERS[reader]
         path = tmp_path / f"{name}.csv"
         path.write_bytes(LARGE_FILES[name])
-        expected = _serial_read(path, monkeypatch)
+        expected = _serial_read(path, monkeypatch, oracle)
         fork = os.fork
         if failure == "fork-raises":
             def second_fork_fails():
@@ -506,19 +557,21 @@ class TestParallelRead:
             monkeypatch.setattr(os, "fork", kill_the_second)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _outcome(path)
+            got = _outcome(path, read)
         _assert_no_child_left()
         assert len(forks) == (1 if failure == "fork-raises" else 3)
-        if isinstance(expected, str):
-            assert got == expected
-        else:
-            assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
+        assert got == expected
 
-    @pytest.mark.parametrize("case", ["small-file", "one-cpu", "thread-running", "not-linux"])
-    def test_reads_serially_when_helpers_cannot_help(self, tmp_path, monkeypatch, forks, case):
+    @pytest.mark.parametrize(
+        "reader, case", _reader_cases(["small-file", "one-cpu", "thread-running", "not-linux"])
+    )
+    def test_reads_serially_when_helpers_cannot_help(
+        self, tmp_path, monkeypatch, forks, reader, case
+    ):
+        read, oracle = READERS[reader]
         path = tmp_path / "obs.csv"
         path.write_bytes(_BODY[: _BODY.index(b"\n", 1000) + 1] if case == "small-file" else _BODY)
-        expected = _serial_read(path, monkeypatch)
+        expected = _serial_read(path, monkeypatch, oracle)
         if case == "one-cpu":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         elif case == "not-linux":
@@ -528,14 +581,14 @@ class TestParallelRead:
         if case == "thread-running":
             thread.start()
         try:
-            got = _outcome(path)
+            got = _outcome(path, read)
         finally:
             stop.set()
             if thread.is_alive():
                 thread.join(timeout=10)
         assert not thread.is_alive()
         assert forks == []
-        assert np.array_equal(got, expected)
+        assert got == expected
 
     def test_ranges_of_different_widths_fall_back(self, tmp_path, monkeypatch, forks):
         # A 17-column half of len(_BODY) - 1 bytes puts the split of two
@@ -548,10 +601,11 @@ class TestParallelRead:
         wide += b" " * (size - len(wide) - len(row)) + row
         path = tmp_path / "wide.csv"
         path.write_bytes(_BODY + wide)
-        expected = _serial_read(path, monkeypatch)
-        assert "ragged rows" in expected
-        assert _outcome(path) == expected
-        assert len(forks) == 2
+        for read, oracle in READERS.values():
+            expected = _serial_read(path, monkeypatch, oracle)
+            assert "ragged rows" in expected
+            assert _outcome(path, read) == expected
+        assert len(forks) == 4
         _assert_no_child_left()
 
     def test_holds_one_matrix_beyond_a_small_margin(self, tmp_path, monkeypatch, forks):
@@ -565,3 +619,19 @@ class TestParallelRead:
         # read while splitting; a part copied or concatenated would add at
         # least half the matrix.
         assert peak < nbytes + 16 * 1024
+
+    def test_streams_observations_through_one_row_block(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        path = tmp_path / "obs.csv"
+        path.write_bytes(_first_rows(_FOUR_BLOCKS, 4 * ROW_BLOCK))
+        m = 16
+        block, moment = ROW_BLOCK * m * 8, m * m * 8
+        got = []
+        peak = traced_peak(lambda: got.append(read_observations(path)))
+        assert len(forks) == 2
+        assert got[0].samples is None and got[0].r == 4 * ROW_BLOCK
+        # The row-block buffer and the C-ordered transpose of it that each
+        # block's product takes, a few m x m and length-m arrays, and 64 KiB
+        # for the pipes' file objects, the header buffer and one line read
+        # while splitting. Holding the 2 MiB r x m array fails it.
+        assert peak < 2 * block + 4 * moment + 64 * 1024
