@@ -20,6 +20,7 @@ from .experiment import (
     CONFIG_KEYS,
     ConfigError,
     _file_cov,
+    _naming_file,
     config_from_mapping,
     emit_results,
     parse_config_file,
@@ -137,7 +138,8 @@ def _cmd_em(args: argparse.Namespace) -> int:
     h = read_matrix_csv(args.h)
     noise = _file_cov(read_matrix_csv(args.d), "noise covariance", args.d)
     _check_dimension("noise covariance", args.d, noise.dim, "m", h.shape[0], args.h)
-    model = LinearModel(h, noise)
+    with _naming_file("mixing matrix", args.h):
+        model = LinearModel(h, noise)
     obs = read_observations(args.obs)
     _check_dimension("prior covariance", args.sigma0, sigma0.dim, "p", model.p, args.h)
     _check_dimension("observations", args.obs, obs.m, "m", model.m, args.h)

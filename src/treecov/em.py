@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import (
-    CovMatrix, NotPositiveDefiniteError, NumericalError, _as_int, _clamp_kl, kl_gaussian,
+    CovMatrix, NotPositiveDefiniteError, NumericalError, _as_int, _clamp_kl, _is_finite,
+    kl_gaussian,
 )
 from .linear import LinearModel, ObservationSet, empirical_gaussian, observation_cov
 from .tree import TreeCovMatrix, chow_liu
@@ -64,7 +65,7 @@ class EmConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.epsilon, numbers.Real) or isinstance(self.epsilon, bool):
             raise ValueError(f"epsilon must be a real number, got {self.epsilon!r}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+        if not (_is_finite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         object.__setattr__(self, "l_max", _as_int(self.l_max, "l_max"))
         if self.l_max < 1:

@@ -9,6 +9,7 @@ Results are written as a structured text document plus a flat CSV table.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import hashlib
 import math
@@ -17,13 +18,13 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
 from . import __version__
 from .em import EmConfig, EmTrace, StopReason, run_em
-from .gaussian import CovMatrix, NumericalError, _as_int, kl_gaussian
+from .gaussian import CovMatrix, NumericalError, _as_int, _is_finite, kl_gaussian
 from .linear import (
     LinearModel,
     RankDeficientError,
@@ -185,7 +186,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"10^(snr_db/10) must be positive and finite, got snr_db={self.snr_db}"
             )
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+        if not (_is_finite(self.epsilon) and self.epsilon > 0.0):
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.l_max < 1:
             raise ConfigError(f"l_max must be at least 1, got {self.l_max}")
@@ -337,10 +338,18 @@ def _load_cov_csv(path: str, expected_dim: int, label: str) -> CovMatrix:
 
 
 def _file_cov(matrix: np.ndarray, label: str, path: str | os.PathLike) -> CovMatrix:
-    """``CovMatrix(matrix)`` for a matrix read from ``path``. A ValueError it
-    raises is raised again, of the same class, with the label and path first."""
-    try:
+    """``CovMatrix(matrix)`` for a matrix read from ``path``, its errors
+    named as ``_naming_file`` names them."""
+    with _naming_file(label, path):
         return CovMatrix(matrix)
+
+
+@contextlib.contextmanager
+def _naming_file(label: str, path: str | os.PathLike) -> Iterator[None]:
+    """Raise a ValueError from the block again, of the same class, with the
+    label and the path of the file its input was read from first."""
+    try:
+        yield
     except ValueError as exc:
         raise type(exc)(f"{label} from {path}: {exc}") from exc
 

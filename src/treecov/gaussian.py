@@ -8,6 +8,7 @@ Every information quantity is measured in nats.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -99,6 +100,15 @@ def _as_int(value: object, name: str, error: type[ValueError] = ValueError) -> i
     except TypeError:
         pass
     raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _is_finite(value: float) -> bool:
+    """``math.isfinite(value)``, but False for an int beyond the float range
+    rather than OverflowError."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ CSV matrix format used by the command-line tools.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import itertools
 import os
@@ -18,7 +19,7 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NoReturn, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, TypeVar
 
 import numpy as np
 
@@ -30,13 +31,19 @@ RANK_RTOL = 1e-10
 # temporaries are held.
 ROW_BLOCK = 4096
 # Files of at least this many bytes are parsed in helper processes (see
-# read_matrix_csv). The forks and the helpers' exits cost a few ms: on a
-# 2-vCPU VM two helpers tied the serial read at 1 MiB (median 24.7 against
-# 25.5 ms), lost at 0.5 MiB (17.7 against 14.0) and won at 2 MiB (41.3
-# against 57.4).
+# read_matrix_csv), and matrices of at least this many float64 bytes are
+# formatted in them (see write_matrix_csv). The forks and the helpers' exits
+# cost a few ms: on a 2-vCPU VM two helpers tied the serial read at 1 MiB
+# (median 24.7 against 25.5 ms), lost at 0.5 MiB (17.7 against 14.0) and won
+# at 2 MiB (41.3 against 57.4). The write breaks even sooner, as 1 MiB of
+# float64 is about 2.7 MiB of text and formatting is slower than parsing:
+# the caller and one helper tied the serial write at 128 KiB of float64
+# (median 15.4 against 16.4 ms) and won at 1 MiB (87.5 against 142.8).
 PARALLEL_READ_BYTES = 1 << 20
-# A helper's (rows, cols) header, ahead of its float64 rows.
+# A read helper's (rows, cols) header, ahead of its float64 rows.
 _HEADER = struct.Struct("=qq")
+# A write helper's text length, ahead of its text.
+_LENGTH = struct.Struct("=q")
 
 
 class RankDeficientError(ValueError):
@@ -269,13 +276,73 @@ def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
     Each value is formatted with 17 significant digits, enough for an exact
     float64 round trip (the format contract asks for at least 12).
     Observation sets are written with one sample per row.
+
+    A matrix of at least ``PARALLEL_READ_BYTES`` (as float64) bound for a
+    seekable file is formatted in forked helper processes where
+    ``read_matrix_csv`` would fork them: its rows are split into one
+    near-equal range per usable CPU, the caller formats the first range
+    into the file while one helper per later range formats its range into
+    its own memory, and the caller then appends each helper's text in range
+    order, one pipe chunk at a time. Every range goes through the same
+    ``np.savetxt`` call, so the bytes are exactly the serial write's. A
+    range whose helper could not be forked, died or sent short output is
+    cut from the file and formatted by the caller. No helper outlives the
+    call. Elsewhere, and for smaller matrices such as every covariance, the
+    caller formats the whole matrix with that one call.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"need a 2-d array, got shape {a.shape}")
     # An open handle, because given a path ending in .gz savetxt compresses.
-    with open(path, "w", encoding="ascii") as fh:
-        np.savetxt(fh, a, fmt="%.17g", delimiter=",")
+    with open(path, "wb") as fh, _Helpers() as helpers:
+        n = 1
+        if a.nbytes >= PARALLEL_READ_BYTES and fh.seekable():
+            n = min(_parallelism(), len(a))
+        (i, j), *later = [(len(a) * k // n, len(a) * (k + 1) // n) for k in range(n)]
+        pipes: list[io.FileIO] = []
+        for start, stop in later:
+            try:
+                pipes.append(helpers.fork(functools.partial(_send_text, a[start:stop])))
+            except OSError:
+                break
+        _savetxt(fh, a[i:j])
+        for (i, j), pipe in itertools.zip_longest(later, pipes):
+            offset = fh.tell()
+            if pipe is None or not (_append_text(pipe, fh) and helpers.finish(pipe)):
+                fh.seek(offset)
+                fh.truncate()
+                _savetxt(fh, a[i:j])
+
+
+def _savetxt(fh: BinaryIO, rows: np.ndarray) -> None:
+    np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
+
+
+def _send_text(rows: np.ndarray, out: BinaryIO) -> None:
+    """Format ``rows`` in memory, then send their length and text to ``out``."""
+    buf = io.BytesIO()
+    _savetxt(buf, rows)
+    out.write(_LENGTH.pack(buf.tell()))
+    out.write(buf.getbuffer())
+
+
+def _append_text(pipe: io.FileIO, fh: BinaryIO) -> bool:
+    """Copy the text a helper sends on ``pipe`` to ``fh`` through one buffer
+    of a Linux pipe's default capacity: whether all of it arrived."""
+    header = bytearray(_LENGTH.size)
+    try:
+        _read_exactly(pipe, memoryview(header))
+    except OSError:
+        return False
+    (left,) = _LENGTH.unpack(header)
+    chunk = memoryview(bytearray(min(left, 1 << 16)))
+    while left:
+        n = pipe.readinto(chunk[: min(left, len(chunk))])
+        if not n:
+            return False
+        fh.write(chunk[:n])
+        left -= n
+    return True
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
@@ -366,25 +433,37 @@ def _parse_lines(text: Iterable[str]) -> np.ndarray | None:
     return np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2)
 
 
+def _parallelism() -> int:
+    """How many processes, the caller's among them, may format or parse one
+    file at once: the usable CPUs where helpers may be forked, else 1.
+
+    Helpers are forked only on Linux and only while no other Python thread
+    runs: a fork copies only the calling thread, and a lock another thread
+    holds stays held in the child.
+    """
+    if not (hasattr(os, "fork") and sys.platform.startswith("linux")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def _helper_ranges(path: str | Path) -> list[tuple[int, int]]:
     """Byte ranges of ``path`` for the helper processes, each starting a line.
 
-    Empty when the serial read applies: no fork on this platform, fewer than
-    two usable CPUs, another Python thread running (a fork copies only the
-    calling thread, and a lock another thread holds stays held in the
-    child), a file below ``PARALLEL_READ_BYTES`` or unreadable, or lines too
-    long to split.
+    Empty when the serial read applies: no helper may be forked (see
+    ``_parallelism``), a file below ``PARALLEL_READ_BYTES`` or unreadable,
+    or lines too long to split.
     """
-    if not (hasattr(os, "fork") and sys.platform.startswith("linux")):
-        return []
-    if threading.active_count() > 1:
+    cpus = _parallelism()
+    if cpus < 2:
         return []
     try:
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             if size < PARALLEL_READ_BYTES:
                 return []
-            n = min(len(os.sched_getaffinity(0)), 2 * size // PARALLEL_READ_BYTES)
+            n = min(cpus, 2 * size // PARALLEL_READ_BYTES)
             starts = [0]
             for k in range(1, n):
                 # A range ends just after a newline, so CRLF stays whole and
@@ -417,69 +496,116 @@ def _read_in_helpers(
     rows from two helpers. The sink must ask for all r rows, and what it
     raises is raised after every helper is gone.
     """
-    pids: list[int] = []
-    pipes: list[io.FileIO] = []
-    try:
-        for start, stop in ranges:
-            rfd, wfd = os.pipe()
-            pipes.append(open(rfd, "rb", buffering=0))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _helper(path, start, stop, wfd, pipes)
-                pids.append(pid)
-            finally:
-                os.close(wfd)
-        header = bytearray(_HEADER.size)
-        shapes = []
-        for pipe in pipes:
-            _read_exactly(pipe, memoryview(header))
-            shapes.append(_HEADER.unpack(header))
-        cols = {c for _, c in shapes}
-        if len(cols) != 1:
-            return None
-        m = cols.pop()
-        # Each pipe with the number of its rows' bytes still to be read.
-        unread = [[pipe, rows * m * 8] for pipe, (rows, _) in zip(pipes, shapes)]
-
-        def fill(rows: np.ndarray) -> None:
-            view = memoryview(rows).cast("B")
-            while view:
-                pipe, left = unread[0]
-                n = min(left, len(view))
-                _read_exactly(pipe, view[:n])
-                view = view[n:]
-                if n == left:
-                    del unread[0]
-                else:
-                    unread[0][1] = left - n
-
-        result = sink(sum(r for r, _ in shapes), m, fill)
-        # Closed first, so that a helper with rows left unread fails its
-        # write and exits rather than block the wait for it.
-        for pipe in pipes:
-            pipe.close()
-        while pids:
-            if _reap(pids.pop()) != 0:
+    with _Helpers() as helpers:
+        try:
+            pipes = [
+                helpers.fork(functools.partial(_send_rows, path, start, stop))
+                for start, stop in ranges
+            ]
+            header = bytearray(_HEADER.size)
+            shapes = []
+            for pipe in pipes:
+                _read_exactly(pipe, memoryview(header))
+                shapes.append(_HEADER.unpack(header))
+            cols = {c for _, c in shapes}
+            if len(cols) != 1:
                 return None
+            m = cols.pop()
+            # Each pipe with the number of its rows' bytes still to be read.
+            unread = [[pipe, rows * m * 8] for pipe, (rows, _) in zip(pipes, shapes)]
+
+            def fill(rows: np.ndarray) -> None:
+                view = memoryview(rows).cast("B")
+                while view:
+                    pipe, left = unread[0]
+                    n = min(left, len(view))
+                    _read_exactly(pipe, view[:n])
+                    view = view[n:]
+                    if n == left:
+                        del unread[0]
+                    else:
+                        unread[0][1] = left - n
+
+            result = sink(sum(r for r, _ in shapes), m, fill)
+        except OSError:
+            # A pipe, fork or read that failed: the serial read takes over.
+            return None
+        if not all(helpers.finish(pipe) for pipe in pipes):
+            return None
         return result
-    except OSError:
-        # A pipe, fork or read that failed: the serial read takes over.
-        return None
-    finally:
-        for pipe in pipes:
+
+
+def _send_rows(path: str | Path, start: int, stop: int, out: BinaryIO) -> None:
+    """Parse bytes [start, stop) of ``path`` and send a (rows, cols) header
+    and the float64 rows to ``out``; ValueError if the range holds no row."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        data = fh.read(stop - start)
+    matrix = _parse_lines(io.TextIOWrapper(io.BytesIO(data), encoding="ascii"))
+    if matrix is None:
+        raise ValueError("no row in this range")
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    out.write(_HEADER.pack(*matrix.shape))
+    out.write(memoryview(matrix).cast("B"))
+
+
+class _Helpers:
+    """Forked helper processes, each writing to a pipe that the caller reads.
+
+    As a context manager it closes every pipe still open on exit, then kills
+    and reaps every helper not yet finished, so no helper outlives the
+    block, whether it ends normally or by an exception.
+    """
+
+    def __init__(self) -> None:
+        self._running: dict[io.FileIO, int] = {}
+
+    def __enter__(self) -> _Helpers:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        for pipe in self._running:
             pipe.close()
-        for pid in pids:
+        for pid in self._running.values():
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             _reap(pid)
+        self._running.clear()
+
+    def fork(self, work: Callable[[BinaryIO], None]) -> io.FileIO:
+        """Fork a helper that runs ``work(out)`` and return the read end of
+        its pipe; ``out`` is the pipe's write end. The helper exits 0 only if
+        ``work`` returns. OSError if no pipe or process could be made."""
+        rfd, wfd = os.pipe()
+        pipe = open(rfd, "rb", buffering=0)
+        try:
+            pid = os.fork()
+            if pid == 0:
+                _helper_main(work, wfd, [pipe, *self._running])
+        except BaseException:
+            pipe.close()
+            raise
+        finally:
+            os.close(wfd)
+        self._running[pipe] = pid
+        return pipe
+
+    def finish(self, pipe: io.FileIO) -> bool:
+        """Close ``pipe`` and reap its helper: whether the helper exited 0.
+
+        The pipe is closed first, so that a helper with output left unread
+        fails its write and exits rather than block the wait for it.
+        """
+        pid = self._running.pop(pipe)
+        pipe.close()
+        return _reap(pid) == 0
 
 
-def _helper(
-    path: str | Path, start: int, stop: int, fd: int, inherited: list[io.FileIO]
+def _helper_main(
+    work: Callable[[BinaryIO], None], fd: int, inherited: list[io.FileIO]
 ) -> NoReturn:
-    """Body of a forked helper: parse bytes [start, stop) of ``path`` and
-    send them on ``fd``; exit 0 only if every row was sent.
+    """Body of a forked helper: run ``work`` on ``fd`` and exit, 0 only if
+    it returned.
 
     The helper first closes the read ends it inherited, its own among them,
     so that a write finds no reader, and fails, once the caller is gone.
@@ -488,16 +614,9 @@ def _helper(
     try:
         for pipe in inherited:
             pipe.close()
-        with open(path, "rb") as fh:
-            fh.seek(start)
-            data = fh.read(stop - start)
-        matrix = _parse_lines(io.TextIOWrapper(io.BytesIO(data), encoding="ascii"))
-        if matrix is not None:
-            matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-            with open(fd, "wb", closefd=False) as out:
-                out.write(_HEADER.pack(*matrix.shape))
-                out.write(memoryview(matrix).cast("B"))
-            code = 0
+        with open(fd, "wb", closefd=False) as out:
+            work(out)
+        code = 0
     finally:
         # Never return into the caller's stack, and flush none of its buffers.
         os._exit(code)

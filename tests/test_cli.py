@@ -441,6 +441,28 @@ def test_invalid_covariance_file_is_named(
 
 
 @pytest.mark.parametrize(
+    "h, message",
+    [
+        ([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0]], "mixing matrix H has a non-finite entry"),
+        ([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]], "H is numerically rank deficient"),
+        (np.ones((4, 3)), "observation dimension m=4 exceeds latent dimension p=3"),
+    ],
+    ids=["non-finite", "rank-deficient", "more-rows-than-columns"],
+)
+def test_invalid_mixing_matrix_names_the_file(em_inputs, capsys, h, message):
+    h = np.array(h)
+    write_matrix_csv(h, em_inputs["h"])
+    write_matrix_csv(np.eye(len(h)), em_inputs["d"])
+    argv = ["em"]
+    for name, path in em_inputs.items():
+        argv += [f"--{name}", str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"config error: mixing matrix from {em_inputs['h']}: {message}\n"
+    )
+
+
+@pytest.mark.parametrize(
     "flag, content, label, mismatch",
     [
         ("--d", np.eye(3), "noise covariance", "dimension 3 != m=2"),

@@ -244,6 +244,11 @@ class TestEmConfig:
         with pytest.raises(ValueError, match="epsilon"):
             EmConfig(sigma0, epsilon=math.inf)
 
+    @pytest.mark.parametrize("bad", [10**400, -(10**400)], ids=["10**400", "-10**400"])
+    def test_rejects_ints_beyond_the_float_range_by_name(self, bad):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            EmConfig(CovMatrix(np.eye(2)), epsilon=bad)
+
     @pytest.mark.parametrize("bad", ["0.1", None, [0.1], True])
     def test_rejects_non_numeric_epsilon_by_name(self, bad):
         with pytest.raises(ValueError, match="epsilon must be a real number"):

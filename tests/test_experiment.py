@@ -296,6 +296,20 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=named):
             ExperimentConfig(**base)
 
+    @pytest.mark.parametrize(
+        "field, named",
+        [
+            ("snr_db", "positive and finite, got snr_db=1000"),
+            ("epsilon", "epsilon must be positive and finite"),
+            ("alpha", "alpha must lie in"),
+        ],
+    )
+    def test_rejects_ints_beyond_the_float_range_by_name(self, field, named):
+        base = dict(p=3, m_values=(2,))
+        base[field] = 10**400
+        with pytest.raises(ConfigError, match=named):
+            ExperimentConfig(**base)
+
     def test_accepts_numpy_scalars_and_path_objects(self):
         config = ExperimentConfig(
             p=4, m_values=(2,), snr_db=np.float64(20.0), epsilon=np.float32(0.125),

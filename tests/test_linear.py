@@ -6,10 +6,12 @@ oracle for the observation-space divergence on pre-centered data.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import os
 import signal
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -32,7 +34,12 @@ from treecov import (
     write_matrix_csv,
 )
 from treecov import linear
-from treecov.linear import ROW_BLOCK, empirical_gaussian, observation_cov
+from treecov.linear import (
+    PARALLEL_READ_BYTES,
+    ROW_BLOCK,
+    empirical_gaussian,
+    observation_cov,
+)
 
 from _helpers import no_mixing_model, one_shot_samples, one_shot_second_moment, random_spd
 
@@ -415,6 +422,28 @@ class TestMatrixCsv:
         write_matrix_csv(matrix, path)
         assert np.array_equal(read_matrix_csv(path).view(np.uint64), matrix.view(np.uint64))
 
+    @pytest.mark.parametrize(
+        "matrix, text",
+        [
+            (np.zeros((0, 3)), b""),
+            (np.zeros((3, 0)), b"\n\n\n"),
+            (np.zeros((0, 0)), b""),
+            (np.arange(12.0).reshape(3, 4).T, b"0,4,8\n1,5,9\n2,6,10\n3,7,11\n"),
+            (np.arange(12.0).reshape(3, 4)[:, ::2], b"0,2\n4,6\n8,10\n"),
+            ([[1, 2], [3, 4]], b"1,2\n3,4\n"),
+            ([[True, False]], b"1,0\n"),
+            (np.array([[1.5]], dtype=np.float32), b"1.5\n"),
+        ],
+        ids=[
+            "no-rows", "no-columns", "empty", "transposed", "strided", "integers",
+            "booleans", "float32",
+        ],
+    )
+    def test_writes_golden_bytes_for_edge_inputs(self, tmp_path, matrix, text):
+        path = tmp_path / "edge.csv"
+        write_matrix_csv(matrix, path)
+        assert path.read_bytes() == text
+
     def test_writes_golden_bytes_for_special_values(self, tmp_path):
         path = tmp_path / "special.csv"
         write_matrix_csv(np.array([[-0.0, 5e-324], [np.nan, np.inf], [-np.inf, 0.1]]), path)
@@ -635,3 +664,158 @@ class TestParallelRead:
         # for the pipes' file objects, the header buffer and one line read
         # while splitting. Holding the 2 MiB r x m array fails it.
         assert peak < 2 * block + 4 * moment + 64 * 1024
+
+
+def _specials(rows: int, cols: int) -> np.ndarray:
+    """Signed zeros, infinities, nan, subnormals and the extremes of the
+    float range, scattered among normal draws."""
+    rng = np.random.default_rng(35)
+    values = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+         2.2250738585072014e-308, np.finfo(float).max, -np.finfo(float).max, 0.1, 1.0]
+    )
+    matrix = rng.standard_normal((rows, cols))
+    mask = rng.random((rows, cols)) < 0.5
+    matrix[mask] = rng.choice(values, size=int(mask.sum()))
+    return matrix
+
+
+# Rows of 16 float64 columns in PARALLEL_READ_BYTES. The matrices below reach
+# it, so three usable CPUs split each into three row ranges, the caller's
+# and two helpers'. Their row counts fall one below, on and one above a
+# multiple of three.
+_THRESHOLD_ROWS = PARALLEL_READ_BYTES // (16 * 8)
+_EVEN = _THRESHOLD_ROWS + 3 - _THRESHOLD_ROWS % 3
+LARGE_MATRICES = {
+    "random-bit-patterns": lambda: random_bit_patterns(_EVEN + 1, 16),
+    "specials": lambda: _specials(_EVEN - 1, 16),
+    "sixteen-decades": lambda: (
+        np.random.default_rng(36).standard_normal((_EVEN, 16))
+        * 10.0 ** np.random.default_rng(37).integers(-8, 8, size=(_EVEN, 16))
+    ),
+    # A non-contiguous view: its columns are rows of the array beneath.
+    "transposed": lambda: np.random.default_rng(38).standard_normal((16, _EVEN + 1)).T,
+}
+
+
+@functools.cache
+def _large_matrix(name: str) -> tuple[np.ndarray, bytes]:
+    """The matrix called ``name`` and its text as ``_csv_text`` formats it."""
+    matrix = LARGE_MATRICES[name]()
+    return matrix, _csv_text(matrix)
+
+
+def _short_text(rows, out):
+    """A helper's work that promises twice its range's text, sends the text
+    and as much again less one byte of junk, and stops. The caller must cut
+    the junk from the file, not merely write the range over it."""
+    text = _csv_text(rows)
+    out.write(linear._LENGTH.pack(2 * len(text)))
+    out.write(text + b"x" * (len(text) - 1))
+    raise OSError("helper stopped early")
+
+
+@pytest.mark.skipif(
+    not (hasattr(os, "fork") and sys.platform.startswith("linux")),
+    reason="helper processes need os.fork on Linux",
+)
+class TestParallelWrite:
+    forks = TestParallelRead.forks
+
+    @pytest.mark.parametrize("name", sorted(LARGE_MATRICES))
+    @pytest.mark.parametrize(
+        "failure", ["none", "fork-raises", "helper-killed", "short-output"]
+    )
+    def test_matches_the_serial_write_and_leaves_no_child(
+        self, tmp_path, monkeypatch, forks, name, failure
+    ):
+        matrix, expected = _large_matrix(name)
+        assert matrix.nbytes >= PARALLEL_READ_BYTES
+        fork = os.fork
+        if failure == "fork-raises":
+            def second_fork_fails():
+                if forks:
+                    raise OSError("fork refused")
+                return fork()
+
+            monkeypatch.setattr(os, "fork", second_fork_fails)
+        elif failure == "helper-killed":
+            def kill_the_second():
+                pid = fork()
+                if pid and len(forks) == 2:
+                    os.kill(pid, signal.SIGKILL)
+                return pid
+
+            monkeypatch.setattr(os, "fork", kill_the_second)
+        elif failure == "short-output":
+            monkeypatch.setattr(linear, "_send_text", _short_text)
+        path = tmp_path / f"{name}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_matrix_csv(matrix, path)
+        _assert_no_child_left()
+        assert len(forks) == (1 if failure == "fork-raises" else 2)
+        assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize(
+        "case", ["small-matrix", "one-cpu", "thread-running", "not-linux", "fifo"]
+    )
+    def test_writes_serially_when_helpers_cannot_help(self, tmp_path, monkeypatch, forks, case):
+        matrix, expected = _large_matrix("sixteen-decades")
+        if case == "small-matrix":
+            matrix = matrix[: _THRESHOLD_ROWS - 1]
+            expected = _first_rows(expected, _THRESHOLD_ROWS - 1)
+        elif case == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif case == "not-linux":
+            monkeypatch.setattr(sys, "platform", "darwin")
+        path = tmp_path / "matrix.csv"
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if case == "thread-running":
+            thread.start()
+        try:
+            if case == "fifo":
+                # A pipe cannot be cut back to a range's start.
+                fifo = tmp_path / "matrix.fifo"
+                os.mkfifo(fifo)
+                with open(path, "wb") as sink:
+                    cat = subprocess.Popen(["cat", str(fifo)], stdout=sink)
+                    try:
+                        write_matrix_csv(matrix, fifo)
+                    finally:
+                        assert cat.wait(timeout=60) == 0
+            else:
+                write_matrix_csv(matrix, path)
+        finally:
+            stop.set()
+            if thread.is_alive():
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert path.read_bytes() == expected
+
+    def test_caller_failure_kills_and_reaps_every_helper(self, tmp_path, monkeypatch, forks):
+        def disk_full(pipe, fh):
+            raise OSError("no space left")
+
+        monkeypatch.setattr(linear, "_append_text", disk_full)
+        matrix, _ = _large_matrix("sixteen-decades")
+        with pytest.raises(OSError, match="no space left"):
+            write_matrix_csv(matrix, tmp_path / "matrix.csv")
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+    def test_caller_holds_one_pipe_chunk_beyond_a_small_margin(
+        self, tmp_path, monkeypatch, forks
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        matrix, expected = _large_matrix("sixteen-decades")
+        path = tmp_path / "matrix.csv"
+        peak = traced_peak(lambda: write_matrix_csv(matrix, path))
+        assert len(forks) == 1
+        assert path.read_bytes() == expected
+        # One 64 KiB pipe chunk, the header, the pipe's file object, and what
+        # the serial write holds itself (11 KB: the file object and one row's
+        # temporaries). Holding the helper's half of the text adds 1.2 MB.
+        assert peak < 64 * 1024 + 32 * 1024
