@@ -27,7 +27,13 @@ from .experiment import (
     run_sweep,
 )
 from .gaussian import NumericalError, kl_gaussian
-from .linear import LinearModel, read_matrix_csv, read_observations, write_matrix_csv
+from .linear import (
+    LinearModel,
+    empirical_gaussian,
+    read_matrix_csv,
+    read_observations,
+    write_matrix_csv,
+)
 from .tree import chow_liu
 
 EXIT_OK = 0
@@ -140,9 +146,13 @@ def _cmd_em(args: argparse.Namespace) -> int:
     _check_dimension("noise covariance", args.d, noise.dim, "m", h.shape[0], args.h)
     with _naming_file("mixing matrix", args.h):
         model = LinearModel(h, noise)
-    obs = read_observations(args.obs)
+    with _naming_file("observations", args.obs):
+        obs = read_observations(args.obs)
     _check_dimension("prior covariance", args.sigma0, sigma0.dim, "p", model.p, args.h)
     _check_dimension("observations", args.obs, obs.m, "m", model.m, args.h)
+    # run_em refuses a singular S_Y too, but without naming the file.
+    with _naming_file("observations", args.obs):
+        empirical_gaussian(obs)
     config = EmConfig(sigma0=sigma0, epsilon=args.epsilon, l_max=args.l_max)
     trace = run_em(config, model, obs)
     final = trace.final

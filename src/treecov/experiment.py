@@ -347,10 +347,13 @@ def _file_cov(matrix: np.ndarray, label: str, path: str | os.PathLike) -> CovMat
 @contextlib.contextmanager
 def _naming_file(label: str, path: str | os.PathLike) -> Iterator[None]:
     """Raise a ValueError from the block again, of the same class, with the
-    label and the path of the file its input was read from first."""
+    label and the path of the file its input was read from first, unless it
+    names that path first already, as read_matrix_csv's errors do."""
     try:
         yield
     except ValueError as exc:
+        if str(exc).startswith(f"{path}: "):
+            raise
         raise type(exc)(f"{label} from {path}: {exc}") from exc
 
 

@@ -19,7 +19,7 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -30,10 +30,11 @@ RANK_RTOL = 1e-10
 # helper processes: beyond the r x m samples, if any, only one block's
 # temporaries are held.
 ROW_BLOCK = 4096
-# Files of at least this many bytes are parsed in helper processes (see
-# read_matrix_csv), and matrices of at least this many float64 bytes are
-# formatted in them (see write_matrix_csv). The forks and the helpers' exits
-# cost a few ms: on a 2-vCPU VM two helpers tied the serial read at 1 MiB
+# Observation files of at least this many bytes are parsed in helper
+# processes (see read_observations; read_matrix_csv never forks), and
+# matrices of at least this many float64 bytes are formatted in them (see
+# write_matrix_csv). The forks and the helpers' exits cost a few ms: on a
+# 2-vCPU VM two helpers tied the serial read at 1 MiB
 # (median 24.7 against 25.5 ms), lost at 0.5 MiB (17.7 against 14.0) and won
 # at 2 MiB (41.3 against 57.4). The write breaks even sooner, as 1 MiB of
 # float64 is about 2.7 MiB of text and formatting is slower than parsing:
@@ -259,15 +260,20 @@ def empirical_gaussian(obs: ObservationSet) -> CovMatrix:
 
     S_Y must be positive definite, which requires more samples than the
     observation dimension; otherwise the error reports the rank deficit.
+    With r <= m samples S_Y has rank at most r - 1, so it is refused before
+    any factorization, whose outcome would rest on roundoff.
     """
-    try:
-        return CovMatrix(obs.centered_cov)
-    except NotPositiveDefiniteError as exc:
-        rank = int(np.linalg.matrix_rank(obs.centered_cov))
-        raise NotPositiveDefiniteError(
-            f"centered sample covariance is singular: rank {rank} of {obs.m} "
-            f"(deficit {obs.m - rank}) from r={obs.r} samples"
-        ) from exc
+    cause = None
+    if obs.r > obs.m:
+        try:
+            return CovMatrix(obs.centered_cov)
+        except NotPositiveDefiniteError as exc:
+            cause = exc
+    rank = min(int(np.linalg.matrix_rank(obs.centered_cov)), obs.r - 1)
+    raise NotPositiveDefiniteError(
+        f"centered sample covariance is singular: rank {rank} of {obs.m} "
+        f"(deficit {obs.m - rank}) from r={obs.r} samples"
+    ) from cause
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
@@ -279,7 +285,7 @@ def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
 
     A matrix of at least ``PARALLEL_READ_BYTES`` (as float64) bound for a
     seekable file is formatted in forked helper processes where
-    ``read_matrix_csv`` would fork them: its rows are split into one
+    ``read_observations`` would fork them: its rows are split into one
     near-equal range per usable CPU, the caller formats the first range
     into the file while one helper per later range formats its range into
     its own memory, and the caller then appends each helper's text in range
@@ -348,68 +354,9 @@ def _append_text(pipe: io.FileIO, fh: BinaryIO) -> bool:
 def read_matrix_csv(path: str | Path) -> np.ndarray:
     """Read a matrix in write_matrix_csv's format, skipping blank lines.
 
-    A file of at least ``PARALLEL_READ_BYTES`` is parsed in forked helper
-    processes when the platform allows it: on Linux, with at least two
-    usable CPUs and no other Python thread running. The file is split at
-    line boundaries into one byte range per usable CPU, with no more ranges
-    than leave each at least half of ``PARALLEL_READ_BYTES``, and each
-    helper parses its range exactly as the serial read would and sends back
-    its rows. The caller's process then holds only the r x m result, which
-    it fills from the helpers' rows. If any helper fails, the file is read
-    serially instead, so the array is bit for bit, and every error message
-    is exactly, that of the serial read. No helper outlives the call.
-    ``read_observations`` reads an observation file through the same
-    helpers without holding the r x m array.
+    The file is always read in the calling process. Every error names the
+    path: a non-ASCII byte, ragged rows, a non-numeric cell or an empty file.
     """
-    ranges = _helper_ranges(path)
-    if ranges:
-        matrix = _read_in_helpers(path, ranges, _filled_matrix)
-        if matrix is not None:
-            return matrix
-    return _read_serial(path)
-
-
-def read_observations(path: str | Path) -> ObservationSet:
-    """The observation set of a file in write_matrix_csv's format, one
-    sample per row: ``ObservationSet(read_matrix_csv(path))``, with the same
-    statistics bit for bit and the same error messages.
-
-    Where ``read_matrix_csv`` would parse the file in helper processes, the
-    caller's process holds no r x m array: it takes the helpers' rows
-    through one reusable buffer of at most ``ROW_BLOCK`` rows, in the row
-    blocks ``ObservationSet`` sums over, and adds each block into the
-    column sums and y^T y. The set then holds no samples (``samples`` is
-    None). Elsewhere, and if any helper fails, the file is read serially
-    and the set keeps the array it summarised, without a copy.
-    """
-    ranges = _helper_ranges(path)
-    if ranges:
-        obs = _read_in_helpers(path, ranges, _summarised_rows)
-        if obs is not None:
-            return obs
-    return _owning(_read_serial(path))
-
-
-def _filled_matrix(r: int, m: int, fill: Callable[[np.ndarray], None]) -> np.ndarray:
-    matrix = np.empty((r, m))
-    fill(matrix)
-    return matrix
-
-
-def _summarised_rows(r: int, m: int, fill: Callable[[np.ndarray], None]) -> ObservationSet:
-    blocks = _row_blocks(r)
-    buffer = np.empty((max(j - i for i, j in blocks), m))
-
-    def filled_blocks() -> Iterator[np.ndarray]:
-        for i, j in blocks:
-            block = buffer[: j - i]
-            fill(block)
-            yield block
-
-    return _summarise(object.__new__(ObservationSet), None, r, filled_blocks())
-
-
-def _read_serial(path: str | Path) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
         try:
             matrix = _parse_lines(fh)
@@ -422,6 +369,33 @@ def _read_serial(path: str | Path) -> np.ndarray:
     if matrix is None:
         raise ValueError(f"{path}: empty matrix file")
     return matrix
+
+
+def read_observations(path: str | Path) -> ObservationSet:
+    """The observation set of a file in write_matrix_csv's format, one
+    sample per row: ``ObservationSet(read_matrix_csv(path))``, with the same
+    statistics bit for bit and the same error messages.
+
+    A file of at least ``PARALLEL_READ_BYTES`` is parsed in forked helper
+    processes when the platform allows it: on Linux, with at least two
+    usable CPUs and no other Python thread running. The file is split at
+    line boundaries into one byte range per usable CPU, with no more ranges
+    than leave each at least half of ``PARALLEL_READ_BYTES``, and each
+    helper parses its range exactly as ``read_matrix_csv`` would and sends
+    back its rows. The caller's process holds no r x m array: it takes the
+    helpers' rows through one reusable buffer of at most ``ROW_BLOCK`` rows,
+    in the row blocks ``ObservationSet`` sums over, and adds each block into
+    the column sums and y^T y. The set then holds no samples (``samples`` is
+    None). No helper outlives the call. Elsewhere, and if any helper fails,
+    the file is read by ``read_matrix_csv`` and the set keeps the array it
+    summarised, without a copy.
+    """
+    ranges = _helper_ranges(path)
+    if ranges:
+        obs = _read_in_helpers(path, ranges)
+        if obs is not None:
+            return obs
+    return _owning(read_matrix_csv(path))
 
 
 def _parse_lines(text: Iterable[str]) -> np.ndarray | None:
@@ -451,7 +425,7 @@ def _parallelism() -> int:
 def _helper_ranges(path: str | Path) -> list[tuple[int, int]]:
     """Byte ranges of ``path`` for the helper processes, each starting a line.
 
-    Empty when the serial read applies: no helper may be forked (see
+    Empty when ``read_matrix_csv`` applies: no helper may be forked (see
     ``_parallelism``), a file below ``PARALLEL_READ_BYTES`` or unreadable,
     or lines too long to split.
     """
@@ -477,23 +451,16 @@ def _helper_ranges(path: str | Path) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [size])) if len(starts) > 1 else []
 
 
-_Result = TypeVar("_Result")
-
-
 def _read_in_helpers(
-    path: str | Path,
-    ranges: list[tuple[int, int]],
-    sink: Callable[[int, int, Callable[[np.ndarray], None]], _Result],
-) -> _Result | None:
-    """What ``sink`` makes of the rows that one forked helper per range
+    path: str | Path, ranges: list[tuple[int, int]]
+) -> ObservationSet | None:
+    """The observation set of the rows that one forked helper per range
     parses, or None on any failure.
 
     Each helper writes a (rows, cols) header and then its float64 rows to a
-    pipe. Only after every header has arrived is ``sink(r, m, fill)``
-    called, with the total row count r and the common column count m.
-    Each ``fill(rows)`` reads the next len(rows) rows, in file order, into
-    the C-ordered float64 array ``rows`` of m columns; one fill may take
-    rows from two helpers. The sink must ask for all r rows, and what it
+    pipe. Once every header has arrived, the rows are read in file order
+    into the buffer of each row block of ``_row_blocks(r)`` in turn; one
+    block may take rows from two helpers. What summarising the blocks
     raises is raised after every helper is gone.
     """
     with _Helpers() as helpers:
@@ -511,28 +478,34 @@ def _read_in_helpers(
             if len(cols) != 1:
                 return None
             m = cols.pop()
+            r = sum(rows for rows, _ in shapes)
             # Each pipe with the number of its rows' bytes still to be read.
             unread = [[pipe, rows * m * 8] for pipe, (rows, _) in zip(pipes, shapes)]
+            blocks = _row_blocks(r)
+            buffer = np.empty((max(j - i for i, j in blocks), m))
 
-            def fill(rows: np.ndarray) -> None:
-                view = memoryview(rows).cast("B")
-                while view:
-                    pipe, left = unread[0]
-                    n = min(left, len(view))
-                    _read_exactly(pipe, view[:n])
-                    view = view[n:]
-                    if n == left:
-                        del unread[0]
-                    else:
-                        unread[0][1] = left - n
+            def filled_blocks() -> Iterator[np.ndarray]:
+                for i, j in blocks:
+                    block = buffer[: j - i]
+                    view = memoryview(block).cast("B")
+                    while view:
+                        pipe, left = unread[0]
+                        n = min(left, len(view))
+                        _read_exactly(pipe, view[:n])
+                        view = view[n:]
+                        if n == left:
+                            del unread[0]
+                        else:
+                            unread[0][1] = left - n
+                    yield block
 
-            result = sink(sum(r for r, _ in shapes), m, fill)
+            obs = _summarise(object.__new__(ObservationSet), None, r, filled_blocks())
         except OSError:
-            # A pipe, fork or read that failed: the serial read takes over.
+            # A pipe, fork or read that failed: read_matrix_csv takes over.
             return None
         if not all(helpers.finish(pipe) for pipe in pipes):
             return None
-        return result
+        return obs
 
 
 def _send_rows(path: str | Path, start: int, stop: int, out: BinaryIO) -> None:

@@ -483,3 +483,29 @@ def test_dimension_mismatch_names_the_file(
         f"config error: {label} from {bad}: {mismatch} "
         f"of the mixing matrix from {em_inputs['h']}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "samples, message",
+    [
+        ([[1.0, np.nan], [2.0, 3.0], [4.0, 5.0]], "observations have a non-finite entry"),
+        (
+            [[1e200, 1.0], [2.0, 3.0], [4.0, 5.0]],
+            "observations' second moment overflows the float range",
+        ),
+        (
+            [[1.0, 2.0], [3.0, 5.0]],
+            "centered sample covariance is singular: rank 1 of 2 (deficit 1) from r=2 samples",
+        ),
+    ],
+    ids=["non-finite", "overflow", "too-few-samples"],
+)
+def test_invalid_observations_name_the_file(em_inputs, capsys, samples, message):
+    write_matrix_csv(np.array(samples), em_inputs["obs"])
+    argv = ["em"]
+    for name, path in em_inputs.items():
+        argv += [f"--{name}", str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"config error: observations from {em_inputs['obs']}: {message}\n"
+    )

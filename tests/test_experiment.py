@@ -30,7 +30,7 @@ from treecov import (
     sample_observations,
     write_matrix_csv,
 )
-from treecov.em import StopReason
+from treecov.em import EmMonotonicityWarning, StopReason
 from treecov.experiment import (
     CSV_HEADER,
     config_from_mapping,
@@ -498,6 +498,24 @@ class TestRunSweep:
                     model = generate_mixing(4, 2, snr_db, sigma, seed)
                     sample_observations(model, sigma, 100, seed)
                 assert re.match(named, f"{excinfo.type.__name__}: {excinfo.value}")
+
+    def test_every_trial_with_too_few_samples_fails_by_name(self):
+        # r = 3 samples: m = 4 and m = 3 leave S_Y singular, m = 2 does not.
+        # So few samples let the centered objective rise between iterates.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmMonotonicityWarning)
+            result = run_sweep(
+                ExperimentConfig(p=10, m_values=(2, 3, 4), r=3, trials=20, seed=3)
+            )
+        assert [(f.m, f.trial) for f in result.failures] == [
+            (m, trial) for m in (3, 4) for trial in range(20)
+        ]
+        for f in result.failures:
+            assert f.error == (
+                "NotPositiveDefiniteError: centered sample covariance is singular: "
+                f"rank 2 of {f.m} (deficit {f.m - 2}) from r=3 samples"
+            )
+        assert [(agg.m, agg.count) for agg in result.aggregates] == [(2, 20)]
 
     def test_records_partial_failures(self, monkeypatch):
         patch_flaky_mixing(monkeypatch)

@@ -494,43 +494,23 @@ LARGE_FILES = {
 
 
 def _observations(path):
+    """What read_observations must match: the statistics of the serial read."""
     return ObservationSet(read_matrix_csv(path))
 
 
-# Each reader with the oracle it must match when no helper runs.
-READERS = {
-    "read_matrix_csv": (read_matrix_csv, read_matrix_csv),
-    "read_observations": (read_observations, _observations),
-}
+def _cases(names):
+    """One parameter per name, its id suffixed with the reader under test."""
+    return [pytest.param(name, id=f"{name}-read_observations") for name in names]
 
 
-def _reader_cases(names):
-    """(reader, name) for every reader and name. A read_matrix_csv case's
-    id is the bare name; a read_observations case's id adds the reader."""
-    return [
-        pytest.param(reader, name, id=name if reader == "read_matrix_csv" else f"{name}-{reader}")
-        for reader in sorted(READERS)
-        for name in names
-    ]
-
-
-def _serial_read(path, monkeypatch, read=read_matrix_csv):
-    """``read`` with the helper processes ruled out: the oracle."""
-    with monkeypatch.context() as patch:
-        patch.setattr(linear, "PARALLEL_READ_BYTES", 2**62)
-        return _outcome(path, read)
-
-
-def _outcome(path, read=read_matrix_csv):
-    """The bits of what ``read(path)`` returns, or its error message."""
+def _outcome(path, read):
+    """The bits of the observation set ``read(path)`` returns, or its error message."""
     try:
         got = read(path)
     except ValueError as exc:
         return str(exc)
-    if isinstance(got, ObservationSet):
-        stats = (got.mean, got.second_moment, got.centered_cov)
-        return (got.r, got.m) + tuple(a.tobytes() for a in stats)
-    return got.shape, got.tobytes()
+    stats = (got.mean, got.second_moment, got.centered_cov)
+    return (got.r, got.m) + tuple(a.tobytes() for a in stats)
 
 
 def _assert_no_child_left():
@@ -559,15 +539,24 @@ class TestParallelRead:
         monkeypatch.setattr(os, "fork", recording_fork)
         return pids
 
-    @pytest.mark.parametrize("reader, name", _reader_cases(sorted(LARGE_FILES)))
+    def test_read_matrix_csv_forks_nothing(self, tmp_path, forks):
+        path = tmp_path / "bits.csv"
+        path.write_bytes(LARGE_FILES["random-bit-patterns"])
+        assert path.stat().st_size >= 1.5 * PARALLEL_READ_BYTES
+        got = read_matrix_csv(path)
+        assert forks == []
+        assert np.array_equal(
+            got.view(np.uint64), random_bit_patterns(6000, 16).view(np.uint64)
+        )
+
+    @pytest.mark.parametrize("name", _cases(sorted(LARGE_FILES)))
     @pytest.mark.parametrize("failure", ["none", "fork-raises", "helper-killed"])
     def test_matches_the_serial_read_and_leaves_no_child(
-        self, tmp_path, monkeypatch, forks, reader, name, failure
+        self, tmp_path, monkeypatch, forks, name, failure
     ):
-        read, oracle = READERS[reader]
         path = tmp_path / f"{name}.csv"
         path.write_bytes(LARGE_FILES[name])
-        expected = _serial_read(path, monkeypatch, oracle)
+        expected = _outcome(path, _observations)
         fork = os.fork
         if failure == "fork-raises":
             def second_fork_fails():
@@ -586,21 +575,18 @@ class TestParallelRead:
             monkeypatch.setattr(os, "fork", kill_the_second)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _outcome(path, read)
+            got = _outcome(path, read_observations)
         _assert_no_child_left()
         assert len(forks) == (1 if failure == "fork-raises" else 3)
         assert got == expected
 
     @pytest.mark.parametrize(
-        "reader, case", _reader_cases(["small-file", "one-cpu", "thread-running", "not-linux"])
+        "case", _cases(["small-file", "one-cpu", "thread-running", "not-linux"])
     )
-    def test_reads_serially_when_helpers_cannot_help(
-        self, tmp_path, monkeypatch, forks, reader, case
-    ):
-        read, oracle = READERS[reader]
+    def test_reads_serially_when_helpers_cannot_help(self, tmp_path, monkeypatch, forks, case):
         path = tmp_path / "obs.csv"
         path.write_bytes(_BODY[: _BODY.index(b"\n", 1000) + 1] if case == "small-file" else _BODY)
-        expected = _serial_read(path, monkeypatch, oracle)
+        expected = _outcome(path, _observations)
         if case == "one-cpu":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         elif case == "not-linux":
@@ -610,7 +596,7 @@ class TestParallelRead:
         if case == "thread-running":
             thread.start()
         try:
-            got = _outcome(path, read)
+            got = _outcome(path, read_observations)
         finally:
             stop.set()
             if thread.is_alive():
@@ -630,24 +616,11 @@ class TestParallelRead:
         wide += b" " * (size - len(wide) - len(row)) + row
         path = tmp_path / "wide.csv"
         path.write_bytes(_BODY + wide)
-        for read, oracle in READERS.values():
-            expected = _serial_read(path, monkeypatch, oracle)
-            assert "ragged rows" in expected
-            assert _outcome(path, read) == expected
-        assert len(forks) == 4
-        _assert_no_child_left()
-
-    def test_holds_one_matrix_beyond_a_small_margin(self, tmp_path, monkeypatch, forks):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        path = tmp_path / "obs.csv"
-        path.write_bytes(_BODY)
-        nbytes = 5500 * 16 * 8
-        peak = traced_peak(lambda: read_matrix_csv(path))
+        expected = _outcome(path, _observations)
+        assert "ragged rows" in expected
+        assert _outcome(path, read_observations) == expected
         assert len(forks) == 2
-        # The result, one header buffer, the pipes' file objects and one line
-        # read while splitting; a part copied or concatenated would add at
-        # least half the matrix.
-        assert peak < nbytes + 16 * 1024
+        _assert_no_child_left()
 
     def test_streams_observations_through_one_row_block(self, tmp_path, monkeypatch, forks):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
