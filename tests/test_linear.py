@@ -498,11 +498,6 @@ def _observations(path):
     return ObservationSet(read_matrix_csv(path))
 
 
-def _cases(names):
-    """One parameter per name, its id suffixed with the reader under test."""
-    return [pytest.param(name, id=f"{name}-read_observations") for name in names]
-
-
 def _outcome(path, read):
     """The bits of the observation set ``read(path)`` returns, or its error message."""
     try:
@@ -511,6 +506,56 @@ def _outcome(path, read):
         return str(exc)
     stats = (got.mean, got.second_moment, got.centered_cov)
     return (got.r, got.m) + tuple(a.tobytes() for a in stats)
+
+
+def _matrix_outcome(path):
+    """The bits of read_matrix_csv(path), or its error message up to the
+    fault's kind: the path and, say, "ragged rows"."""
+    try:
+        got = read_matrix_csv(path)
+    except ValueError as exc:
+        return ": ".join(str(exc).split(": ")[:2])
+    return got.shape, got.tobytes()
+
+
+def _cells_outcome(path):
+    """What read_matrix_csv must give, found without it: the bits of every
+    non-blank line's cells as float() parses them, or the path and the kind
+    of the fault that stops the parse."""
+    lines = [line for line in path.read_bytes().splitlines() if line.strip()]
+    try:
+        text = [line.decode("ascii") for line in lines]
+    except UnicodeDecodeError as exc:
+        return f"{path}: non-ASCII byte {exc.object[exc.start]:#04x}"
+    if len({line.count(",") for line in text}) > 1:
+        return f"{path}: ragged rows"
+    try:
+        rows = np.array([[float(cell) for cell in line.split(",")] for line in text])
+    except ValueError:
+        return f"{path}: non-numeric cell"
+    return rows.shape, rows.tobytes()
+
+
+# Each reader's outcome with the oracle it must match. read_observations
+# must give the statistics of the serial read whether or not its helpers
+# run; read_matrix_csv never forks and must give the file's cells.
+READERS = {
+    "read_matrix_csv": (_matrix_outcome, _cells_outcome),
+    "read_observations": (
+        functools.partial(_outcome, read=read_observations),
+        functools.partial(_outcome, read=_observations),
+    ),
+}
+
+
+def _reader_cases(names):
+    """(reader, name) for every reader and name. A read_matrix_csv case's
+    id is the bare name; a read_observations case's id adds the reader."""
+    return [
+        pytest.param(reader, name, id=name if reader == "read_matrix_csv" else f"{name}-{reader}")
+        for reader in sorted(READERS)
+        for name in names
+    ]
 
 
 def _assert_no_child_left():
@@ -539,24 +584,15 @@ class TestParallelRead:
         monkeypatch.setattr(os, "fork", recording_fork)
         return pids
 
-    def test_read_matrix_csv_forks_nothing(self, tmp_path, forks):
-        path = tmp_path / "bits.csv"
-        path.write_bytes(LARGE_FILES["random-bit-patterns"])
-        assert path.stat().st_size >= 1.5 * PARALLEL_READ_BYTES
-        got = read_matrix_csv(path)
-        assert forks == []
-        assert np.array_equal(
-            got.view(np.uint64), random_bit_patterns(6000, 16).view(np.uint64)
-        )
-
-    @pytest.mark.parametrize("name", _cases(sorted(LARGE_FILES)))
+    @pytest.mark.parametrize("reader, name", _reader_cases(sorted(LARGE_FILES)))
     @pytest.mark.parametrize("failure", ["none", "fork-raises", "helper-killed"])
     def test_matches_the_serial_read_and_leaves_no_child(
-        self, tmp_path, monkeypatch, forks, name, failure
+        self, tmp_path, monkeypatch, forks, reader, name, failure
     ):
+        read, oracle = READERS[reader]
         path = tmp_path / f"{name}.csv"
         path.write_bytes(LARGE_FILES[name])
-        expected = _outcome(path, _observations)
+        expected = oracle(path)
         fork = os.fork
         if failure == "fork-raises":
             def second_fork_fails():
@@ -575,18 +611,24 @@ class TestParallelRead:
             monkeypatch.setattr(os, "fork", kill_the_second)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _outcome(path, read_observations)
+            got = read(path)
         _assert_no_child_left()
-        assert len(forks) == (1 if failure == "fork-raises" else 3)
+        if reader == "read_matrix_csv":
+            assert forks == []
+        else:
+            assert len(forks) == (1 if failure == "fork-raises" else 3)
         assert got == expected
 
     @pytest.mark.parametrize(
-        "case", _cases(["small-file", "one-cpu", "thread-running", "not-linux"])
+        "reader, case", _reader_cases(["small-file", "one-cpu", "thread-running", "not-linux"])
     )
-    def test_reads_serially_when_helpers_cannot_help(self, tmp_path, monkeypatch, forks, case):
+    def test_reads_serially_when_helpers_cannot_help(
+        self, tmp_path, monkeypatch, forks, reader, case
+    ):
+        read, oracle = READERS[reader]
         path = tmp_path / "obs.csv"
         path.write_bytes(_BODY[: _BODY.index(b"\n", 1000) + 1] if case == "small-file" else _BODY)
-        expected = _outcome(path, _observations)
+        expected = oracle(path)
         if case == "one-cpu":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         elif case == "not-linux":
@@ -596,7 +638,7 @@ class TestParallelRead:
         if case == "thread-running":
             thread.start()
         try:
-            got = _outcome(path, read_observations)
+            got = read(path)
         finally:
             stop.set()
             if thread.is_alive():
