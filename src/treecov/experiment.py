@@ -312,6 +312,16 @@ class MAggregate:
     iterations_used: ColumnStats
 
 
+# Each result column's name in the output tables, with the TrialRecord and
+# MAggregate field it holds, in table order.
+_RESULT_COLUMNS = (
+    ("kl_em", "latent_kl_em"),
+    ("kl_prior", "latent_kl_prior_tree"),
+    ("kl_oracle", "latent_kl_oracle_tree"),
+    ("iterations", "iterations_used"),
+)
+
+
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     config: ExperimentConfig
@@ -436,22 +446,11 @@ def run_sweep(
         group = [rec for rec in records if rec.m == m]
         if not group:
             continue
-        aggregates.append(
-            MAggregate(
-                m=m,
-                count=len(group),
-                latent_kl_em=_column_stats([rec.latent_kl_em for rec in group]),
-                latent_kl_prior_tree=_column_stats(
-                    [rec.latent_kl_prior_tree for rec in group]
-                ),
-                latent_kl_oracle_tree=_column_stats(
-                    [rec.latent_kl_oracle_tree for rec in group]
-                ),
-                iterations_used=_column_stats(
-                    [float(rec.iterations_used) for rec in group]
-                ),
-            )
-        )
+        stats = {
+            field: _column_stats([getattr(rec, field) for rec in group])
+            for _, field in _RESULT_COLUMNS
+        }
+        aggregates.append(MAggregate(m=m, count=len(group), **stats))
     return SweepResult(
         config=config,
         records=tuple(records),
@@ -464,7 +463,7 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-CSV_HEADER = "m,trial,kl_em,kl_prior,kl_oracle,iterations,stop_reason"
+CSV_HEADER = ",".join(["m", "trial", *(name for name, _ in _RESULT_COLUMNS), "stop_reason"])
 
 
 def emit_results(result: SweepResult, path: str | Path) -> tuple[Path, Path]:
@@ -486,11 +485,9 @@ def emit_results(result: SweepResult, path: str | Path) -> tuple[Path, Path]:
 
     csv_lines = [CSV_HEADER]
     for rec in result.records:
-        csv_lines.append(
-            f"{rec.m},{rec.trial},{_fmt(rec.latent_kl_em)},"
-            f"{_fmt(rec.latent_kl_prior_tree)},{_fmt(rec.latent_kl_oracle_tree)},"
-            f"{rec.iterations_used},{rec.stop_reason.value}"
-        )
+        # _fmt writes an int such as iterations_used as a plain integer.
+        cells = [_fmt(getattr(rec, field)) for _, field in _RESULT_COLUMNS]
+        csv_lines.append(",".join([str(rec.m), str(rec.trial), *cells, rec.stop_reason.value]))
 
     config = result.config
     meta_pairs = [
@@ -518,17 +515,12 @@ def emit_results(result: SweepResult, path: str | Path) -> tuple[Path, Path]:
     doc_lines.append("")
     doc_lines.append("[aggregates]")
     doc_lines.append(
-        "m,count,mean_kl_em,se_kl_em,mean_kl_prior,se_kl_prior,"
-        "mean_kl_oracle,se_kl_oracle,mean_iterations,se_iterations"
+        ",".join(["m", "count", *(f"mean_{name},se_{name}" for name, _ in _RESULT_COLUMNS)])
     )
     for agg in result.aggregates:
-        doc_lines.append(
-            f"{agg.m},{agg.count},"
-            f"{_fmt(agg.latent_kl_em.mean)},{_fmt(agg.latent_kl_em.stderr)},"
-            f"{_fmt(agg.latent_kl_prior_tree.mean)},{_fmt(agg.latent_kl_prior_tree.stderr)},"
-            f"{_fmt(agg.latent_kl_oracle_tree.mean)},{_fmt(agg.latent_kl_oracle_tree.stderr)},"
-            f"{_fmt(agg.iterations_used.mean)},{_fmt(agg.iterations_used.stderr)}"
-        )
+        stats = [getattr(agg, field) for _, field in _RESULT_COLUMNS]
+        cells = [f"{_fmt(col.mean)},{_fmt(col.stderr)}" for col in stats]
+        doc_lines.append(",".join([str(agg.m), str(agg.count), *cells]))
     if result.failures:
         doc_lines.append("")
         doc_lines.append("[failures]")

@@ -19,7 +19,7 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, TypeVar
 
 import numpy as np
 
@@ -33,18 +33,18 @@ ROW_BLOCK = 4096
 # Observation files of at least this many bytes are parsed in helper
 # processes (see read_observations; read_matrix_csv never forks), and
 # matrices of at least this many float64 bytes are formatted in them (see
-# write_matrix_csv). The forks and the helpers' exits cost a few ms: on a
-# 2-vCPU VM two helpers tied the serial read at 1 MiB
-# (median 24.7 against 25.5 ms), lost at 0.5 MiB (17.7 against 14.0) and won
-# at 2 MiB (41.3 against 57.4). The write breaks even sooner, as 1 MiB of
-# float64 is about 2.7 MiB of text and formatting is slower than parsing:
-# the caller and one helper tied the serial write at 128 KiB of float64
-# (median 15.4 against 16.4 ms) and won at 1 MiB (87.5 against 142.8).
+# write_matrix_csv). The forks and the helpers' exits cost a few ms, so
+# _processes gives each process at least half of this many bytes: on a
+# 2-vCPU VM two helpers tied the serial read at 1 MiB (median 24.7 against
+# 25.5 ms), lost at 0.5 MiB (17.7 against 14.0) and won at 2 MiB (41.3
+# against 57.4). The write breaks even sooner, as 1 MiB of float64 is about
+# 2.7 MiB of text and formatting is slower than parsing: the caller and one
+# helper tied the serial write at 128 KiB of float64 (median 15.4 against
+# 16.4 ms) and won at 1 MiB (87.5 against 142.8).
 PARALLEL_READ_BYTES = 1 << 20
 # A read helper's (rows, cols) header, ahead of its float64 rows.
 _HEADER = struct.Struct("=qq")
-# A write helper's text length, ahead of its text.
-_LENGTH = struct.Struct("=q")
+_T = TypeVar("_T")
 
 
 class RankDeficientError(ValueError):
@@ -283,41 +283,40 @@ def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
     float64 round trip (the format contract asks for at least 12).
     Observation sets are written with one sample per row.
 
-    A matrix of at least ``PARALLEL_READ_BYTES`` (as float64) bound for a
-    seekable file is formatted in forked helper processes where
-    ``read_observations`` would fork them: its rows are split into one
-    near-equal range per usable CPU, the caller formats the first range
-    into the file while one helper per later range formats its range into
-    its own memory, and the caller then appends each helper's text in range
-    order, one pipe chunk at a time. Every range goes through the same
-    ``np.savetxt`` call, so the bytes are exactly the serial write's. A
-    range whose helper could not be forked, died or sent short output is
-    cut from the file and formatted by the caller. No helper outlives the
-    call. Elsewhere, and for smaller matrices such as every covariance, the
-    caller formats the whole matrix with that one call.
+    A matrix bound for a seekable file is split into as many near-equal row
+    ranges as ``_processes`` allows for its float64 bytes, at most one per
+    row: two or more only from ``PARALLEL_READ_BYTES`` up, and only where
+    ``read_observations`` would fork helpers. Then one forked helper per
+    later range formats its range into its own memory while the caller
+    formats the first range into the file, and the caller appends each
+    helper's text in range order, one pipe chunk at a time. Every range goes
+    through the same ``np.savetxt`` call, so the bytes are exactly the
+    serial write's. If any helper could not be forked or did not exit 0,
+    the file is cut back to empty and the caller formats the whole matrix
+    with that one call, as it does for smaller matrices, such as every
+    covariance. No helper outlives the call.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"need a 2-d array, got shape {a.shape}")
     # An open handle, because given a path ending in .gz savetxt compresses.
-    with open(path, "wb") as fh, _Helpers() as helpers:
-        n = 1
-        if a.nbytes >= PARALLEL_READ_BYTES and fh.seekable():
-            n = min(_parallelism(), len(a))
-        (i, j), *later = [(len(a) * k // n, len(a) * (k + 1) // n) for k in range(n)]
-        pipes: list[io.FileIO] = []
-        for start, stop in later:
-            try:
-                pipes.append(helpers.fork(functools.partial(_send_text, a[start:stop])))
-            except OSError:
-                break
-        _savetxt(fh, a[i:j])
-        for (i, j), pipe in itertools.zip_longest(later, pipes):
-            offset = fh.tell()
-            if pipe is None or not (_append_text(pipe, fh) and helpers.finish(pipe)):
-                fh.seek(offset)
-                fh.truncate()
+    with open(path, "wb") as fh:
+        n = min(_processes(a.nbytes), len(a)) if fh.seekable() else 1
+        if n > 1:
+            (i, j), *later = [(len(a) * k // n, len(a) * (k + 1) // n) for k in range(n)]
+
+            def append_later(pipes: list[io.FileIO]) -> bool:
                 _savetxt(fh, a[i:j])
+                for pipe in pipes:
+                    _copy(pipe, fh)
+                return True
+
+            works = [functools.partial(_send_text, a[start:stop]) for start, stop in later]
+            if _in_helpers(works, append_later):
+                return
+            fh.seek(0)
+            fh.truncate()
+        _savetxt(fh, a)
 
 
 def _savetxt(fh: BinaryIO, rows: np.ndarray) -> None:
@@ -325,30 +324,19 @@ def _savetxt(fh: BinaryIO, rows: np.ndarray) -> None:
 
 
 def _send_text(rows: np.ndarray, out: BinaryIO) -> None:
-    """Format ``rows`` in memory, then send their length and text to ``out``."""
+    """Format ``rows`` in memory, so that the caller need not be reading
+    yet, then send the text to ``out``."""
     buf = io.BytesIO()
     _savetxt(buf, rows)
-    out.write(_LENGTH.pack(buf.tell()))
     out.write(buf.getbuffer())
 
 
-def _append_text(pipe: io.FileIO, fh: BinaryIO) -> bool:
-    """Copy the text a helper sends on ``pipe`` to ``fh`` through one buffer
-    of a Linux pipe's default capacity: whether all of it arrived."""
-    header = bytearray(_LENGTH.size)
-    try:
-        _read_exactly(pipe, memoryview(header))
-    except OSError:
-        return False
-    (left,) = _LENGTH.unpack(header)
-    chunk = memoryview(bytearray(min(left, 1 << 16)))
-    while left:
-        n = pipe.readinto(chunk[: min(left, len(chunk))])
-        if not n:
-            return False
+def _copy(pipe: io.FileIO, fh: BinaryIO) -> None:
+    """Copy what ``pipe`` sends, up to its end, to ``fh`` through one buffer
+    of a Linux pipe's default capacity."""
+    chunk = memoryview(bytearray(1 << 16))
+    while n := pipe.readinto(chunk):
         fh.write(chunk[:n])
-        left -= n
-    return True
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
@@ -376,18 +364,19 @@ def read_observations(path: str | Path) -> ObservationSet:
     sample per row: ``ObservationSet(read_matrix_csv(path))``, with the same
     statistics bit for bit and the same error messages.
 
-    A file of at least ``PARALLEL_READ_BYTES`` is parsed in forked helper
-    processes when the platform allows it: on Linux, with at least two
-    usable CPUs and no other Python thread running. The file is split at
-    line boundaries into one byte range per usable CPU, with no more ranges
-    than leave each at least half of ``PARALLEL_READ_BYTES``, and each
-    helper parses its range exactly as ``read_matrix_csv`` would and sends
-    back its rows. The caller's process holds no r x m array: it takes the
-    helpers' rows through one reusable buffer of at most ``ROW_BLOCK`` rows,
-    in the row blocks ``ObservationSet`` sums over, and adds each block into
-    the column sums and y^T y. The set then holds no samples (``samples`` is
-    None). No helper outlives the call. Elsewhere, and if any helper fails,
-    the file is read by ``read_matrix_csv`` and the set keeps the array it
+    The file is split at line boundaries into as many byte ranges as
+    ``_processes`` allows for its size, the same rule ``write_matrix_csv``
+    sizes its row ranges by: two or more only from ``PARALLEL_READ_BYTES``
+    up, on Linux, with at least two usable CPUs and no other Python thread
+    running. Then one forked helper per range parses it exactly as
+    ``read_matrix_csv`` would and sends back its rows. The caller's process
+    holds no r x m array: it takes the helpers' rows through one reusable
+    buffer of at most ``ROW_BLOCK`` rows, in the row blocks
+    ``ObservationSet`` sums over, and adds each block into the column sums
+    and y^T y. The set then holds no samples (``samples`` is None). No
+    helper outlives the call. Elsewhere, and if the helpers fail (one could
+    not be forked or did not exit 0, or their rows differ in width), the
+    file is read by ``read_matrix_csv`` and the set keeps the array it
     summarised, without a copy.
     """
     ranges = _helper_ranges(path)
@@ -407,9 +396,11 @@ def _parse_lines(text: Iterable[str]) -> np.ndarray | None:
     return np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2)
 
 
-def _parallelism() -> int:
-    """How many processes, the caller's among them, may format or parse one
-    file at once: the usable CPUs where helpers may be forked, else 1.
+def _processes(nbytes: int) -> int:
+    """How many processes, the caller's among them, should format or parse
+    ``nbytes`` at once: one per usable CPU, but none with less than half of
+    ``PARALLEL_READ_BYTES``, so two or more exactly from
+    ``PARALLEL_READ_BYTES`` up. 1 where no helper may be forked.
 
     Helpers are forked only on Linux and only while no other Python thread
     runs: a fork copies only the calling thread, and a lock another thread
@@ -419,25 +410,20 @@ def _parallelism() -> int:
         return 1
     if threading.active_count() > 1:
         return 1
-    return len(os.sched_getaffinity(0))
+    return max(1, min(len(os.sched_getaffinity(0)), 2 * nbytes // PARALLEL_READ_BYTES))
 
 
 def _helper_ranges(path: str | Path) -> list[tuple[int, int]]:
-    """Byte ranges of ``path`` for the helper processes, each starting a line.
+    """Byte ranges of ``path`` for the helper processes, each starting a line:
+    as many as ``_processes`` allows for the file's size.
 
-    Empty when ``read_matrix_csv`` applies: no helper may be forked (see
-    ``_parallelism``), a file below ``PARALLEL_READ_BYTES`` or unreadable,
-    or lines too long to split.
+    Empty when ``read_matrix_csv`` applies: ``_processes`` gives 1, the file
+    is unreadable, or its lines are too long to split.
     """
-    cpus = _parallelism()
-    if cpus < 2:
-        return []
     try:
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            if size < PARALLEL_READ_BYTES:
-                return []
-            n = min(cpus, 2 * size // PARALLEL_READ_BYTES)
+            n = _processes(size)
             starts = [0]
             for k in range(1, n):
                 # A range ends just after a newline, so CRLF stays whole and
@@ -463,49 +449,42 @@ def _read_in_helpers(
     block may take rows from two helpers. What summarising the blocks
     raises is raised after every helper is gone.
     """
-    with _Helpers() as helpers:
-        try:
-            pipes = [
-                helpers.fork(functools.partial(_send_rows, path, start, stop))
-                for start, stop in ranges
-            ]
-            header = bytearray(_HEADER.size)
-            shapes = []
-            for pipe in pipes:
-                _read_exactly(pipe, memoryview(header))
-                shapes.append(_HEADER.unpack(header))
-            cols = {c for _, c in shapes}
-            if len(cols) != 1:
-                return None
-            m = cols.pop()
-            r = sum(rows for rows, _ in shapes)
-            # Each pipe with the number of its rows' bytes still to be read.
-            unread = [[pipe, rows * m * 8] for pipe, (rows, _) in zip(pipes, shapes)]
-            blocks = _row_blocks(r)
-            buffer = np.empty((max(j - i for i, j in blocks), m))
 
-            def filled_blocks() -> Iterator[np.ndarray]:
-                for i, j in blocks:
-                    block = buffer[: j - i]
-                    view = memoryview(block).cast("B")
-                    while view:
-                        pipe, left = unread[0]
-                        n = min(left, len(view))
-                        _read_exactly(pipe, view[:n])
-                        view = view[n:]
-                        if n == left:
-                            del unread[0]
-                        else:
-                            unread[0][1] = left - n
-                    yield block
+    def summarise(pipes: list[io.FileIO]) -> ObservationSet | None:
+        header = bytearray(_HEADER.size)
+        shapes = []
+        for pipe in pipes:
+            _read_exactly(pipe, memoryview(header))
+            shapes.append(_HEADER.unpack(header))
+        cols = {c for _, c in shapes}
+        if len(cols) != 1:
+            return None
+        m = cols.pop()
+        r = sum(rows for rows, _ in shapes)
+        # Each pipe with the number of its rows' bytes still to be read.
+        unread = [[pipe, rows * m * 8] for pipe, (rows, _) in zip(pipes, shapes)]
+        blocks = _row_blocks(r)
+        buffer = np.empty((max(j - i for i, j in blocks), m))
 
-            obs = _summarise(object.__new__(ObservationSet), None, r, filled_blocks())
-        except OSError:
-            # A pipe, fork or read that failed: read_matrix_csv takes over.
-            return None
-        if not all(helpers.finish(pipe) for pipe in pipes):
-            return None
-        return obs
+        def filled_blocks() -> Iterator[np.ndarray]:
+            for i, j in blocks:
+                block = buffer[: j - i]
+                view = memoryview(block).cast("B")
+                while view:
+                    pipe, left = unread[0]
+                    n = min(left, len(view))
+                    _read_exactly(pipe, view[:n])
+                    view = view[n:]
+                    if n == left:
+                        del unread[0]
+                    else:
+                        unread[0][1] = left - n
+                yield block
+
+        return _summarise(object.__new__(ObservationSet), None, r, filled_blocks())
+
+    works = [functools.partial(_send_rows, path, start, stop) for start, stop in ranges]
+    return _in_helpers(works, summarise)
 
 
 def _send_rows(path: str | Path, start: int, stop: int, out: BinaryIO) -> None:
@@ -522,56 +501,46 @@ def _send_rows(path: str | Path, start: int, stop: int, out: BinaryIO) -> None:
     out.write(memoryview(matrix).cast("B"))
 
 
-class _Helpers:
-    """Forked helper processes, each writing to a pipe that the caller reads.
+def _in_helpers(
+    works: list[Callable[[BinaryIO], None]], consume: Callable[[list[io.FileIO]], _T]
+) -> _T | None:
+    """Fork one helper per work, each running ``work(out)`` with ``out`` the
+    write end of its own pipe, and return ``consume(pipes)``, the read ends
+    in the works' order; None unless every helper exited 0, and None if a
+    pipe or fork failed or ``consume`` raised OSError.
 
-    As a context manager it closes every pipe still open on exit, then kills
-    and reaps every helper not yet finished, so no helper outlives the
-    block, whether it ends normally or by an exception.
+    Any other exception propagates. Either way every pipe is closed first,
+    so that a helper with output left unread fails its write and exits,
+    and then every helper is reaped, killed first unless ``consume``
+    returned, so no helper outlives the call.
     """
-
-    def __init__(self) -> None:
-        self._running: dict[io.FileIO, int] = {}
-
-    def __enter__(self) -> _Helpers:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        for pipe in self._running:
+    pipes: list[io.FileIO] = []
+    pids: list[int] = []
+    consumed = False
+    try:
+        for work in works:
+            rfd, wfd = os.pipe()
+            pipes.append(open(rfd, "rb", buffering=0))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _helper_main(work, wfd, pipes)
+            finally:
+                os.close(wfd)
+            pids.append(pid)
+        result = consume(pipes)
+        consumed = True
+    except OSError:
+        return None
+    finally:
+        for pipe in pipes:
             pipe.close()
-        for pid in self._running.values():
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            _reap(pid)
-        self._running.clear()
-
-    def fork(self, work: Callable[[BinaryIO], None]) -> io.FileIO:
-        """Fork a helper that runs ``work(out)`` and return the read end of
-        its pipe; ``out`` is the pipe's write end. The helper exits 0 only if
-        ``work`` returns. OSError if no pipe or process could be made."""
-        rfd, wfd = os.pipe()
-        pipe = open(rfd, "rb", buffering=0)
-        try:
-            pid = os.fork()
-            if pid == 0:
-                _helper_main(work, wfd, [pipe, *self._running])
-        except BaseException:
-            pipe.close()
-            raise
-        finally:
-            os.close(wfd)
-        self._running[pipe] = pid
-        return pipe
-
-    def finish(self, pipe: io.FileIO) -> bool:
-        """Close ``pipe`` and reap its helper: whether the helper exited 0.
-
-        The pipe is closed first, so that a helper with output left unread
-        fails its write and exits rather than block the wait for it.
-        """
-        pid = self._running.pop(pipe)
-        pipe.close()
-        return _reap(pid) == 0
+        for pid in pids:
+            if not consumed:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+        statuses = [_reap(pid) for pid in pids]
+    return result if all(status == 0 for status in statuses) else None
 
 
 def _helper_main(

@@ -20,6 +20,7 @@ from treecov import (
     write_matrix_csv,
 )
 from treecov.cli import main
+from treecov.linear import PARALLEL_READ_BYTES
 from treecov.experiment import generate_ground_truth, generate_prior
 
 
@@ -243,6 +244,55 @@ class TestEmCommand:
         err = capsys.readouterr().err
         assert str(em_inputs["obs"]) in err
         assert "non-ASCII byte 0xc3" in err
+
+    @pytest.mark.skipif(
+        not (hasattr(os, "fork") and sys.platform.startswith("linux")),
+        reason="helper processes need os.fork on Linux",
+    )
+    def test_large_observation_file_gives_the_outputs_of_a_serial_read(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        sigma = generate_ground_truth(10, seed=26)
+        sigma0 = generate_prior(sigma, 0.5, seed=27)
+        h = np.random.default_rng(28).standard_normal((8, 10))
+        model = LinearModel(h, CovMatrix(0.2 * np.eye(8)))
+        inputs = {
+            "sigma0": sigma0.entries,
+            "h": h,
+            "d": model.d.entries,
+            "obs": sample_observations(model, sigma, 7000, seed=29).samples,
+        }
+        flags = []
+        for name, matrix in inputs.items():
+            write_matrix_csv(matrix, tmp_path / f"{name}.csv")
+            flags.append(f"--{name}={tmp_path / f'{name}.csv'}")
+        assert (tmp_path / "obs.csv").stat().st_size >= PARALLEL_READ_BYTES
+        pids = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        outputs = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            out = tmp_path / f"cpus{cpus}"
+            out.mkdir()
+            code = main(
+                ["em", *flags, "--l_max", "6", "--epsilon", "1e-9",
+                 "--sigma_out", str(out / "fit.csv"), "--trace_out", str(out / "trace.csv")]
+            )
+            assert code == 0
+            outputs[cpus] = [(out / name).read_bytes() for name in ("fit.csv", "trace.csv")]
+        assert "stopped after" in capsys.readouterr().out
+        assert len(pids) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert outputs[1] == outputs[2]
 
 
 def write_sweep_config(tmp_path, **overrides):

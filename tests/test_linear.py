@@ -696,11 +696,11 @@ def _specials(rows: int, cols: int) -> np.ndarray:
 
 
 # Rows of 16 float64 columns in PARALLEL_READ_BYTES. The matrices below reach
-# it, so three usable CPUs split each into three row ranges, the caller's
-# and two helpers'. Their row counts fall one below, on and one above a
-# multiple of three.
+# 1.5 times that, so three usable CPUs split each into three row ranges, the
+# caller's and two helpers', each of at least half the threshold. Their row
+# counts fall one below, on and one above a multiple of three.
 _THRESHOLD_ROWS = PARALLEL_READ_BYTES // (16 * 8)
-_EVEN = _THRESHOLD_ROWS + 3 - _THRESHOLD_ROWS % 3
+_EVEN = 3 * (_THRESHOLD_ROWS // 2 + 1)
 LARGE_MATRICES = {
     "random-bit-patterns": lambda: random_bit_patterns(_EVEN + 1, 16),
     "specials": lambda: _specials(_EVEN - 1, 16),
@@ -721,11 +721,10 @@ def _large_matrix(name: str) -> tuple[np.ndarray, bytes]:
 
 
 def _short_text(rows, out):
-    """A helper's work that promises twice its range's text, sends the text
-    and as much again less one byte of junk, and stops. The caller must cut
-    the junk from the file, not merely write the range over it."""
+    """A helper's work that sends its range's text and as much again less
+    one byte of junk, and stops. The caller must cut the junk from the
+    file, not merely write the range over it."""
     text = _csv_text(rows)
-    out.write(linear._LENGTH.pack(2 * len(text)))
     out.write(text + b"x" * (len(text) - 1))
     raise OSError("helper stopped early")
 
@@ -811,15 +810,46 @@ class TestParallelWrite:
         assert path.read_bytes() == expected
 
     def test_caller_failure_kills_and_reaps_every_helper(self, tmp_path, monkeypatch, forks):
-        def disk_full(pipe, fh):
-            raise OSError("no space left")
+        def broken_copy(pipe, fh):
+            raise RuntimeError("copy broke")
 
-        monkeypatch.setattr(linear, "_append_text", disk_full)
+        monkeypatch.setattr(linear, "_copy", broken_copy)
         matrix, _ = _large_matrix("sixteen-decades")
-        with pytest.raises(OSError, match="no space left"):
+        with pytest.raises(RuntimeError, match="copy broke"):
             write_matrix_csv(matrix, tmp_path / "matrix.csv")
         assert len(forks) == 2
         _assert_no_child_left()
+
+    def test_caller_os_error_rewrites_the_whole_file_serially(
+        self, tmp_path, monkeypatch, forks
+    ):
+        def copy_fails(pipe, fh):
+            fh.write(b"junk")
+            raise OSError("pipe read failed")
+
+        monkeypatch.setattr(linear, "_copy", copy_fails)
+        matrix, expected = _large_matrix("sixteen-decades")
+        path = tmp_path / "matrix.csv"
+        write_matrix_csv(matrix, path)
+        assert len(forks) == 2
+        _assert_no_child_left()
+        assert path.read_bytes() == expected
+
+    # Each process gets at least half of PARALLEL_READ_BYTES, whatever the
+    # number of usable CPUs.
+    @pytest.mark.parametrize(
+        "rows, helpers", [(_THRESHOLD_ROWS * 6 // 5, 1), (_THRESHOLD_ROWS * 2, 3)]
+    )
+    def test_gives_each_process_at_least_half_the_threshold(
+        self, tmp_path, monkeypatch, forks, rows, helpers
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        matrix = np.random.default_rng(39).standard_normal((rows, 16))
+        path = tmp_path / "matrix.csv"
+        write_matrix_csv(matrix, path)
+        assert len(forks) == helpers
+        _assert_no_child_left()
+        assert path.read_bytes() == _csv_text(matrix)
 
     def test_caller_holds_one_pipe_chunk_beyond_a_small_margin(
         self, tmp_path, monkeypatch, forks
