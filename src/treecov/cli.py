@@ -78,13 +78,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_output_dirs(*paths: str | None) -> None:
-    """Raise OSError naming the first output path whose directory is missing,
-    so that a command fails before it computes or writes anything."""
-    for path in filter(None, paths):
-        out_dir = Path(path).parent
-        if not out_dir.is_dir():
-            raise OSError(f"output directory {str(out_dir)!r} does not exist")
+def _check_output_dirs(*paths: str | Path | None) -> None:
+    """Raise OSError naming the first output path whose directory is missing
+    or that is a directory itself, so that a command fails before it
+    computes or writes anything."""
+    for path in map(Path, filter(None, paths)):
+        if not path.parent.is_dir():
+            raise OSError(f"output directory {str(path.parent)!r} does not exist")
+        if path.is_dir():
+            raise OSError(f"output path {str(path)!r} is a directory")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -94,7 +96,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if value is not None:
             mapping[key] = value
     config = config_from_mapping(mapping)
-    _check_output_dirs(config.output)
+    _check_output_dirs(config.output, Path(config.output).with_suffix(".csv"))
     result = run_sweep(config)
     doc_path, csv_path = emit_results(result, Path(config.output))
     for agg in result.aggregates:

@@ -16,7 +16,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterator, Mapping
 
@@ -128,9 +128,43 @@ def generate_mixing(
     )
 
 
+def _accepting(what: str, *types: type) -> Callable[[object, str], object]:
+    def check(value: object, name: str) -> object:
+        if isinstance(value, types) and not isinstance(value, bool):
+            return value
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+    return check
+
+
+def _ints(value: object, name: str) -> tuple[int, ...]:
+    try:
+        return tuple(_as_int(m, "every m", ConfigError) for m in value)
+    except TypeError:
+        raise ConfigError(f"{name} must be a sequence of integers, got {value!r}") from None
+
+
+def _parse_m_values(text: str) -> tuple[int, ...]:
+    return tuple(int(tok, 10) for tok in text.split(",") if tok.strip())
+
+
+_path = _accepting("a path", str, os.PathLike)
+_optional_path = _accepting("a path", str, os.PathLike, type(None))
+# annotation: (parse config-file text, check a field's value and name, echo in [meta])
+_KINDS = {
+    "int": (lambda t: int(t, 10), lambda v, name: _as_int(v, name, ConfigError), str),
+    "float": (float, _accepting("a real number", numbers.Real), lambda v: _fmt(float(v))),
+    "tuple[int, ...]": (_parse_m_values, _ints, lambda v: ",".join(map(str, v))),
+    "str | None": (lambda t: t or None, _optional_path, lambda v: "" if v is None else str(v)),
+    "str": (str, _path, str),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Sweep parameters; field names double as the config-file keys."""
+    """Sweep parameters; field names double as the config-file keys. A field's
+    annotation picks its parser, type check and ``[meta]`` echo from ``_KINDS``,
+    and a field without a default is a required key."""
 
     p: int
     m_values: tuple[int, ...]
@@ -146,25 +180,8 @@ class ExperimentConfig:
     output: str = "results.txt"
 
     def __post_init__(self) -> None:
-        for name in ("p", "r", "trials", "seed", "l_max"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name, ConfigError))
-        for name in ("snr_db", "epsilon", "alpha"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
-        for name in ("sigma_csv", "sigma0_csv", "output"):
-            value = getattr(self, name)
-            if not (isinstance(value, (str, os.PathLike)) or (value is None and name != "output")):
-                raise ConfigError(f"{name} must be a path, got {value!r}")
-        try:
-            members = iter(self.m_values)
-        except TypeError:
-            raise ConfigError(
-                f"m_values must be a sequence of integers, got {self.m_values!r}"
-            ) from None
-        object.__setattr__(
-            self, "m_values", tuple(_as_int(m, "every m", ConfigError) for m in members)
-        )
+        for f in fields(self):
+            object.__setattr__(self, f.name, _KINDS[f.type][1](getattr(self, f.name), f.name))
         if self.p < 2:
             raise ConfigError(f"p must be at least 2, got {self.p}")
         if not self.m_values:
@@ -196,36 +213,7 @@ class ExperimentConfig:
             raise ConfigError(f"output must not end in .csv, got {self.output!r}")
 
 
-def _parse_int(text: str) -> int:
-    return int(text, 10)
-
-
-def _parse_m_values(text: str) -> tuple[int, ...]:
-    items = [tok.strip() for tok in text.split(",")]
-    return tuple(int(tok, 10) for tok in items if tok)
-
-
-def _parse_path(text: str) -> str | None:
-    return text or None
-
-
-_FIELD_PARSERS: dict[str, Callable[[str], object]] = {
-    "p": _parse_int,
-    "m_values": _parse_m_values,
-    "r": _parse_int,
-    "snr_db": float,
-    "trials": _parse_int,
-    "seed": _parse_int,
-    "epsilon": float,
-    "l_max": _parse_int,
-    "alpha": float,
-    "sigma_csv": _parse_path,
-    "sigma0_csv": _parse_path,
-    "output": str,
-}
-
-CONFIG_KEYS = tuple(_FIELD_PARSERS)
-assert CONFIG_KEYS == tuple(f.name for f in fields(ExperimentConfig))
+CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -249,7 +237,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _FIELD_PARSERS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in mapping:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -259,16 +247,17 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 def config_from_mapping(mapping: Mapping[str, str]) -> ExperimentConfig:
     """Build a validated ExperimentConfig from string key/value pairs."""
-    unknown = sorted(set(mapping) - set(_FIELD_PARSERS))
+    config_fields = {f.name: f for f in fields(ExperimentConfig)}
+    unknown = sorted(set(mapping) - set(config_fields))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    missing = [key for key in ("p", "m_values") if key not in mapping]
+    missing = [k for k, f in config_fields.items() if f.default is MISSING and k not in mapping]
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
     kwargs = {}
     for key, value in mapping.items():
         try:
-            kwargs[key] = _FIELD_PARSERS[key](value)
+            kwargs[key] = _KINDS[config_fields[key].type][0](value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
     return ExperimentConfig(**kwargs)
@@ -489,7 +478,6 @@ def emit_results(result: SweepResult, path: str | Path) -> tuple[Path, Path]:
         cells = [_fmt(getattr(rec, field)) for _, field in _RESULT_COLUMNS]
         csv_lines.append(",".join([str(rec.m), str(rec.trial), *cells, rec.stop_reason.value]))
 
-    config = result.config
     meta_pairs = [
         ("tool", f"treecov {__version__}"),
         ("generated_at", datetime.datetime.now(datetime.timezone.utc).isoformat()),
@@ -497,16 +485,7 @@ def emit_results(result: SweepResult, path: str | Path) -> tuple[Path, Path]:
         ("rng", "numpy PCG64 (numpy.random.default_rng)"),
     ]
     for f in fields(ExperimentConfig):
-        value = getattr(config, f.name)
-        if f.name == "m_values":
-            text = ",".join(str(m) for m in value)
-        elif value is None:
-            text = ""
-        elif isinstance(value, float):
-            text = _fmt(value)
-        else:
-            text = str(value)
-        meta_pairs.append((f.name, text))
+        meta_pairs.append((f.name, _KINDS[f.type][2](getattr(result.config, f.name))))
     meta_pairs.append(("trials_ok", str(len(result.records))))
     meta_pairs.append(("trials_failed", str(len(result.failures))))
 

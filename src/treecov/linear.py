@@ -117,7 +117,7 @@ class ObservationSet:
     by roundoff only.
 
     A set from ``read_observations`` has the same statistics, bit for bit,
-    but may hold no samples: ``samples`` is then None.
+    but holds no samples: ``samples`` is None.
     """
 
     samples: np.ndarray | None
@@ -373,18 +373,19 @@ def read_observations(path: str | Path) -> ObservationSet:
     holds no r x m array: it takes the helpers' rows through one reusable
     buffer of at most ``ROW_BLOCK`` rows, in the row blocks
     ``ObservationSet`` sums over, and adds each block into the column sums
-    and y^T y. The set then holds no samples (``samples`` is None). No
-    helper outlives the call. Elsewhere, and if the helpers fail (one could
-    not be forked or did not exit 0, or their rows differ in width), the
-    file is read by ``read_matrix_csv`` and the set keeps the array it
-    summarised, without a copy.
+    and y^T y. No helper outlives the call. Elsewhere, and if the helpers
+    fail (one could not be forked or did not exit 0, or their rows differ
+    in width), the file is read by ``read_matrix_csv`` and the array is
+    dropped once it is summarised. Either way the set holds no samples
+    (``samples`` is None), so it is the same on every machine.
     """
     ranges = _helper_ranges(path)
     if ranges:
         obs = _read_in_helpers(path, ranges)
         if obs is not None:
             return obs
-    return _owning(read_matrix_csv(path))
+    y = read_matrix_csv(path)
+    return _summarise(object.__new__(ObservationSet), None, len(y), _blocks_of(y))
 
 
 def _parse_lines(text: Iterable[str]) -> np.ndarray | None:

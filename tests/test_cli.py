@@ -32,6 +32,13 @@ def sigma_csv(tmp_path):
     return path
 
 
+def bad_output_paths(tmp_path):
+    """An output path in a missing directory and one that is a directory,
+    each with the path its error must name."""
+    (tmp_path / "dir").mkdir()
+    return [(tmp_path / "absent" / "out.csv", tmp_path / "absent"), (tmp_path / "dir",) * 2]
+
+
 @pytest.fixture
 def em_inputs(tmp_path):
     sigma = generate_ground_truth(3, seed=22)
@@ -108,19 +115,17 @@ class TestChowliuCommand:
         self, tmp_path, sigma_csv, capsys, monkeypatch, missing, written
     ):
         def no_fit(sigma):
-            raise AssertionError("chow_liu called despite a missing output directory")
+            raise AssertionError("chow_liu called despite a bad output path")
 
         monkeypatch.setattr("treecov.cli.chow_liu", no_fit)
         ok_path = tmp_path / "written.csv"
-        code = main([
-            "chowliu", str(sigma_csv),
-            written, str(ok_path), missing, str(tmp_path / "absent" / "out.csv"),
-        ])
-        assert code == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "i/o error:" in captured.err
-        assert not ok_path.exists()
+        for bad, named in bad_output_paths(tmp_path):
+            code = main(["chowliu", str(sigma_csv), written, str(ok_path), missing, str(bad)])
+            assert code == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("i/o error:") and repr(str(named)) in captured.err
+            assert not ok_path.exists()
 
 
 class TestEmCommand:
@@ -159,19 +164,18 @@ class TestEmCommand:
         self, tmp_path, em_inputs, capsys, monkeypatch, missing, written
     ):
         def no_fit(*args, **kwargs):
-            raise AssertionError("run_em called despite a missing output directory")
+            raise AssertionError("run_em called despite a bad output path")
 
         monkeypatch.setattr("treecov.cli.run_em", no_fit)
         ok_path = tmp_path / "written.csv"
         inputs = [f"--{name}={path}" for name, path in em_inputs.items()]
-        code = main([
-            "em", *inputs, written, str(ok_path), missing, str(tmp_path / "absent" / "out.csv"),
-        ])
-        assert code == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "i/o error:" in captured.err
-        assert not ok_path.exists()
+        for bad, named in bad_output_paths(tmp_path):
+            code = main(["em", *inputs, written, str(ok_path), missing, str(bad)])
+            assert code == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("i/o error:") and repr(str(named)) in captured.err
+            assert not ok_path.exists()
 
     def test_nonpositive_epsilon_is_a_config_error(self, em_inputs):
         code = main(
@@ -385,7 +389,7 @@ class TestSweepCommand:
         self, tmp_path, capsys, monkeypatch
     ):
         def no_sweep(config):
-            raise AssertionError("run_sweep called despite a missing output directory")
+            raise AssertionError("run_sweep called despite a bad output path")
 
         monkeypatch.setattr("treecov.cli.run_sweep", no_sweep)
         config = write_sweep_config(tmp_path)
@@ -394,6 +398,19 @@ class TestSweepCommand:
         assert code == 3
         assert "i/o error:" in capsys.readouterr().err
         assert not out.parent.exists()
+        # The output, or the per-trial CSV written next to it, is a directory.
+        (tmp_path / "outdir").mkdir()
+        (tmp_path / "res.csv").mkdir()
+        for out, named, unwritten in [
+            (tmp_path / "outdir", tmp_path / "outdir", tmp_path / "outdir.csv"),
+            (tmp_path / "res.txt", tmp_path / "res.csv", tmp_path / "res.txt"),
+        ]:
+            code = main(["sweep", "--config", str(config), "--output", str(out)])
+            assert code == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"i/o error: output path {str(named)!r} is a directory\n"
+            assert not unwritten.exists()
 
     def test_no_parameters_is_a_config_error(self):
         assert main(["sweep"]) == 1

@@ -32,6 +32,7 @@ from treecov import (
 )
 from treecov.em import EmMonotonicityWarning, StopReason
 from treecov.experiment import (
+    CONFIG_KEYS,
     CSV_HEADER,
     config_from_mapping,
     derive_seed,
@@ -365,6 +366,12 @@ class TestConfigParsing:
         assert config.alpha == 0.5
         assert config.output == "results.txt"
 
+    def test_readme_command_line_names_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+        named = set(re.findall(r"^(\w+) = ", section, re.M)) | set(re.findall(r"`(\w+)`", section))
+        assert set(CONFIG_KEYS) <= named
+
     def test_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "sweep.cfg"
         path.write_text("p = 4\nm_values = 2\nbogus = 1\n")
@@ -447,6 +454,25 @@ class TestRunSweep:
         assert agg.latent_kl_em.stderr == pytest.approx(
             np.std(group, ddof=1) / np.sqrt(len(group)), rel=1e-12
         )
+
+    def test_em_never_beats_the_best_tree_when_the_truth_is_not_a_tree(self, tmp_path):
+        # A blend of two generated trees is no tree, so the oracle tree's
+        # divergence from it is the approximation gap, and no tree the
+        # iteration returns can come closer to the truth than that.
+        beta, p = 0.3, 10
+        sigma_a, sigma_b = (
+            generate_ground_truth(p, derive_seed(seed, "sigma")).entries for seed in (0, 1)
+        )
+        path = tmp_path / "sigma.csv"
+        write_matrix_csv((1 - beta) * sigma_a + beta * sigma_b, path)
+        result = run_sweep(
+            ExperimentConfig(p=p, m_values=(5, 7, 9), trials=5, sigma_csv=str(path))
+        )
+        assert result.failures == ()
+        assert len(result.records) == 15
+        for rec in result.records:
+            assert rec.latent_kl_oracle_tree > 0.0
+            assert rec.latent_kl_em >= rec.latent_kl_oracle_tree - 1e-9
 
     def test_trace_hook_sees_every_trial_in_order(self):
         seen = []
@@ -609,6 +635,26 @@ class TestEmitResults:
         stable_b = [l for l in doc_b.read_text().splitlines() if not l.startswith("generated_at")]
         assert csv_a.read_bytes() == csv_b.read_bytes()
         assert stable_a == stable_b
+
+    def test_meta_echo_parses_back_to_the_config(self, tmp_path):
+        config = ExperimentConfig(
+            p=4, m_values=(3, 2), snr_db=12.5, epsilon=np.float32(0.1), sigma0_csv=None,
+            output=tmp_path / "results.txt",
+        )
+        result = SweepResult(config=config, records=(), aggregates=(), failures=())
+        doc_path, _ = emit_results(result, config.output)
+        meta = doc_path.read_text().split("\n\n", 1)[0].splitlines()[1:]
+        echoed = dict(line.split(" = ", 1) for line in meta)
+        parsed = config_from_mapping({key: echoed[key] for key in CONFIG_KEYS})
+        for key in CONFIG_KEYS:
+            value = getattr(config, key)
+            if isinstance(value, Path):
+                value = str(value)
+            elif isinstance(value, np.floating):
+                # The exact double the sweep computes with: numpy compares
+                # float32 0.1 with 0.1 in float32, where the two are equal.
+                value = float(value)
+            assert getattr(parsed, key) == value, key
 
     def test_empty_sweep_emits_header_only_csv(self, tmp_path):
         # run_sweep never returns this (a config names at least one m and

@@ -451,6 +451,14 @@ class TestMatrixCsv:
             b"-0,4.9406564584124654e-324\nnan,inf\n-inf,0.10000000000000001\n"
         )
 
+    def test_read_observations_of_a_small_file_keeps_only_the_statistics(self, tmp_path):
+        # A file under PARALLEL_READ_BYTES is read serially on every machine;
+        # the set it gives holds no samples, as a set from helpers does.
+        path = tmp_path / "obs.csv"
+        write_matrix_csv(np.random.default_rng(14).standard_normal((30, 3)), path)
+        assert read_observations(path).samples is None
+        assert _outcome(path, read_observations) == _outcome(path, _observations)
+
 
 def _csv_text(matrix: np.ndarray) -> bytes:
     """``matrix`` in write_matrix_csv's format."""
@@ -639,6 +647,8 @@ class TestParallelRead:
             thread.start()
         try:
             got = read(path)
+            if reader == "read_observations":
+                assert read_observations(path).samples is None
         finally:
             stop.set()
             if thread.is_alive():
