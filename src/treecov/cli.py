@@ -19,16 +19,15 @@ from .em import EmConfig, run_em
 from .experiment import (
     CONFIG_KEYS,
     ConfigError,
-    _file_cov,
-    _naming_file,
     config_from_mapping,
     emit_results,
     parse_config_file,
     run_sweep,
 )
-from .gaussian import NumericalError, kl_gaussian
+from .gaussian import CovMatrix, NumericalError, kl_gaussian
 from .linear import (
     LinearModel,
+    _naming_file,
     empirical_gaussian,
     read_matrix_csv,
     read_observations,
@@ -114,8 +113,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_chowliu(args: argparse.Namespace) -> int:
     _check_output_dirs(args.cov_out, args.edges_out)
-    sigma = _file_cov(read_matrix_csv(args.input), "covariance", args.input)
-    fit = chow_liu(sigma)
+    with _naming_file("covariance", args.input):
+        sigma = CovMatrix(read_matrix_csv(args.input))
+        fit = chow_liu(sigma)
     print(f"kl = {kl_gaussian(sigma, fit):.12g}")
     print("edges = " + " ".join(f"{u}-{v}" for u, v in fit.tree.edges))
     if args.cov_out:
@@ -127,35 +127,29 @@ def _cmd_chowliu(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_dimension(
-    label: str, path: str, dim: int, name: str, want: int, h_path: str
-) -> None:
-    """Raise ConfigError naming ``path`` unless the dimension ``dim`` of the
-    matrix read from it is ``want``, the ``name`` of the mixing matrix read
-    from ``h_path``."""
-    if dim != want:
-        raise ConfigError(
-            f"{label} from {path}: dimension {dim} != {name}={want} "
-            f"of the mixing matrix from {h_path}"
-        )
-
-
 def _cmd_em(args: argparse.Namespace) -> int:
     _check_output_dirs(args.sigma_out, args.trace_out)
-    sigma0 = _file_cov(read_matrix_csv(args.sigma0), "prior covariance", args.sigma0)
     h = read_matrix_csv(args.h)
-    noise = _file_cov(read_matrix_csv(args.d), "noise covariance", args.d)
-    _check_dimension("noise covariance", args.d, noise.dim, "m", h.shape[0], args.h)
+    (m, p), of_h = h.shape, f"of the mixing matrix from {args.h}"
+    with _naming_file("prior covariance", args.sigma0):
+        sigma0 = CovMatrix(read_matrix_csv(args.sigma0))
+        if sigma0.dim != p:
+            raise ConfigError(f"dimension {sigma0.dim} != p={p} {of_h}")
+        # A tree-fit error names the file here; EmConfig fits it again below.
+        chow_liu(sigma0)
+    config = EmConfig(sigma0=sigma0, epsilon=args.epsilon, l_max=args.l_max)
+    with _naming_file("noise covariance", args.d):
+        noise = CovMatrix(read_matrix_csv(args.d))
+        if noise.dim != m:
+            raise ConfigError(f"dimension {noise.dim} != m={m} {of_h}")
     with _naming_file("mixing matrix", args.h):
         model = LinearModel(h, noise)
     with _naming_file("observations", args.obs):
         obs = read_observations(args.obs)
-    _check_dimension("prior covariance", args.sigma0, sigma0.dim, "p", model.p, args.h)
-    _check_dimension("observations", args.obs, obs.m, "m", model.m, args.h)
-    # run_em refuses a singular S_Y too, but without naming the file.
-    with _naming_file("observations", args.obs):
+        if obs.m != m:
+            raise ConfigError(f"dimension {obs.m} != m={m} {of_h}")
+        # run_em refuses a singular S_Y too, but without naming the file.
         empirical_gaussian(obs)
-    config = EmConfig(sigma0=sigma0, epsilon=args.epsilon, l_max=args.l_max)
     trace = run_em(config, model, obs)
     final = trace.final
     print(
@@ -181,9 +175,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

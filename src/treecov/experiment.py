@@ -9,7 +9,6 @@ Results are written as a structured text document plus a flat CSV table.
 
 from __future__ import annotations
 
-import contextlib
 import datetime
 import hashlib
 import math
@@ -18,7 +17,7 @@ import os
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .gaussian import CovMatrix, NumericalError, _as_int, _is_finite, kl_gaussia
 from .linear import (
     LinearModel,
     RankDeficientError,
+    _naming_file,
     read_matrix_csv,
     sample_observations,
 )
@@ -209,6 +209,8 @@ class ExperimentConfig:
             raise ConfigError(f"l_max must be at least 1, got {self.l_max}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if not Path(self.output).name:
+            raise ConfigError(f"output must name a file, got {self.output!r}")
         if Path(self.output).suffix == ".csv":
             raise ConfigError(f"output must not end in .csv, got {self.output!r}")
 
@@ -326,34 +328,12 @@ def _column_stats(values: list[float]) -> ColumnStats:
     return ColumnStats(mean=mean, stderr=stderr)
 
 
-def _load_cov_csv(path: str, expected_dim: int, label: str) -> CovMatrix:
+def _square_cov(path: str | os.PathLike, p: int) -> CovMatrix:
+    """``CovMatrix`` of the (p, p) matrix read from ``path``."""
     matrix = read_matrix_csv(path)
-    if matrix.shape != (expected_dim, expected_dim):
-        raise ConfigError(
-            f"{label} from {path} has shape {matrix.shape}, expected "
-            f"({expected_dim}, {expected_dim})"
-        )
-    return _file_cov(matrix, label, path)
-
-
-def _file_cov(matrix: np.ndarray, label: str, path: str | os.PathLike) -> CovMatrix:
-    """``CovMatrix(matrix)`` for a matrix read from ``path``, its errors
-    named as ``_naming_file`` names them."""
-    with _naming_file(label, path):
-        return CovMatrix(matrix)
-
-
-@contextlib.contextmanager
-def _naming_file(label: str, path: str | os.PathLike) -> Iterator[None]:
-    """Raise a ValueError from the block again, of the same class, with the
-    label and the path of the file its input was read from first, unless it
-    names that path first already, as read_matrix_csv's errors do."""
-    try:
-        yield
-    except ValueError as exc:
-        if str(exc).startswith(f"{path}: "):
-            raise
-        raise type(exc)(f"{label} from {path}: {exc}") from exc
+    if matrix.shape != (p, p):
+        raise ConfigError(f"has shape {matrix.shape}, expected ({p}, {p})")
+    return CovMatrix(matrix)
 
 
 TraceHook = Callable[[int, int, EmTrace], None]
@@ -377,18 +357,19 @@ def run_sweep(
     ``on_trace`` receives (m, trial, trace) for each successful trial in
     deterministic order. Results are deterministic functions of the config.
     """
-    if config.sigma_csv is not None:
-        sigma = _load_cov_csv(config.sigma_csv, config.p, "ground-truth covariance")
-    else:
-        sigma = generate_ground_truth(config.p, derive_seed(config.seed, "sigma"))
-    if config.sigma0_csv is not None:
-        sigma0 = _load_cov_csv(config.sigma0_csv, config.p, "prior covariance")
-    else:
-        sigma0 = generate_prior(sigma, config.alpha, derive_seed(config.seed, "prior"))
-
-    em_config = EmConfig(sigma0=sigma0, epsilon=config.epsilon, l_max=config.l_max)
+    with _naming_file("ground-truth covariance", config.sigma_csv):
+        if config.sigma_csv is None:
+            sigma = generate_ground_truth(config.p, derive_seed(config.seed, "sigma"))
+        else:
+            sigma = _square_cov(config.sigma_csv, config.p)
+        kl_oracle_tree = kl_gaussian(sigma, chow_liu(sigma))
+    with _naming_file("prior covariance", config.sigma0_csv):
+        if config.sigma0_csv is None:
+            sigma0 = generate_prior(sigma, config.alpha, derive_seed(config.seed, "prior"))
+        else:
+            sigma0 = _square_cov(config.sigma0_csv, config.p)
+        em_config = EmConfig(sigma0=sigma0, epsilon=config.epsilon, l_max=config.l_max)
     kl_prior_tree = kl_gaussian(sigma, em_config.prior_fit)
-    kl_oracle_tree = kl_gaussian(sigma, chow_liu(sigma))
     if kl_oracle_tree > kl_prior_tree + 1e-9:
         raise NumericalError(
             "oracle tree is worse than the prior tree; tree fit is broken"

@@ -359,6 +359,20 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
     return matrix
 
 
+@contextlib.contextmanager
+def _naming_file(label: str, path: str | os.PathLike | None) -> Iterator[None]:
+    """Raise a ValueError from the block again, of the same class, with the
+    label and the path of the file its input was read from first, unless it
+    names that path first already, as read_matrix_csv's errors do. A path of
+    None, an input generated rather than read, names nothing."""
+    try:
+        yield
+    except ValueError as exc:
+        if path is None or str(exc).startswith(f"{path}: "):
+            raise
+        raise type(exc)(f"{label} from {path}: {exc}") from exc
+
+
 def read_observations(path: str | Path) -> ObservationSet:
     """The observation set of a file in write_matrix_csv's format, one
     sample per row: ``ObservationSet(read_matrix_csv(path))``, with the same

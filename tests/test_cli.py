@@ -177,18 +177,22 @@ class TestEmCommand:
             assert captured.err.startswith("i/o error:") and repr(str(named)) in captured.err
             assert not ok_path.exists()
 
-    def test_nonpositive_epsilon_is_a_config_error(self, em_inputs):
+    # The cap and threshold are checked before the observations are read.
+    @pytest.mark.parametrize("obs_exists", [True, False], ids=["obs", "missing-obs"])
+    def test_nonpositive_epsilon_is_a_config_error(self, tmp_path, em_inputs, capsys, obs_exists):
+        obs = em_inputs["obs"] if obs_exists else tmp_path / "absent.csv"
         code = main(
             [
                 "em",
                 "--sigma0", str(em_inputs["sigma0"]),
                 "--h", str(em_inputs["h"]),
                 "--d", str(em_inputs["d"]),
-                "--obs", str(em_inputs["obs"]),
+                "--obs", str(obs),
                 "--epsilon", "0",
             ]
         )
         assert code == 1
+        assert "epsilon" in capsys.readouterr().err
 
     def test_unparseable_flag_is_a_config_error(self, em_inputs):
         code = main(
@@ -385,6 +389,18 @@ class TestSweepCommand:
         assert "must not end in .csv" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("out", ["", "."])
+    def test_output_without_a_file_name_fails_before_the_sweep_runs(
+        self, tmp_path, capsys, monkeypatch, out
+    ):
+        def no_sweep(config):
+            raise AssertionError("run_sweep called despite an output with no file name")
+
+        monkeypatch.setattr("treecov.cli.run_sweep", no_sweep)
+        config = write_sweep_config(tmp_path)
+        assert main(["sweep", "--config", str(config), "--output", out]) == 1
+        assert capsys.readouterr().err == f"config error: output must name a file, got {out!r}\n"
+
     def test_missing_output_directory_fails_before_the_sweep_runs(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -476,6 +492,12 @@ class TestParserBehavior:
 
 ASYMMETRIC = "covariance asymmetry 1.000e+00 exceeds tolerance 1e-10"
 INDEFINITE = "covariance is not positive definite"
+# Unit variances, positive definite, with one correlation 1 - 5e-14 between
+# vertices 0 and 1 that the tree fit refuses.
+NEAR_ONE = 1.0 - 5e-14
+DEGENERATE_2 = [[1.0, NEAR_ONE], [NEAR_ONE, 1.0]]
+DEGENERATE_3 = [[1.0, NEAR_ONE, 0.0], [NEAR_ONE, 1.0, 0.0], [0.0, 0.0, 1.0]]
+DEGENERATE = "correlation 0.99999999999995 between 0 and 1 is numerically degenerate"
 
 
 @pytest.mark.parametrize(
@@ -487,6 +509,13 @@ INDEFINITE = "covariance is not positive definite"
         ("em", "--d", [[1.0, 2.0], [3.0, 1.0]], "noise covariance", ASYMMETRIC),
         ("em", "--d", [[1.0, 2.0], [2.0, 1.0]], "noise covariance", INDEFINITE),
         ("chowliu", None, [[1.0, 2.0], [3.0, 1.0]], "covariance", ASYMMETRIC),
+        ("chowliu", None, [[1.0]], "covariance", "need at least two vertices, got 1"),
+        ("chowliu", None, DEGENERATE_2, "covariance", DEGENERATE),
+        ("em", "--sigma0", DEGENERATE_3, "prior covariance", DEGENERATE),
+        ("sweep", "--sigma0_csv", DEGENERATE_2, "prior covariance", DEGENERATE),
+        ("sweep", "--sigma_csv", DEGENERATE_2, "ground-truth covariance", DEGENERATE),
+        ("sweep", "--sigma_csv", np.eye(3), "ground-truth covariance",
+         "has shape (3, 3), expected (2, 2)"),
     ],
 )
 def test_invalid_covariance_file_is_named(
@@ -505,6 +534,22 @@ def test_invalid_covariance_file_is_named(
         argv = ["chowliu", str(bad)]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"config error: {label} from {bad}: {message}\n"
+
+
+def test_one_latent_dimension_names_the_prior_file(tmp_path, capsys):
+    paths = {}
+    for name, matrix in [("sigma0", [[1.0]]), ("h", [[1.0]]), ("d", [[0.2]]),
+                         ("obs", [[1.0], [-2.0], [0.5]])]:
+        paths[name] = tmp_path / f"{name}.csv"
+        write_matrix_csv(np.array(matrix), paths[name])
+    argv = ["em"]
+    for name, path in paths.items():
+        argv += [f"--{name}", str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"config error: prior covariance from {paths['sigma0']}: "
+        "need at least two vertices, got 1\n"
+    )
 
 
 @pytest.mark.parametrize(

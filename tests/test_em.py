@@ -31,6 +31,7 @@ from treecov import (
     sample_observations,
 )
 from treecov.em import StopReason, compute_omega
+from treecov.experiment import derive_seed, generate_ground_truth, generate_mixing, generate_prior
 from treecov.linear import empirical_gaussian, observation_cov
 
 from _helpers import adjacency, check_order, joseph_posterior, no_mixing_model, random_spd
@@ -456,3 +457,37 @@ class TestRunEm:
         bad = ObservationSet(np.random.default_rng(25).standard_normal((10, model.m + 1)))
         with pytest.raises(ValueError, match="observation dimension"):
             run_em(EmConfig(sigma0), model, bad)
+
+
+class TestIdentifiability:
+    """A tree covariance has 2p - 1 parameters and the observed moment M has
+    m(m+1)/2. With no more moments than parameters, EM run to convergence
+    reproduces M up to roundoff, so the likelihood barely ranks trees; with
+    more, a gap stays. The gap KL(N(0, M) || N(0, K)) of the final iterate
+    is the zero-mean NLL, without its 2 pi term, less (m + ln det M) / 2.
+    Seed 0 gives the default sweep's truth and prior, and each trial's H and
+    samples are drawn from the sweep's own seed labels."""
+
+    @pytest.mark.parametrize("m, saturable", [(3, True), (9, False)])
+    def test_gap_at_convergence(self, m, saturable):
+        p = 10
+        assert (m * (m + 1) // 2 <= 2 * p - 1) == saturable
+        sigma = generate_ground_truth(p, derive_seed(0, "sigma"))
+        sigma0 = generate_prior(sigma, 0.5, derive_seed(0, "prior"))
+        config = EmConfig(sigma0, epsilon=1e-9, l_max=400)
+        gaps = []
+        with warnings.catch_warnings():
+            # EM lowers the uncentered objective, so the centered one it
+            # reports may rise by a little near convergence.
+            warnings.simplefilter("ignore", EmMonotonicityWarning)
+            for trial in range(10):
+                model = generate_mixing(p, m, 20.0, sigma, derive_seed(0, "mixing", m, trial))
+                obs = sample_observations(
+                    model, sigma, 100, derive_seed(0, "observations", m, trial)
+                )
+                fit = run_em(config, model, obs).final.sigma_tree
+                gaps.append(kl_gaussian(CovMatrix(obs.second_moment), observation_cov(model, fit)))
+        if saturable:
+            assert max(gaps) < 1e-6  # measured maximum 3.2e-8
+        else:
+            assert min(gaps) > 0.05  # measured minimum 0.072, median 0.176

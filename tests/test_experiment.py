@@ -243,6 +243,8 @@ class TestExperimentConfig:
             dict(m_values=()),
             dict(m_values=(2, 2)),
             dict(output="results.csv"),
+            dict(output=""),
+            dict(output="."),
         ],
     )
     def test_rejects_invalid_fields(self, overrides):
