@@ -135,9 +135,9 @@ def _cmd_em(args: argparse.Namespace) -> int:
         sigma0 = CovMatrix(read_matrix_csv(args.sigma0))
         if sigma0.dim != p:
             raise ConfigError(f"dimension {sigma0.dim} != p={p} {of_h}")
-        # A tree-fit error names the file here; EmConfig fits it again below.
-        chow_liu(sigma0)
     config = EmConfig(sigma0=sigma0, epsilon=args.epsilon, l_max=args.l_max)
+    with _naming_file("prior covariance", args.sigma0):
+        config.prior_fit  # the one tree fit of the prior, whose errors name its file
     with _naming_file("noise covariance", args.d):
         noise = CovMatrix(read_matrix_csv(args.d))
         if noise.dim != m:

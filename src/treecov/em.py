@@ -6,14 +6,12 @@ second moments, and refits the best spanning-tree covariance to the pooled
 moment. The loop stops when consecutive iterates are closer than epsilon in
 latent KL divergence or when the iteration cap is reached.
 
-The refit needs only the pooled moment, never the posterior covariance C
-itself (Dempster, Laird & Rubin 1977). Since C = sigma - G K G^T with gain
-G = sigma H^T K^-1, ``compute_omega`` forms the pooled moment C + G M G^T as
-one Gram update, sigma + G (M - K) G^T, and that conditioning never
-inflates the covariance holds by construction rather than by a check.
-Each iterate's K = H sigma H^T + D is built and factored once: one solve
-K^-1 [H sigma | L_S] yields G^T and, with S_Y = L_S L_S^T, the trace
-tr(K^-1 S_Y) = sum(L_S * K^-1 L_S) of the objective KL(N(0, S_Y) || N(0, K)).
+The E-step is one call, ``compute_omega(model, obs, empirical, fit)``: it
+scores an iterate by the observation-space objective and pools the
+posterior moment under it, and nothing else of the conditioning leaves it.
+The refit needs only that pooled moment, never the posterior covariance
+itself (Dempster, Laird & Rubin 1977), so the moment is formed as one Gram
+update that cannot inflate the covariance by construction.
 """
 
 from __future__ import annotations
@@ -22,7 +20,8 @@ import enum
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,16 +50,11 @@ class StopReason(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class EmConfig:
-    """Iteration parameters: prior covariance, stopping threshold, cap.
-
-    ``prior_fit`` is derived, not settable: the best tree fit of ``sigma0``,
-    computed once here and shared by every run of the config.
-    """
+    """Iteration parameters: prior covariance, stopping threshold, cap."""
 
     sigma0: CovMatrix
     epsilon: float = 0.01
     l_max: int = 20
-    prior_fit: TreeCovMatrix = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.epsilon, numbers.Real) or isinstance(self.epsilon, bool):
@@ -70,7 +64,12 @@ class EmConfig:
         object.__setattr__(self, "l_max", _as_int(self.l_max, "l_max"))
         if self.l_max < 1:
             raise ValueError(f"l_max must be at least 1, got {self.l_max}")
-        object.__setattr__(self, "prior_fit", chow_liu(self.sigma0))
+
+    @cached_property
+    def prior_fit(self) -> TreeCovMatrix:
+        """The best tree fit of ``sigma0``: derived, not settable, fitted on
+        first use and shared by every run of the config."""
+        return chow_liu(self.sigma0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,44 +101,46 @@ class EmTrace:
         return self.iterations[-1]
 
 
-def _condition(
-    model: LinearModel, empirical: CovMatrix, sigma_tree: CovMatrix
-) -> tuple[CovMatrix, np.ndarray, float]:
-    """K = H sigma H^T + D of an iterate, the transposed gain G^T = K^-1 H sigma
-    and the objective KL(N(0, S_Y) || N(0, K)), from one solve with K whose
-    right-hand side is [H sigma | L_S], L_S the factor of ``empirical``."""
-    k = observation_cov(model, sigma_tree)
-    rhs = np.hstack((model.h @ sigma_tree.entries, empirical.chol))
-    solved = np.linalg.solve(k.entries, rhs)
-    trace = float(np.sum(empirical.chol * solved[:, model.p :]))
-    obs_kl = 0.5 * (trace - model.m + k.log_det - empirical.log_det)
-    return k, solved[:, : model.p], _clamp_kl(obs_kl)
-
-
 def compute_omega(
-    sigma_tree: CovMatrix, obs: ObservationSet, k: CovMatrix, gain_t: np.ndarray
-) -> CovMatrix:
-    """Posterior second moment pooled over the observation set.
+    model: LinearModel,
+    obs: ObservationSet,
+    empirical: CovMatrix,
+    fit: CovMatrix,
+    *,
+    pool: bool = True,
+) -> tuple[float, CovMatrix | None]:
+    """The E-step of iterate ``fit``: its objective and, when ``pool`` is
+    true, the posterior second moment pooled over ``obs`` (else None).
 
-    Under prior N(0, sigma) the latent posterior given y has covariance
-    C = sigma - G K G^T and mean G y, with gain G = sigma H^T K^-1 and K the
-    iterate's observation covariance H sigma H^T + D. Pooled over the
-    samples, Omega = C + G M G^T with M the uncentered second moment of the
-    observations, that is
+    The objective is KL(N(0, S_Y) || N(0, K)), with S_Y = ``empirical`` the
+    sample covariance of ``obs`` and K = H sigma H^T + D the iterate's
+    observation covariance. Under prior N(0, sigma) the latent posterior
+    given y has covariance C = sigma - G K G^T and mean G y, with gain
+    G = sigma H^T K^-1. Pooled over the samples, Omega = C + G M G^T with M
+    the uncentered second moment of the observations, that is
 
         Omega = sigma + G (M - K) G^T,
 
-    two products from ``gain_t`` = G^T = K^-1 H sigma; C itself is never
-    formed. ``run_em`` takes G^T from the one solve with K that also scores
-    the iterate, so each iterate factors K once. Conditioning never inflates
-    the covariance, and that holds by construction: sigma - C = (G L_K)(G
-    L_K)^T for the Cholesky factor L_K of K. Omega is positive definite even
-    where C is singular; should it not be, its Cholesky fails and
-    NumericalError names the sample count r and m.
+    and C itself is never formed. K is built and factored once: one solve
+    K^-1 [H sigma | L_S], with S_Y = L_S L_S^T, gives G^T and the trace
+    tr(K^-1 S_Y) = sum(L_S * K^-1 L_S) of the objective, so pooling never
+    changes the score. Conditioning never inflates the covariance, and that
+    holds by construction: sigma - C = (G L_K)(G L_K)^T for the Cholesky
+    factor L_K of K. Omega is positive definite even where C is singular;
+    should it not be, its Cholesky fails and NumericalError names the sample
+    count r and m.
     """
-    omega = sigma_tree.entries + gain_t.T @ ((obs.second_moment - k.entries) @ gain_t)
+    k = observation_cov(model, fit)
+    rhs = np.hstack((model.h @ fit.entries, empirical.chol))
+    solved = np.linalg.solve(k.entries, rhs)
+    trace = float(np.sum(empirical.chol * solved[:, model.p :]))
+    obs_kl = _clamp_kl(0.5 * (trace - model.m + k.log_det - empirical.log_det))
+    if not pool:
+        return obs_kl, None
+    gain_t = solved[:, : model.p]
+    omega = fit.entries + gain_t.T @ ((obs.second_moment - k.entries) @ gain_t)
     try:
-        return CovMatrix((omega + omega.T) / 2.0)
+        return obs_kl, CovMatrix((omega + omega.T) / 2.0)
     except NotPositiveDefiniteError as exc:
         raise NumericalError(
             f"pooled posterior moment is not positive definite (r={obs.r}, m={obs.m})"
@@ -156,13 +157,12 @@ def run_em(
 
     The first iterate is the best tree fit of the prior itself
     (``config.prior_fit``); iterate l+1 is the best tree fit of the
-    posterior moment pooled under iterate l,
-    ``chow_liu(compute_omega(iterate_l, obs, k_l, gain_l))``, where k_l is
-    the observation covariance of iterate l and gain_l its transposed gain,
-    both from the one solve with k_l that also scores iterate l. The loop
-    stops once the latent-space divergence from iterate l to iterate l+1
-    drops below epsilon (EpsilonReached) or after l_max iterates
-    (LmaxReached).
+    posterior moment that ``compute_omega`` pools under iterate l, in the
+    same call that scores iterate l. The loop stops once the latent-space
+    divergence from iterate l to iterate l+1 drops below epsilon
+    (EpsilonReached) or after l_max iterates (LmaxReached). Whether an
+    iterate is the last is known before its E-step, so the last one is
+    scored but no moment is pooled under it.
 
     Each record carries the observation-space objective, which requires a
     positive definite sample covariance (more samples than observed
@@ -181,12 +181,10 @@ def run_em(
         raise ValueError(f"observation dimension {obs.m} != model m={model.m}")
     empirical = empirical_gaussian(obs)
     records: list[EmIteration] = []
-    fit, step_kl, stop = config.prior_fit, math.inf, StopReason.LMAX_REACHED
+    fit, step_kl = config.prior_fit, math.inf
     for index in range(1, config.l_max + 1):
-        if records:
-            fit = chow_liu(compute_omega(fit, obs, k, gain_t))
-            step_kl = kl_gaussian(records[-1].sigma_tree, fit)
-        k, gain_t, obs_kl = _condition(model, empirical, fit)
+        last = step_kl < config.epsilon or index == config.l_max
+        obs_kl, omega = compute_omega(model, obs, empirical, fit, pool=not last)
         if records and obs_kl > records[-1].obs_kl + MONOTONICITY_SLACK:
             warnings.warn(
                 f"observation objective rose from {records[-1].obs_kl:.9g} to "
@@ -196,7 +194,9 @@ def run_em(
             )
         latent = kl_gaussian(ground_truth, fit) if ground_truth is not None else None
         records.append(EmIteration(index, fit, obs_kl, step_kl, latent))
-        if step_kl < config.epsilon:
-            stop = StopReason.EPSILON_REACHED
+        if last:
             break
+        fit = chow_liu(omega)
+        step_kl = kl_gaussian(records[-1].sigma_tree, fit)
+    stop = StopReason.EPSILON_REACHED if step_kl < config.epsilon else StopReason.LMAX_REACHED
     return EmTrace(iterations=tuple(records), stop_reason=stop)

@@ -369,7 +369,7 @@ def run_sweep(
         else:
             sigma0 = _square_cov(config.sigma0_csv, config.p)
         em_config = EmConfig(sigma0=sigma0, epsilon=config.epsilon, l_max=config.l_max)
-    kl_prior_tree = kl_gaussian(sigma, em_config.prior_fit)
+        kl_prior_tree = kl_gaussian(sigma, em_config.prior_fit)
     if kl_oracle_tree > kl_prior_tree + 1e-9:
         raise NumericalError(
             "oracle tree is worse than the prior tree; tree fit is broken"

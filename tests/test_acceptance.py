@@ -31,7 +31,7 @@ from treecov import (
     tree_covariance,
 )
 from treecov.em import compute_omega
-from treecov.linear import observation_cov
+from treecov.linear import empirical_gaussian, observation_cov
 from treecov.tree import prufer_decode
 
 from _helpers import brute_force_optimal_tree, joseph_posterior, random_spd
@@ -114,9 +114,9 @@ def test_a2_simplified_divergence_matches_full_form(capsys):
 
 
 def test_a3_pooled_moment_matches_per_sample_average(capsys):
-    # 50 seeded instances (p <= 6, m <= p, r <= 100): the Gram update of the
-    # pooled posterior moment must match averaging the Joseph-form posterior
-    # moment over samples to 1e-8.
+    # 50 seeded instances (p <= 6, m <= p, r <= 100): the pooled posterior
+    # moment of the E-step seam must match averaging the Joseph-form
+    # posterior moment over samples to 1e-8.
     gap = 0.0
     for seed in range(50):
         rng = np.random.default_rng(10_000 + seed)
@@ -134,8 +134,7 @@ def test_a3_pooled_moment_matches_per_sample_average(capsys):
             mu = gain @ y
             pooled += cov + np.outer(mu, mu)
         pooled /= obs.r
-        gain_t = np.linalg.solve(k.entries, model.h @ prior.entries)
-        omega = compute_omega(prior, obs, k, gain_t)
+        _, omega = compute_omega(model, obs, empirical_gaussian(obs), prior)
         gap = max(gap, float(np.abs(omega.entries - pooled).max()))
     ok = gap < 1e-8
     report("A3", ok, f"max entrywise gap = {gap:.3e} over 50 instances", capsys)

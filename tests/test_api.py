@@ -3,11 +3,13 @@
 ``treecov`` re-exports exactly the names that README's "Python API" section
 lists; every other name is imported from its module. The benchmark under
 ``perfbench/`` reaches further names through the submodules, so those must
-survive any later cut of the surface too.
+survive any later cut of the surface too. Tests reach the E-step only
+through ``treecov.em``'s public names, so its body can change under them.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import re
 import types
@@ -73,3 +75,17 @@ def test_public_surface_is_documented_and_keeps_what_the_benchmark_reads():
     assert missing == []
     assert BENCHMARK_RECORD_FIELDS <= {f.name for f in fields(TrialRecord)}
     assert BENCHMARK_OBSERVATION_FIELDS <= {f.name for f in fields(ObservationSet)}
+
+
+def test_no_test_names_a_private_attribute_of_the_em_module():
+    named = []
+    for path in sorted((ROOT / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "treecov.em":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and ast.unparse(node.value) == "treecov.em":
+                names = [node.attr]
+            else:
+                continue
+            named += [f"{path.name}:{node.lineno}: {name}" for name in names if name.startswith("_")]
+    assert named == []

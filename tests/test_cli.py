@@ -15,6 +15,7 @@ import pytest
 from treecov import (
     CovMatrix,
     LinearModel,
+    chow_liu,
     read_matrix_csv,
     sample_observations,
     write_matrix_csv,
@@ -156,6 +157,21 @@ class TestEmCommand:
             cells = line.split(",")
             assert int(cells[0]) == lineno
             assert float(cells[1]) >= 0.0
+
+    def test_cap_of_one_fits_one_tree(self, em_inputs, monkeypatch):
+        # The prior's tree is fitted once, where its errors name the file,
+        # and a cap of one iterate refits nothing.
+        fits = []
+
+        def counting(sigma):
+            fits.append(sigma)
+            return chow_liu(sigma)
+
+        for module in ("treecov.cli", "treecov.em"):
+            monkeypatch.setattr(f"{module}.chow_liu", counting)
+        inputs = [f"--{name}={path}" for name, path in em_inputs.items()]
+        assert main(["em", *inputs, "--l_max", "1"]) == 0
+        assert len(fits) == 1
 
     @pytest.mark.parametrize("missing, written", [
         ("--trace_out", "--sigma_out"), ("--sigma_out", "--trace_out"),

@@ -1,14 +1,18 @@
-"""Posterior statistics, the pooled moment refit, and the iteration loop.
+"""Posterior statistics, the E-step, and the iteration loop.
 
-The pooled second moment has two oracles that the Gram update must
-reproduce: the Joseph-form posterior of ``_helpers`` (itself checked here
-against closed forms and dense inverses), and the per-sample average of the
-posterior moment over individual observations.
+Every E-step case goes through the one seam ``compute_omega(model, obs,
+empirical, fit)``, which scores an iterate and pools the posterior moment
+under it; no test builds the conditioning's intermediates itself. The pooled
+moment has two oracles that the seam must reproduce: the Joseph-form
+posterior of ``_helpers`` (itself checked here against closed forms and
+dense inverses), and the per-sample average of the posterior moment over
+individual observations.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -45,11 +49,6 @@ def make_scenario(p: int = 4, m: int = 2, r: int = 150, seed: int = 0):
     model = LinearModel(rng.standard_normal((m, p)), CovMatrix(0.2 * np.eye(m)))
     obs = sample_observations(model, sigma, r, seed=seed + 1)
     return sigma, sigma0, model, obs
-
-
-def pooled_moment(sigma: CovMatrix, model, obs: ObservationSet, k: CovMatrix) -> CovMatrix:
-    """compute_omega with the transposed gain K^-1 H sigma from a solve of its own."""
-    return compute_omega(sigma, obs, k, np.linalg.solve(k.entries, model.h @ sigma.entries))
 
 
 class TestPosterior:
@@ -133,9 +132,7 @@ class TestComputeOmega:
         # C = 0.8, gain = 0.8, M = 1, so omega = 0.8 + 0.64 = 1.44.
         model = LinearModel(np.eye(1), CovMatrix(np.eye(1)))
         obs = ObservationSet(np.array([[1.0], [-1.0]]))
-        omega = pooled_moment(
-            CovMatrix(np.array([[4.0]])), model, obs, CovMatrix(np.array([[5.0]]))
-        )
+        _, omega = compute_omega(model, obs, empirical_gaussian(obs), CovMatrix(np.array([[4.0]])))
         assert omega.entries[0, 0] == pytest.approx(1.44, abs=1e-14)
 
     def test_matches_per_sample_average(self):
@@ -147,32 +144,31 @@ class TestComputeOmega:
             mu = gain @ y
             pooled += cov + np.outer(mu, mu)
         pooled /= obs.r
-        omega = pooled_moment(sigma0, model, obs, observation_cov(model, sigma0))
+        _, omega = compute_omega(model, obs, empirical_gaussian(obs), sigma0)
         np.testing.assert_allclose(omega.entries, pooled, atol=1e-12)
 
     def test_uses_uncentered_moment(self):
         # Shifting every sample by a constant must change the result.
         sigma, sigma0, model, obs = make_scenario(seed=5)
         shifted = ObservationSet(obs.samples + 3.0)
-        k = observation_cov(model, sigma0)
-        base = pooled_moment(sigma0, model, obs, k)
-        moved = pooled_moment(sigma0, model, shifted, k)
+        _, base = compute_omega(model, obs, empirical_gaussian(obs), sigma0)
+        _, moved = compute_omega(model, shifted, empirical_gaussian(shifted), sigma0)
         assert not np.allclose(base.entries, moved.entries, atol=1e-6)
 
     def test_no_mixing_returns_the_prior(self):
         model = no_mixing_model(CovMatrix(np.eye(2)), 3)
         prior = random_spd(np.random.default_rng(6), 3)
         obs = ObservationSet(np.random.default_rng(7).standard_normal((20, 2)))
-        omega = pooled_moment(prior, model, obs, observation_cov(model, prior))
+        _, omega = compute_omega(model, obs, empirical_gaussian(obs), prior)
         np.testing.assert_allclose(omega.entries, prior.entries, atol=1e-10)
 
     @pytest.mark.parametrize("p", [4, 10, 40])
     def test_agrees_with_joseph_form(self, p):
-        # sigma + G (M - K) G^T, with G^T from the solve that also scores the
-        # iterate, against C + G M G^T from the Joseph oracle, from -10 to
-        # 400 dB with r > m, the samples run_em accepts. Where r <= m at
-        # 140 dB and beyond, Omega is numerically singular and the two forms
-        # may fail on different cases, so that corner is left out.
+        # The seam's pooled moment against C + G M G^T from the Joseph
+        # oracle, from -10 to 400 dB with r > m, the samples run_em accepts,
+        # and its objective bitwise the same whether it pools or not. Where
+        # r <= m at 140 dB and beyond, Omega is numerically singular and the
+        # two forms may fail on different cases, so that corner is left out.
         for snr_db in (-10.0, 20.0, 100.0, 140.0, 400.0):
             for seed in (0, 1):
                 rng = np.random.default_rng([p, seed, int(snr_db) + 10])
@@ -190,23 +186,35 @@ class TestComputeOmega:
                         expected = cov + gain @ obs.second_moment @ gain.T
                         expected = CovMatrix((expected + expected.T) / 2.0).entries
                         empirical = empirical_gaussian(obs)
-                        _, gain_t, _ = treecov.em._condition(model, empirical, sigma)
-                        omega = compute_omega(sigma, obs, k, gain_t).entries
-                        gap = np.abs(omega - expected).max() / np.abs(expected).max()
+                        obs_kl, omega = compute_omega(model, obs, empirical, sigma)
+                        gap = np.abs(omega.entries - expected).max() / np.abs(expected).max()
                         assert gap <= 1e-11, (snr_db, seed, m, r, gap)
+                        unpooled = compute_omega(model, obs, empirical, sigma, pool=False)
+                        assert unpooled == (obs_kl, None), (snr_db, seed, m, r)
 
     def test_indefinite_moment_fails_by_name(self):
-        # With all-zero samples M = 0, and K scaled by 0.1 scales the gain
-        # by 10, so Omega = sigma - 10 G0 K0 G0^T, which is indefinite.
-        sigma, _, model, _ = make_scenario(seed=9)
-        obs = ObservationSet(np.zeros((5, model.m)))
-        k = CovMatrix(0.1 * observation_cov(model, sigma).entries)
-        with pytest.raises(
-            NumericalError,
-            match=r"^pooled posterior moment is not positive definite \(r=5, m=2\)$",
-        ) as info:
-            pooled_moment(sigma, model, obs, k)
-        assert isinstance(info.value.__cause__, NotPositiveDefiniteError)
+        # At 400 dB with p = m = 4, C is rounding-level, and r = 2 samples
+        # give M rank 2, so Omega is singular up to rounding and its Cholesky
+        # fails for most draws (16 of these 20 seeds). The objective reads
+        # only S_Y, here from 50 samples of the same model.
+        failed = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            sigma = random_spd(rng, 4)
+            h = rng.standard_normal((4, 4))
+            noise = float(np.trace(h @ sigma.entries @ h.T)) / (4 * 1e40)
+            model = LinearModel(h, CovMatrix(noise * np.eye(4)))
+            obs = sample_observations(model, sigma, 2, seed=seed)
+            empirical = empirical_gaussian(sample_observations(model, sigma, 50, seed=seed))
+            try:
+                compute_omega(model, obs, empirical, sigma)
+            except NumericalError as exc:
+                assert re.fullmatch(
+                    r"pooled posterior moment is not positive definite \(r=2, m=4\)", str(exc)
+                )
+                assert isinstance(exc.__cause__, NotPositiveDefiniteError)
+                failed += 1
+        assert failed > 0
 
 
 class TestEmStep:
@@ -216,22 +224,22 @@ class TestEmStep:
         model = no_mixing_model(CovMatrix(np.eye(2)), 3)
         prior = chow_liu(random_spd(np.random.default_rng(11), 3))
         obs = ObservationSet(np.random.default_rng(12).standard_normal((20, 2)))
-        cov = chow_liu(pooled_moment(prior, model, obs, observation_cov(model, prior)))
+        cov = chow_liu(compute_omega(model, obs, empirical_gaussian(obs), prior)[1])
         np.testing.assert_allclose(cov.entries, prior.entries, atol=1e-10)
 
     def test_iteration_reaches_a_fixed_point(self):
         sigma, sigma0, model, obs = make_scenario(p=3, m=3, r=200, seed=13)
+        empirical = empirical_gaussian(obs)
         cov = chow_liu(sigma0)
         for _ in range(500):
-            k = observation_cov(model, cov)
-            new_cov = chow_liu(pooled_moment(cov, model, obs, k))
+            new_cov = chow_liu(compute_omega(model, obs, empirical, cov)[1])
             delta = kl_gaussian(cov, new_cov)
             cov = new_cov
             if delta < 1e-13:
                 break
         else:
             pytest.fail("no fixed point within 500 refinements")
-        settled = chow_liu(pooled_moment(cov, model, obs, observation_cov(model, cov)))
+        settled = chow_liu(compute_omega(model, obs, empirical, cov)[1])
         assert kl_gaussian(cov, settled) < 1e-10
 
 
@@ -397,6 +405,7 @@ class TestRunEm:
         p, m = 40, 20
         _, sigma0, model, obs = make_scenario(p=p, m=m, r=200, seed=30)
         config = EmConfig(sigma0, l_max=8, epsilon=1e-12)
+        config.prior_fit  # fitted on first use; only the refits are counted
         treecov.tree._interned_tree.cache_clear()
         validations = []
         original = SpanningTree.__post_init__
@@ -437,6 +446,7 @@ class TestRunEm:
         # carry a precision matrix supported on its own tree.
         _, sigma0, model, obs = make_scenario(seed=23)
         trace = run_em(EmConfig(sigma0, l_max=5, epsilon=1e-12), model, obs)
+        empirical = empirical_gaussian(obs)
         source = sigma0
         for rec in trace.iterations:
             assert np.array_equal(np.diag(rec.sigma_tree.entries), np.diag(source.entries))
@@ -447,8 +457,7 @@ class TestRunEm:
                 for v in range(u + 1, rec.sigma_tree.dim):
                     if v not in adj[u]:
                         assert abs(precision[u, v]) < 1e-8 * scale
-            k, gain_t, _ = treecov.em._condition(model, empirical_gaussian(obs), rec.sigma_tree)
-            source = compute_omega(rec.sigma_tree, obs, k, gain_t)
+            _, source = compute_omega(model, obs, empirical, rec.sigma_tree)
 
     def test_rejects_dimension_mismatches(self):
         _, sigma0, model, obs = make_scenario(seed=24)
