@@ -24,16 +24,9 @@ import numpy as np
 from . import __version__
 from .em import EmConfig, EmTrace, StopReason, run_em
 from .gaussian import CovMatrix, NumericalError, _as_int, _is_finite, kl_gaussian
-from .linear import (
-    LinearModel,
-    RankDeficientError,
-    _naming_file,
-    read_matrix_csv,
-    sample_observations,
-)
+from .linear import LinearModel, _naming_file, read_matrix_csv, sample_observations
 from .tree import SpanningTree, TreeCovMatrix, chow_liu, prufer_decode
 
-MAX_MIXING_REDRAWS = 10
 SNR_DEFINITION = "snr_db = 10*log10(trace(H Sigma H^T) / trace(D)) with white noise D = s^2 I"
 
 
@@ -99,8 +92,9 @@ def generate_mixing(
 ) -> LinearModel:
     """Random dense mixing at a target SNR.
 
-    H has iid standard normal entries and is redrawn (at most 10 times) if
-    numerically rank deficient. The noise is white, D = s^2 I with s^2 =
+    H has iid standard normal entries and is drawn once; a numerically rank
+    deficient draw raises RankDeficientError, which a sweep records as that
+    trial's failure. The noise is white, D = s^2 I with s^2 =
     trace(H sigma H^T) / (m * 10^(snr_db / 10)), which makes the ratio of
     signal to noise power equal 10^(snr_db / 10) exactly. An SNR so extreme
     that s^2 is not a normal positive finite float raises NumericalError.
@@ -109,23 +103,15 @@ def generate_mixing(
         raise ValueError(f"need 1 <= m <= p, got m={m}, p={p}")
     if sigma.dim != p:
         raise ValueError(f"covariance dimension {sigma.dim} != p={p}")
-    rng = np.random.default_rng(_as_int(seed, "seed"))
-    for _ in range(MAX_MIXING_REDRAWS):
-        h = rng.standard_normal((m, p))
-        signal_power = float(np.trace(h @ sigma.entries @ h.T))
-        noise_var = signal_power / (m * 10.0 ** (snr_db / 10.0))
-        if not sys.float_info.min <= noise_var <= sys.float_info.max:
-            raise NumericalError(
-                f"noise variance s^2 = {noise_var!r} at snr_db={snr_db!r} "
-                "is not a normal positive finite float"
-            )
-        try:
-            return LinearModel(h, CovMatrix(noise_var * np.eye(m)))
-        except RankDeficientError:
-            pass
-    raise NumericalError(
-        f"mixing matrix stayed rank deficient after {MAX_MIXING_REDRAWS} draws"
-    )
+    h = np.random.default_rng(_as_int(seed, "seed")).standard_normal((m, p))
+    signal_power = float(np.trace(h @ sigma.entries @ h.T))
+    noise_var = signal_power / (m * 10.0 ** (snr_db / 10.0))
+    if not sys.float_info.min <= noise_var <= sys.float_info.max:
+        raise NumericalError(
+            f"noise variance s^2 = {noise_var!r} at snr_db={snr_db!r} "
+            "is not a normal positive finite float"
+        )
+    return LinearModel(h, CovMatrix(noise_var * np.eye(m)))
 
 
 def _accepting(what: str, *types: type) -> Callable[[object, str], object]:

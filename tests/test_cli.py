@@ -12,9 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import treecov.experiment
 from treecov import (
     CovMatrix,
     LinearModel,
+    RankDeficientError,
     chow_liu,
     read_matrix_csv,
     sample_observations,
@@ -446,6 +448,34 @@ class TestSweepCommand:
 
     def test_no_parameters_is_a_config_error(self):
         assert main(["sweep"]) == 1
+
+    def test_failed_trials_are_counted_and_named(self, tmp_path, capsys, monkeypatch):
+        # Every m = 2 mixing draw is rank deficient; its trials fail by name
+        # and the m = 3 trials still run.
+        def deficient_at_two(h, d):
+            if h.shape[0] == 2:
+                raise RankDeficientError("H is numerically rank deficient")
+            return LinearModel(h, d)
+
+        monkeypatch.setattr(treecov.experiment, "LinearModel", deficient_at_two)
+        out = tmp_path / "results.txt"
+        code = main(
+            [
+                "sweep", "--p", "4", "--m_values", "2,3", "--trials", "2",
+                "--output", str(out),
+            ]
+        )
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "m=3:" in printed and "m=2:" not in printed
+        assert "2 trial(s) failed and were excluded" in printed
+        doc = out.read_text()
+        failures = doc.split("[failures]\n", 1)[1].split("\n\n", 1)[0].splitlines()
+        assert failures == [
+            "m,trial,error",
+            "2,0,RankDeficientError: H is numerically rank deficient",
+            "2,1,RankDeficientError: H is numerically rank deficient",
+        ]
 
     def test_all_trials_failing_is_a_numerical_error(self, tmp_path, capsys):
         # One sample per trial cannot produce a positive definite empirical

@@ -22,6 +22,7 @@ from treecov import (
     ExperimentConfig,
     LinearModel,
     NumericalError,
+    RankDeficientError,
     SweepResult,
     chow_liu,
     emit_results,
@@ -198,6 +199,19 @@ class TestGenerateMixing:
         b = generate_mixing(5, 3, 20.0, sigma, seed=4)
         assert np.array_equal(a.h, b.h)
         assert np.array_equal(a.d.entries, b.d.entries)
+
+    def test_a_rank_deficient_draw_is_not_redrawn(self, monkeypatch):
+        calls = []
+
+        def deficient(h, d):
+            calls.append(h)
+            raise RankDeficientError("H is numerically rank deficient")
+
+        monkeypatch.setattr(treecov.experiment, "LinearModel", deficient)
+        sigma = generate_ground_truth(10, seed=0)
+        with pytest.raises(RankDeficientError, match="H is numerically rank deficient"):
+            generate_mixing(10, 5, 20.0, sigma, seed=7)
+        assert len(calls) == 1
 
     def test_rejects_bad_channel_count(self):
         sigma = generate_ground_truth(4, seed=0)

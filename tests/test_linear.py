@@ -10,6 +10,7 @@ import functools
 import io
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -71,6 +72,15 @@ class TestLinearModel:
     def test_square_model_allowed(self):
         model = LinearModel(np.eye(3), CovMatrix(np.eye(3)))
         assert model.m == model.p == 3
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [((3,), "H must be a matrix, got shape (3,)"), ((0, 3), "H needs at least one row")],
+        ids=["one-dimensional", "no-rows"],
+    )
+    def test_rejects_a_shape_that_is_no_mixing_matrix(self, shape, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LinearModel(np.ones(shape), CovMatrix(np.eye(1)))
 
     def test_rejects_rank_deficiency(self):
         h = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])

@@ -2,20 +2,29 @@
 
 A second linear-algebra runtime in the same process (scipy links its own
 OpenBLAS build) starts a second BLAS thread pool that contends with numpy's,
-so the package imports nothing beyond the stdlib and numpy. A sweep's
-results do not depend on how many threads that one pool runs.
+so the package imports nothing beyond the stdlib and numpy. It imports
+itself only relatively, so a second copy loads beside the first under
+another name. A sweep's results do not depend on how many threads that one
+pool runs.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+import treecov
+
 ROOT = Path(__file__).resolve().parents[1]
-ALLOWED_TOP_LEVEL = set(sys.stdlib_module_names) | {"numpy", "treecov"}
+# An absolute ``import treecov...`` inside the package counts as outside: it
+# would tie a second copy (see below) back to the first.
+ALLOWED_TOP_LEVEL = set(sys.stdlib_module_names) | {"numpy"}
 
 
 def test_package_imports_only_stdlib_and_numpy():
@@ -41,6 +50,24 @@ def test_package_imports_only_stdlib_and_numpy():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_second_copy_of_the_package_loads_beside_the_first():
+    package = ROOT / "src" / "treecov"
+    spec = importlib.util.spec_from_file_location(
+        "treecov_copy", package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    copy = importlib.util.module_from_spec(spec)
+    sys.modules["treecov_copy"] = copy
+    try:
+        spec.loader.exec_module(copy)
+        sigma = copy.CovMatrix(np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.4], [0.2, 0.4, 1.0]]))
+        fit = copy.chow_liu(sigma)
+        assert type(fit).__module__ == "treecov_copy.tree"
+        assert not isinstance(fit, treecov.TreeCovMatrix)
+    finally:
+        for name in [n for n in sys.modules if n.split(".")[0] == "treecov_copy"]:
+            del sys.modules[name]
 
 
 SWEEP_CELL = """
