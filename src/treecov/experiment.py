@@ -105,13 +105,22 @@ def generate_mixing(
         raise ValueError(f"covariance dimension {sigma.dim} != p={p}")
     h = np.random.default_rng(_as_int(seed, "seed")).standard_normal((m, p))
     signal_power = float(np.trace(h @ sigma.entries @ h.T))
-    noise_var = signal_power / (m * 10.0 ** (snr_db / 10.0))
+    snr = _snr_ratio(snr_db)
+    noise_var = signal_power / (m * snr) if snr else math.inf
     if not sys.float_info.min <= noise_var <= sys.float_info.max:
         raise NumericalError(
             f"noise variance s^2 = {noise_var!r} at snr_db={snr_db!r} "
             "is not a normal positive finite float"
         )
     return LinearModel(h, CovMatrix(noise_var * np.eye(m)))
+
+
+def _snr_ratio(snr_db: float) -> float:
+    """10^(snr_db / 10) by Python's float power, or inf where that overflows."""
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def _accepting(what: str, *types: type) -> Callable[[object, str], object]:
@@ -181,10 +190,7 @@ class ExperimentConfig:
             raise ConfigError(f"r must be at least 1, got {self.r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be at least 1, got {self.trials}")
-        try:
-            snr = 10.0 ** (self.snr_db / 10.0)
-        except OverflowError:
-            snr = math.inf
+        snr = _snr_ratio(self.snr_db)
         if not (math.isfinite(snr) and snr > 0.0):
             raise ConfigError(
                 f"10^(snr_db/10) must be positive and finite, got snr_db={self.snr_db}"

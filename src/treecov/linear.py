@@ -137,12 +137,6 @@ class ObservationSet:
         return self.second_moment.shape[0]
 
 
-def _owning(y: np.ndarray) -> ObservationSet:
-    """``ObservationSet(y)`` without its copy, for a fresh nonempty r x m
-    float array that nothing else holds."""
-    return _summarise(object.__new__(ObservationSet), y, len(y), _blocks_of(y))
-
-
 def _blocks_of(y: np.ndarray) -> Iterator[np.ndarray]:
     return (y[i:j] for i, j in _row_blocks(len(y)))
 
@@ -215,8 +209,9 @@ def sample_observations(
     r noise rows, so a seed fixes the output bit for bit.
 
     The r x m output is filled in near-equal row blocks of at most
-    ``ROW_BLOCK`` rows: every latent block, then every noise block added in
-    place. Besides the samples, only one block's draws and products are
+    ``ROW_BLOCK`` rows: every latent block, then each block's noise, added
+    in place just before ``_summarise`` adds that block into the column sums
+    and y^T y. Besides the samples, only one block's draws and products are
     held, and the returned set keeps the samples without a copy. The blocks
     consume the generator's stream in the order one r-row draw would, and
     each row is the same row-wise product, so the samples are bit for bit
@@ -242,9 +237,13 @@ def sample_observations(
     blocks = _row_blocks(r)
     for i, j in blocks:
         np.matmul(rng.standard_normal((j - i, model.p)) @ chol_t, h_t, out=y[i:j])
-    for i, j in blocks:
-        y[i:j] += rng.standard_normal((j - i, model.m)) @ noise_t
-    return _owning(y)
+
+    def noisy_blocks() -> Iterator[np.ndarray]:
+        for i, j in blocks:
+            y[i:j] += rng.standard_normal((j - i, model.m)) @ noise_t
+            yield y[i:j]
+
+    return _summarise(object.__new__(ObservationSet), y, r, noisy_blocks())
 
 
 def observation_cov(model: LinearModel, sigma: CovMatrix) -> CovMatrix:
@@ -305,7 +304,7 @@ def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
         if n > 1:
             (i, j), *later = [(len(a) * k // n, len(a) * (k + 1) // n) for k in range(n)]
 
-            def append_later(pipes: list[io.FileIO]) -> bool:
+            def append_later(pipes: list[BinaryIO]) -> bool:
                 _savetxt(fh, a[i:j])
                 for pipe in pipes:
                     _copy(pipe, fh)
@@ -331,7 +330,7 @@ def _send_text(rows: np.ndarray, out: BinaryIO) -> None:
     out.write(buf.getbuffer())
 
 
-def _copy(pipe: io.FileIO, fh: BinaryIO) -> None:
+def _copy(pipe: BinaryIO, fh: BinaryIO) -> None:
     """Copy what ``pipe`` sends, up to its end, to ``fh`` through one buffer
     of a Linux pipe's default capacity."""
     chunk = memoryview(bytearray(1 << 16))
@@ -433,7 +432,7 @@ def _helper_ranges(path: str | Path) -> list[tuple[int, int]]:
     as many as ``_processes`` allows for the file's size.
 
     Empty when ``read_matrix_csv`` applies: ``_processes`` gives 1, the file
-    is unreadable, or its lines are too long to split.
+    cannot be read, or its lines are too long to split.
     """
     try:
         with open(path, "rb") as fh:
@@ -459,42 +458,36 @@ def _read_in_helpers(
     parses, or None on any failure.
 
     Each helper writes a (rows, cols) header and then its float64 rows to a
-    pipe. Once every header has arrived, the rows are read in file order
-    into the buffer of each row block of ``_row_blocks(r)`` in turn; one
-    block may take rows from two helpers. What summarising the blocks
-    raises is raised after every helper is gone.
+    pipe. The running sum of the headers' row counts places each helper's
+    rows in the file, and each row block of ``_row_blocks(r)`` is filled in
+    one buffer by one exact read per helper whose rows overlap it. So a
+    helper whose output ends early, even mid-row, fails alone and the file
+    is read serially, where reading on from the next pipe would shift every
+    later row. What summarising the blocks raises is raised after every
+    helper is gone.
     """
 
-    def summarise(pipes: list[io.FileIO]) -> ObservationSet | None:
+    def summarise(pipes: list[BinaryIO]) -> ObservationSet | None:
         header = bytearray(_HEADER.size)
         shapes = []
         for pipe in pipes:
-            _read_exactly(pipe, memoryview(header))
+            _read_exactly(pipe, header)
             shapes.append(_HEADER.unpack(header))
         cols = {c for _, c in shapes}
         if len(cols) != 1:
             return None
         m = cols.pop()
-        r = sum(rows for rows, _ in shapes)
-        # Each pipe with the number of its rows' bytes still to be read.
-        unread = [[pipe, rows * m * 8] for pipe, (rows, _) in zip(pipes, shapes)]
+        starts = list(itertools.accumulate((rows for rows, _ in shapes), initial=0))
+        r = starts[-1]
         blocks = _row_blocks(r)
         buffer = np.empty((max(j - i for i, j in blocks), m))
 
         def filled_blocks() -> Iterator[np.ndarray]:
             for i, j in blocks:
-                block = buffer[: j - i]
-                view = memoryview(block).cast("B")
-                while view:
-                    pipe, left = unread[0]
-                    n = min(left, len(view))
-                    _read_exactly(pipe, view[:n])
-                    view = view[n:]
-                    if n == left:
-                        del unread[0]
-                    else:
-                        unread[0][1] = left - n
-                yield block
+                for pipe, first, end in zip(pipes, starts, starts[1:]):
+                    if first < j and i < end:
+                        _read_exactly(pipe, buffer[max(first, i) - i : min(end, j) - i])
+                yield buffer[: j - i]
 
         return _summarise(object.__new__(ObservationSet), None, r, filled_blocks())
 
@@ -517,25 +510,27 @@ def _send_rows(path: str | Path, start: int, stop: int, out: BinaryIO) -> None:
 
 
 def _in_helpers(
-    works: list[Callable[[BinaryIO], None]], consume: Callable[[list[io.FileIO]], _T]
+    works: list[Callable[[BinaryIO], None]], consume: Callable[[list[BinaryIO]], _T]
 ) -> _T | None:
     """Fork one helper per work, each running ``work(out)`` with ``out`` the
     write end of its own pipe, and return ``consume(pipes)``, the read ends
     in the works' order; None unless every helper exited 0, and None if a
-    pipe or fork failed or ``consume`` raised OSError.
+    pipe or fork failed or ``consume`` raised OSError. The read ends are
+    buffered, so a ``readinto`` comes back short only where a helper's
+    output ends.
 
     Any other exception propagates. Either way every pipe is closed first,
-    so that a helper with output left unread fails its write and exits,
+    so that a helper with output still to send fails its write and exits,
     and then every helper is reaped, killed first unless ``consume``
     returned, so no helper outlives the call.
     """
-    pipes: list[io.FileIO] = []
+    pipes: list[BinaryIO] = []
     pids: list[int] = []
     consumed = False
     try:
         for work in works:
             rfd, wfd = os.pipe()
-            pipes.append(open(rfd, "rb", buffering=0))
+            pipes.append(open(rfd, "rb"))
             try:
                 pid = os.fork()
                 if pid == 0:
@@ -559,7 +554,7 @@ def _in_helpers(
 
 
 def _helper_main(
-    work: Callable[[BinaryIO], None], fd: int, inherited: list[io.FileIO]
+    work: Callable[[BinaryIO], None], fd: int, inherited: list[BinaryIO]
 ) -> NoReturn:
     """Body of a forked helper: run ``work`` on ``fd`` and exit, 0 only if
     it returned.
@@ -579,14 +574,12 @@ def _helper_main(
         os._exit(code)
 
 
-def _read_exactly(pipe: io.FileIO, view: memoryview) -> None:
-    """Fill ``view`` from ``pipe``; OSError if the pipe ends first."""
-    got = 0
-    while got < len(view):
-        n = pipe.readinto(view[got:])
-        if not n:
-            raise OSError("a helper's output ended early")
-        got += n
+def _read_exactly(pipe: BinaryIO, buffer: bytearray | np.ndarray) -> None:
+    """Fill the C-contiguous ``buffer`` from ``pipe``, a read end from
+    ``_in_helpers``; OSError if the helper's output ends first."""
+    view = memoryview(buffer).cast("B")
+    if pipe.readinto(view) != len(view):
+        raise OSError("a helper's output ended early")
 
 
 def _reap(pid: int) -> int | None:

@@ -225,6 +225,23 @@ class TestEmCommand:
         )
         assert code == 1
 
+    def test_missing_observations_are_an_io_error_naming_the_file(
+        self, tmp_path, em_inputs, capsys
+    ):
+        obs = tmp_path / "absent.csv"
+        code = main(
+            [
+                "em",
+                "--sigma0", str(em_inputs["sigma0"]),
+                "--h", str(em_inputs["h"]),
+                "--d", str(em_inputs["d"]),
+                "--obs", str(obs),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and repr(str(obs)) in err
+
     def test_missing_required_flag_is_a_config_error(self, em_inputs):
         assert main(["em", "--sigma0", str(em_inputs["sigma0"])]) == 1
 

@@ -7,6 +7,7 @@ on that ordering.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import warnings
@@ -42,7 +43,7 @@ from treecov.experiment import (
     generate_prior,
     parse_config_file,
 )
-from treecov.tree import prufer_decode
+from treecov.tree import SpanningTree, prufer_decode, tree_covariance
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -212,6 +213,12 @@ class TestGenerateMixing:
         with pytest.raises(RankDeficientError, match="H is numerically rank deficient"):
             generate_mixing(10, 5, 20.0, sigma, seed=7)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("snr_db", [-4000.0, -3300.0, 3100.0, 4000.0])
+    def test_snr_beyond_the_float_range_fails_by_name(self, snr_db):
+        # 10^(snr_db / 10) underflows to 0.0 or overflows Python's float power.
+        with pytest.raises(NumericalError, match=r"^noise variance s\^2 = (inf|0\.0) at snr_db="):
+            generate_mixing(4, 2, snr_db, generate_ground_truth(4, 1), 3)
 
     def test_rejects_bad_channel_count(self):
         sigma = generate_ground_truth(4, seed=0)
@@ -575,6 +582,21 @@ class TestRunSweep:
         with pytest.raises(NumericalError, match="all 6 trials failed"):
             run_sweep(small_config())
 
+    def test_an_oracle_tree_worse_than_the_prior_tree_is_named(self, monkeypatch):
+        # The truth's fit becomes the worst of the 1296 labelled trees on six
+        # vertices: 1.247 nats from the default seed's truth, against 0.759
+        # for the prior's tree.
+        def worst_tree(sigma):
+            fits = (
+                tree_covariance(sigma, SpanningTree(6, prufer_decode(seq, 6)))
+                for seq in itertools.product(range(6), repeat=4)
+            )
+            return max(fits, key=lambda fit: kl_gaussian(sigma, fit))
+
+        monkeypatch.setattr(treecov.experiment, "chow_liu", worst_tree)
+        with pytest.raises(NumericalError, match="^oracle tree is worse than the prior tree"):
+            run_sweep(ExperimentConfig(p=6, m_values=(3,)))
+
     def test_loads_covariances_from_csv(self, tmp_path):
         sigma = generate_ground_truth(4, seed=99)
         sigma_path = tmp_path / "sigma.csv"
@@ -640,6 +662,15 @@ class TestEmitResults:
         result = run_sweep(small_config(m_values=(2,), trials=1))
         with pytest.raises(ValueError, match="must not end in .csv"):
             emit_results(result, tmp_path / "results.csv")
+
+    def test_unwritable_csv_is_an_os_error_naming_the_document(self, tmp_path):
+        result = SweepResult(config=small_config(), records=(), aggregates=(), failures=())
+        (tmp_path / "results.csv").mkdir()
+        doc_path = tmp_path / "results.txt"
+        with pytest.raises(OSError) as excinfo:
+            emit_results(result, doc_path)
+        assert str(excinfo.value).startswith(f"failed to write results near {doc_path}: ")
+        assert not doc_path.exists()
 
     def test_deterministic_except_timestamp(self, tmp_path):
         result = run_sweep(small_config())

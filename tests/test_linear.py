@@ -684,6 +684,31 @@ class TestParallelRead:
         assert len(forks) == 2
         _assert_no_child_left()
 
+    def test_a_helper_stopping_mid_row_falls_back(self, tmp_path, monkeypatch, forks):
+        # Each helper sends its header and then half its rows' bytes plus 3,
+        # so its stream stops inside a float and it still exits 0. Reading on
+        # from the next helper's stream would shift every later row; the
+        # file must be read serially instead.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        send_rows = linear._send_rows
+
+        def stops_mid_row(path, start, stop, out):
+            buf = io.BytesIO()
+            send_rows(path, start, stop, buf)
+            sent = buf.getvalue()
+            out.write(sent[: linear._HEADER.size + (len(sent) - linear._HEADER.size) // 2 + 3])
+
+        monkeypatch.setattr(linear, "_send_rows", stops_mid_row)
+        path = tmp_path / "obs.csv"
+        path.write_bytes(_BODY)
+        assert len(_BODY) >= PARALLEL_READ_BYTES
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(path, read_observations)
+        assert len(forks) == 2
+        _assert_no_child_left()
+        assert got == _outcome(path, _observations)
+
     def test_streams_observations_through_one_row_block(self, tmp_path, monkeypatch, forks):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         path = tmp_path / "obs.csv"
