@@ -28,7 +28,6 @@ from .gaussian import CovMatrix, NumericalError, kl_gaussian
 from .linear import (
     LinearModel,
     _naming_file,
-    empirical_gaussian,
     read_matrix_csv,
     read_observations,
     write_matrix_csv,
@@ -148,8 +147,8 @@ def _cmd_em(args: argparse.Namespace) -> int:
         obs = read_observations(args.obs)
         if obs.m != m:
             raise ConfigError(f"dimension {obs.m} != m={m} {of_h}")
-        # run_em refuses a singular S_Y too, but without naming the file.
-        empirical_gaussian(obs)
+        # S_Y's one factor, which run_em reuses; a singular S_Y names the file.
+        obs.empirical
     trace = run_em(config, model, obs)
     final = trace.final
     print(

@@ -6,9 +6,9 @@ second moments, and refits the best spanning-tree covariance to the pooled
 moment. The loop stops when consecutive iterates are closer than epsilon in
 latent KL divergence or when the iteration cap is reached.
 
-The E-step is one call, ``compute_omega(model, obs, empirical, fit)``: it
-scores an iterate by the observation-space objective and pools the
-posterior moment under it, and nothing else of the conditioning leaves it.
+The E-step is one call, ``compute_omega(model, obs, fit)``: it scores an
+iterate by the observation-space objective and pools the posterior moment
+under it, and nothing else of the conditioning leaves it.
 The refit needs only that pooled moment, never the posterior covariance
 itself (Dempster, Laird & Rubin 1977), so the moment is formed as one Gram
 update that cannot inflate the covariance by construction.
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,10 +25,10 @@ from functools import cached_property
 import numpy as np
 
 from .gaussian import (
-    CovMatrix, NotPositiveDefiniteError, NumericalError, _as_int, _clamp_kl, _is_finite,
-    kl_gaussian,
+    CovMatrix, NotPositiveDefiniteError, NumericalError, _as_float, _as_int, _clamp_kl,
+    _is_finite, kl_gaussian,
 )
-from .linear import LinearModel, ObservationSet, empirical_gaussian, observation_cov
+from .linear import LinearModel, ObservationSet, observation_cov
 from .tree import TreeCovMatrix, chow_liu
 
 MONOTONICITY_SLACK = 1e-6
@@ -57,8 +56,7 @@ class EmConfig:
     l_max: int = 20
 
     def __post_init__(self) -> None:
-        if not isinstance(self.epsilon, numbers.Real) or isinstance(self.epsilon, bool):
-            raise ValueError(f"epsilon must be a real number, got {self.epsilon!r}")
+        object.__setattr__(self, "epsilon", _as_float(self.epsilon, "epsilon"))
         if not (_is_finite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         object.__setattr__(self, "l_max", _as_int(self.l_max, "l_max"))
@@ -104,7 +102,6 @@ class EmTrace:
 def compute_omega(
     model: LinearModel,
     obs: ObservationSet,
-    empirical: CovMatrix,
     fit: CovMatrix,
     *,
     pool: bool = True,
@@ -112,8 +109,8 @@ def compute_omega(
     """The E-step of iterate ``fit``: its objective and, when ``pool`` is
     true, the posterior second moment pooled over ``obs`` (else None).
 
-    The objective is KL(N(0, S_Y) || N(0, K)), with S_Y = ``empirical`` the
-    sample covariance of ``obs`` and K = H sigma H^T + D the iterate's
+    The objective is KL(N(0, S_Y) || N(0, K)), with S_Y = ``obs.empirical``
+    the sample covariance of ``obs`` and K = H sigma H^T + D the iterate's
     observation covariance. Under prior N(0, sigma) the latent posterior
     given y has covariance C = sigma - G K G^T and mean G y, with gain
     G = sigma H^T K^-1. Pooled over the samples, Omega = C + G M G^T with M
@@ -130,7 +127,7 @@ def compute_omega(
     should it not be, its Cholesky fails and NumericalError names the sample
     count r and m.
     """
-    k = observation_cov(model, fit)
+    empirical, k = obs.empirical, observation_cov(model, fit)
     rhs = np.hstack((model.h @ fit.entries, empirical.chol))
     solved = np.linalg.solve(k.entries, rhs)
     trace = float(np.sum(empirical.chol * solved[:, model.p :]))
@@ -179,12 +176,11 @@ def run_em(
         )
     if obs.m != model.m:
         raise ValueError(f"observation dimension {obs.m} != model m={model.m}")
-    empirical = empirical_gaussian(obs)
     records: list[EmIteration] = []
     fit, step_kl = config.prior_fit, math.inf
     for index in range(1, config.l_max + 1):
         last = step_kl < config.epsilon or index == config.l_max
-        obs_kl, omega = compute_omega(model, obs, empirical, fit, pool=not last)
+        obs_kl, omega = compute_omega(model, obs, fit, pool=not last)
         if records and obs_kl > records[-1].obs_kl + MONOTONICITY_SLACK:
             warnings.warn(
                 f"observation objective rose from {records[-1].obs_kl:.9g} to "

@@ -12,7 +12,6 @@ from __future__ import annotations
 import datetime
 import hashlib
 import math
-import numbers
 import os
 import sys
 from dataclasses import MISSING, dataclass, fields
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .em import EmConfig, EmTrace, StopReason, run_em
-from .gaussian import CovMatrix, NumericalError, _as_int, _is_finite, kl_gaussian
+from .gaussian import CovMatrix, NumericalError, _as_float, _as_int, _is_finite, kl_gaussian
 from .linear import LinearModel, _naming_file, read_matrix_csv, sample_observations
 from .tree import SpanningTree, TreeCovMatrix, chow_liu, prufer_decode
 
@@ -103,6 +102,7 @@ def generate_mixing(
         raise ValueError(f"need 1 <= m <= p, got m={m}, p={p}")
     if sigma.dim != p:
         raise ValueError(f"covariance dimension {sigma.dim} != p={p}")
+    snr_db = _as_float(snr_db, "snr_db")
     h = np.random.default_rng(_as_int(seed, "seed")).standard_normal((m, p))
     signal_power = float(np.trace(h @ sigma.entries @ h.T))
     snr = _snr_ratio(snr_db)
@@ -148,7 +148,7 @@ _optional_path = _accepting("a path", str, os.PathLike, type(None))
 # annotation: (parse config-file text, check a field's value and name, echo in [meta])
 _KINDS = {
     "int": (lambda t: int(t, 10), lambda v, name: _as_int(v, name, ConfigError), str),
-    "float": (float, _accepting("a real number", numbers.Real), lambda v: _fmt(float(v))),
+    "float": (float, lambda v, name: _as_float(v, name, ConfigError), lambda v: _fmt(float(v))),
     "tuple[int, ...]": (_parse_m_values, _ints, lambda v: ",".join(map(str, v))),
     "str | None": (lambda t: t or None, _optional_path, lambda v: "" if v is None else str(v)),
     "str": (str, _path, str),

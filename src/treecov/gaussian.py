@@ -9,6 +9,7 @@ Every information quantity is measured in nats.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -100,6 +101,18 @@ def _as_int(value: object, name: str, error: type[ValueError] = ValueError) -> i
     except TypeError:
         pass
     raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _as_float(value: object, name: str, error: type[ValueError] = ValueError) -> float:
+    """``value`` as a float if it is a Python or numpy real number, else ``error``
+    naming ``name``; bools and strings are rejected, and an int beyond the
+    float range is returned as it is, for the caller's range check to name."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return value
 
 
 def _is_finite(value: float) -> bool:

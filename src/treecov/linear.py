@@ -105,7 +105,8 @@ class ObservationSet:
     ``second_moment`` is the uncentered (1/R) sum of y y^T used by the
     iterative update; ``centered_cov`` is second_moment - mean mean^T, the
     sample covariance S_Y. Both are kept because the model is zero-mean yet
-    finite samples have a nonzero empirical mean. Samples with a non-finite
+    finite samples have a nonzero empirical mean. ``empirical`` is S_Y,
+    factored on first use for every E-step on the set. Samples with a non-finite
     entry, or whose second moment overflows the float range, are rejected.
 
     The constructor keeps a private copy of the samples. It sums y^T y and
@@ -135,6 +136,27 @@ class ObservationSet:
     @property
     def m(self) -> int:
         return self.second_moment.shape[0]
+
+    @functools.cached_property
+    def empirical(self) -> CovMatrix:
+        """S_Y as a covariance, factored the first time it is read.
+
+        S_Y must be positive definite, which requires more samples than the
+        observation dimension; otherwise the error reports the rank deficit.
+        With r <= m samples S_Y has rank at most r - 1, so it is refused before
+        any factorization, whose outcome would rest on roundoff.
+        """
+        cause = None
+        if self.r > self.m:
+            try:
+                return CovMatrix(self.centered_cov)
+            except NotPositiveDefiniteError as exc:
+                cause = exc
+        rank = min(int(np.linalg.matrix_rank(self.centered_cov)), self.r - 1)
+        raise NotPositiveDefiniteError(
+            f"centered sample covariance is singular: rank {rank} of {self.m} "
+            f"(deficit {self.m - rank}) from r={self.r} samples"
+        ) from cause
 
 
 def _blocks_of(y: np.ndarray) -> Iterator[np.ndarray]:
@@ -252,27 +274,6 @@ def observation_cov(model: LinearModel, sigma: CovMatrix) -> CovMatrix:
         raise ValueError(f"latent covariance dimension {sigma.dim} != model p={model.p}")
     hs = model.h @ sigma.entries @ model.h.T
     return CovMatrix((hs + hs.T) / 2.0 + model.d.entries)
-
-
-def empirical_gaussian(obs: ObservationSet) -> CovMatrix:
-    """Covariance of the zero-mean empirical Gaussian: the centered sample covariance S_Y.
-
-    S_Y must be positive definite, which requires more samples than the
-    observation dimension; otherwise the error reports the rank deficit.
-    With r <= m samples S_Y has rank at most r - 1, so it is refused before
-    any factorization, whose outcome would rest on roundoff.
-    """
-    cause = None
-    if obs.r > obs.m:
-        try:
-            return CovMatrix(obs.centered_cov)
-        except NotPositiveDefiniteError as exc:
-            cause = exc
-    rank = min(int(np.linalg.matrix_rank(obs.centered_cov)), obs.r - 1)
-    raise NotPositiveDefiniteError(
-        f"centered sample covariance is singular: rank {rank} of {obs.m} "
-        f"(deficit {obs.m - rank}) from r={obs.r} samples"
-    ) from cause
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:

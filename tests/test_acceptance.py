@@ -31,7 +31,7 @@ from treecov import (
     tree_covariance,
 )
 from treecov.em import compute_omega
-from treecov.linear import empirical_gaussian, observation_cov
+from treecov.linear import observation_cov
 from treecov.tree import prufer_decode
 
 from _helpers import brute_force_optimal_tree, joseph_posterior, random_spd
@@ -134,7 +134,7 @@ def test_a3_pooled_moment_matches_per_sample_average(capsys):
             mu = gain @ y
             pooled += cov + np.outer(mu, mu)
         pooled /= obs.r
-        _, omega = compute_omega(model, obs, empirical_gaussian(obs), prior)
+        _, omega = compute_omega(model, obs, prior)
         gap = max(gap, float(np.abs(omega.entries - pooled).max()))
     ok = gap < 1e-8
     report("A3", ok, f"max entrywise gap = {gap:.3e} over 50 instances", capsys)

@@ -43,7 +43,7 @@ BENCHMARK_ATTRIBUTES = {
     ),
     "linear": ("sample_observations", "write_matrix_csv"),
     "cli": ("main", "read_matrix_csv", "write_matrix_csv", "run_em"),
-    "em": ("empirical_gaussian", "observation_cov", "compute_omega", "chow_liu", "kl_gaussian"),
+    "em": ("observation_cov", "compute_omega", "chow_liu", "kl_gaussian"),
     "tree": ("tree_covariance",),
 }
 BENCHMARK_RECORD_FIELDS = {

@@ -19,6 +19,7 @@ from treecov import (
     RankDeficientError,
     chow_liu,
     read_matrix_csv,
+    read_observations,
     sample_observations,
     write_matrix_csv,
 )
@@ -174,6 +175,22 @@ class TestEmCommand:
         inputs = [f"--{name}={path}" for name, path in em_inputs.items()]
         assert main(["em", *inputs, "--l_max", "1"]) == 0
         assert len(fits) == 1
+
+    def test_factors_the_sample_covariance_once(self, em_inputs, monkeypatch):
+        # The check that names the --obs file builds S_Y's covariance, and
+        # every E-step of the run reuses that one factor.
+        s_y = read_observations(em_inputs["obs"]).centered_cov
+        built = []
+        post_init = CovMatrix.__post_init__
+
+        def counting(cov):
+            built.append(np.array_equal(cov.entries, s_y))
+            post_init(cov)
+
+        monkeypatch.setattr(CovMatrix, "__post_init__", counting)
+        inputs = [f"--{name}={path}" for name, path in em_inputs.items()]
+        assert main(["em", *inputs, "--l_max", "4", "--epsilon", "1e-9"]) == 0
+        assert sum(built) == 1
 
     @pytest.mark.parametrize("missing, written", [
         ("--trace_out", "--sigma_out"), ("--sigma_out", "--trace_out"),

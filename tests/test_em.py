@@ -1,8 +1,8 @@
 """Posterior statistics, the E-step, and the iteration loop.
 
-Every E-step case goes through the one seam ``compute_omega(model, obs,
-empirical, fit)``, which scores an iterate and pools the posterior moment
-under it; no test builds the conditioning's intermediates itself. The pooled
+Every E-step case goes through the one seam ``compute_omega(model, obs, fit)``,
+which scores an iterate and pools the posterior moment under it; no test
+builds the conditioning's intermediates itself. The pooled
 moment has two oracles that the seam must reproduce: the Joseph-form
 posterior of ``_helpers`` (itself checked here against closed forms and
 dense inverses), and the per-sample average of the posterior moment over
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+import types
 import warnings
 
 import numpy as np
@@ -36,7 +37,7 @@ from treecov import (
 )
 from treecov.em import StopReason, compute_omega
 from treecov.experiment import derive_seed, generate_ground_truth, generate_mixing, generate_prior
-from treecov.linear import empirical_gaussian, observation_cov
+from treecov.linear import observation_cov
 
 from _helpers import adjacency, check_order, joseph_posterior, no_mixing_model, random_spd
 
@@ -132,7 +133,7 @@ class TestComputeOmega:
         # C = 0.8, gain = 0.8, M = 1, so omega = 0.8 + 0.64 = 1.44.
         model = LinearModel(np.eye(1), CovMatrix(np.eye(1)))
         obs = ObservationSet(np.array([[1.0], [-1.0]]))
-        _, omega = compute_omega(model, obs, empirical_gaussian(obs), CovMatrix(np.array([[4.0]])))
+        _, omega = compute_omega(model, obs, CovMatrix(np.array([[4.0]])))
         assert omega.entries[0, 0] == pytest.approx(1.44, abs=1e-14)
 
     def test_matches_per_sample_average(self):
@@ -144,22 +145,22 @@ class TestComputeOmega:
             mu = gain @ y
             pooled += cov + np.outer(mu, mu)
         pooled /= obs.r
-        _, omega = compute_omega(model, obs, empirical_gaussian(obs), sigma0)
+        _, omega = compute_omega(model, obs, sigma0)
         np.testing.assert_allclose(omega.entries, pooled, atol=1e-12)
 
     def test_uses_uncentered_moment(self):
         # Shifting every sample by a constant must change the result.
         sigma, sigma0, model, obs = make_scenario(seed=5)
         shifted = ObservationSet(obs.samples + 3.0)
-        _, base = compute_omega(model, obs, empirical_gaussian(obs), sigma0)
-        _, moved = compute_omega(model, shifted, empirical_gaussian(shifted), sigma0)
+        _, base = compute_omega(model, obs, sigma0)
+        _, moved = compute_omega(model, shifted, sigma0)
         assert not np.allclose(base.entries, moved.entries, atol=1e-6)
 
     def test_no_mixing_returns_the_prior(self):
         model = no_mixing_model(CovMatrix(np.eye(2)), 3)
         prior = random_spd(np.random.default_rng(6), 3)
         obs = ObservationSet(np.random.default_rng(7).standard_normal((20, 2)))
-        _, omega = compute_omega(model, obs, empirical_gaussian(obs), prior)
+        _, omega = compute_omega(model, obs, prior)
         np.testing.assert_allclose(omega.entries, prior.entries, atol=1e-10)
 
     @pytest.mark.parametrize("p", [4, 10, 40])
@@ -185,18 +186,18 @@ class TestComputeOmega:
                         obs = sample_observations(model, truth, r, seed=seed)
                         expected = cov + gain @ obs.second_moment @ gain.T
                         expected = CovMatrix((expected + expected.T) / 2.0).entries
-                        empirical = empirical_gaussian(obs)
-                        obs_kl, omega = compute_omega(model, obs, empirical, sigma)
+                        obs_kl, omega = compute_omega(model, obs, sigma)
                         gap = np.abs(omega.entries - expected).max() / np.abs(expected).max()
                         assert gap <= 1e-11, (snr_db, seed, m, r, gap)
-                        unpooled = compute_omega(model, obs, empirical, sigma, pool=False)
+                        unpooled = compute_omega(model, obs, sigma, pool=False)
                         assert unpooled == (obs_kl, None), (snr_db, seed, m, r)
 
     def test_indefinite_moment_fails_by_name(self):
         # At 400 dB with p = m = 4, C is rounding-level, and r = 2 samples
         # give M rank 2, so Omega is singular up to rounding and its Cholesky
-        # fails for most draws (16 of these 20 seeds). The objective reads
-        # only S_Y, here from 50 samples of the same model.
+        # fails for most draws (16 of these 20 seeds). Two samples give no
+        # S_Y to score with, so the seam gets a stand-in set that carries
+        # their moment and the S_Y of 50 samples of the same model.
         failed = 0
         for seed in range(20):
             rng = np.random.default_rng(seed)
@@ -204,10 +205,13 @@ class TestComputeOmega:
             h = rng.standard_normal((4, 4))
             noise = float(np.trace(h @ sigma.entries @ h.T)) / (4 * 1e40)
             model = LinearModel(h, CovMatrix(noise * np.eye(4)))
-            obs = sample_observations(model, sigma, 2, seed=seed)
-            empirical = empirical_gaussian(sample_observations(model, sigma, 50, seed=seed))
+            two = sample_observations(model, sigma, 2, seed=seed)
+            obs = types.SimpleNamespace(
+                r=two.r, m=two.m, second_moment=two.second_moment,
+                empirical=sample_observations(model, sigma, 50, seed=seed).empirical,
+            )
             try:
-                compute_omega(model, obs, empirical, sigma)
+                compute_omega(model, obs, sigma)
             except NumericalError as exc:
                 assert re.fullmatch(
                     r"pooled posterior moment is not positive definite \(r=2, m=4\)", str(exc)
@@ -224,22 +228,21 @@ class TestEmStep:
         model = no_mixing_model(CovMatrix(np.eye(2)), 3)
         prior = chow_liu(random_spd(np.random.default_rng(11), 3))
         obs = ObservationSet(np.random.default_rng(12).standard_normal((20, 2)))
-        cov = chow_liu(compute_omega(model, obs, empirical_gaussian(obs), prior)[1])
+        cov = chow_liu(compute_omega(model, obs, prior)[1])
         np.testing.assert_allclose(cov.entries, prior.entries, atol=1e-10)
 
     def test_iteration_reaches_a_fixed_point(self):
         sigma, sigma0, model, obs = make_scenario(p=3, m=3, r=200, seed=13)
-        empirical = empirical_gaussian(obs)
         cov = chow_liu(sigma0)
         for _ in range(500):
-            new_cov = chow_liu(compute_omega(model, obs, empirical, cov)[1])
+            new_cov = chow_liu(compute_omega(model, obs, cov)[1])
             delta = kl_gaussian(cov, new_cov)
             cov = new_cov
             if delta < 1e-13:
                 break
         else:
             pytest.fail("no fixed point within 500 refinements")
-        settled = chow_liu(compute_omega(model, obs, empirical, cov)[1])
+        settled = chow_liu(compute_omega(model, obs, cov)[1])
         assert kl_gaussian(cov, settled) < 1e-10
 
 
@@ -263,6 +266,8 @@ class TestEmConfig:
         with pytest.raises(ValueError, match="epsilon must be a real number"):
             EmConfig(CovMatrix(np.eye(2)), epsilon=bad)
         assert EmConfig(CovMatrix(np.eye(2)), epsilon=np.float64(0.5)).epsilon == 0.5
+        # A float32 threshold is compared as the double of equal value.
+        assert type(EmConfig(CovMatrix(np.eye(2)), epsilon=np.float32(0.1)).epsilon) is float
 
     def test_rejects_zero_cap(self):
         with pytest.raises(ValueError, match="l_max"):
@@ -446,7 +451,6 @@ class TestRunEm:
         # carry a precision matrix supported on its own tree.
         _, sigma0, model, obs = make_scenario(seed=23)
         trace = run_em(EmConfig(sigma0, l_max=5, epsilon=1e-12), model, obs)
-        empirical = empirical_gaussian(obs)
         source = sigma0
         for rec in trace.iterations:
             assert np.array_equal(np.diag(rec.sigma_tree.entries), np.diag(source.entries))
@@ -457,7 +461,7 @@ class TestRunEm:
                 for v in range(u + 1, rec.sigma_tree.dim):
                     if v not in adj[u]:
                         assert abs(precision[u, v]) < 1e-8 * scale
-            _, source = compute_omega(model, obs, empirical, rec.sigma_tree)
+            _, source = compute_omega(model, obs, rec.sigma_tree)
 
     def test_rejects_dimension_mismatches(self):
         _, sigma0, model, obs = make_scenario(seed=24)

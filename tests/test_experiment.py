@@ -179,13 +179,15 @@ class TestGeneratePrior:
 
 
 class TestGenerateMixing:
-    @pytest.mark.parametrize("snr_db", [0.0, 20.0])
+    @pytest.mark.parametrize("snr_db", [
+        0.0, 20.0, pytest.param(np.float32(15.5), id="np.float32(15.5)"),
+    ])
     def test_hits_the_target_snr(self, snr_db):
         sigma = generate_ground_truth(6, seed=19)
         model = generate_mixing(6, 4, snr_db, sigma, seed=2)
         signal = float(np.trace(model.h @ sigma.entries @ model.h.T))
         noise = float(np.trace(model.d.entries))
-        assert signal / noise == pytest.approx(10.0 ** (snr_db / 10.0), rel=1e-9)
+        assert signal / noise == pytest.approx(10.0 ** (float(snr_db) / 10.0), rel=1e-9)
 
     def test_noise_is_white(self):
         sigma = generate_ground_truth(5, seed=19)
@@ -214,10 +216,18 @@ class TestGenerateMixing:
             generate_mixing(10, 5, 20.0, sigma, seed=7)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("snr_db", [-4000.0, -3300.0, 3100.0, 4000.0])
+    @pytest.mark.parametrize("snr_db", [
+        -4000.0, -3300.0, 3100.0, 4000.0,
+        pytest.param(np.float64(-4000.0), id="np.float64(-4000.0)"),
+        pytest.param(np.float64(4000.0), id="np.float64(4000.0)"),
+        pytest.param(np.float32(-4000.0), id="np.float32(-4000.0)"),
+        pytest.param(np.float32(4000.0), id="np.float32(4000.0)"),
+    ])
     def test_snr_beyond_the_float_range_fails_by_name(self, snr_db):
-        # 10^(snr_db / 10) underflows to 0.0 or overflows Python's float power.
-        with pytest.raises(NumericalError, match=r"^noise variance s\^2 = (inf|0\.0) at snr_db="):
+        # 10^(snr_db / 10) underflows to 0.0 or overflows Python's float power;
+        # a numpy SNR enters as the Python float of equal value.
+        named = rf"^noise variance s\^2 = (inf|0\.0) at snr_db={float(snr_db)!r} is not"
+        with pytest.raises(NumericalError, match=named):
             generate_mixing(4, 2, snr_db, generate_ground_truth(4, 1), 3)
 
     def test_rejects_bad_channel_count(self):
@@ -266,6 +276,10 @@ class TestExperimentConfig:
             dict(output="results.csv"),
             dict(output=""),
             dict(output="."),
+            dict(snr_db=np.float64(4000.0)),
+            dict(snr_db=np.float64(-4000.0)),
+            dict(snr_db=np.float32(4000.0)),
+            dict(snr_db=np.float32(-4000.0)),
         ],
     )
     def test_rejects_invalid_fields(self, overrides):
@@ -339,7 +353,8 @@ class TestExperimentConfig:
             p=4, m_values=(2,), snr_db=np.float64(20.0), epsilon=np.float32(0.125),
             alpha=np.float64(0.5), output=Path("out/results.txt"),
         )
-        assert (config.snr_db, config.epsilon, config.alpha) == (20.0, 0.125, 0.5)
+        reals = (config.snr_db, config.epsilon, config.alpha)
+        assert reals == (20.0, 0.125, 0.5) and all(type(x) is float for x in reals)
 
 
 CONFIG_TEXT = """\
@@ -462,6 +477,11 @@ class TestRunSweep:
         assert a.records == b.records
         assert a.aggregates == b.aggregates
 
+    def test_a_float32_snr_gives_the_records_of_the_equal_python_float(self):
+        # 15.5 is exact in float32; the sweep must not compute s^2 in float32.
+        expected = run_sweep(small_config(snr_db=15.5))
+        assert run_sweep(small_config(snr_db=np.float32(15.5))).records == expected.records
+
     def test_records_do_not_depend_on_trial_count(self):
         # A trial's record is a function of (config, m, trial) alone.
         short = run_sweep(small_config(p=6, m_values=(4,), trials=7))
@@ -529,7 +549,11 @@ class TestRunSweep:
             assert result.failures == (), f"{snr_db} dB: {result.failures[0].error}"
             assert len(result.records) == 6
 
-    @pytest.mark.parametrize("snr_db", [3080.0, -3080.0])
+    @pytest.mark.parametrize("snr_db", [
+        3080.0, -3080.0,
+        pytest.param(np.float64(3080.0), id="np.float64(3080.0)"),
+        pytest.param(np.float32(-3080.0), id="np.float32(-3080.0)"),
+    ])
     def test_extreme_snr_fails_every_trial_by_name(self, snr_db):
         # s^2 underflows to 0 at +3080 dB; at -3080 dB it overflows, or the
         # samples' second moment does. Either way no numpy warning escapes.
@@ -697,10 +721,6 @@ class TestEmitResults:
             value = getattr(config, key)
             if isinstance(value, Path):
                 value = str(value)
-            elif isinstance(value, np.floating):
-                # The exact double the sweep computes with: numpy compares
-                # float32 0.1 with 0.1 in float32, where the two are equal.
-                value = float(value)
             assert getattr(parsed, key) == value, key
 
     def test_empty_sweep_emits_header_only_csv(self, tmp_path):

@@ -38,7 +38,6 @@ from treecov import linear
 from treecov.linear import (
     PARALLEL_READ_BYTES,
     ROW_BLOCK,
-    empirical_gaussian,
     observation_cov,
 )
 
@@ -54,7 +53,7 @@ def average_log_likelihood(obs: ObservationSet, cov: np.ndarray) -> float:
 
 def observation_kl(obs: ObservationSet, model: LinearModel, sigma: CovMatrix) -> float:
     """Observation-space divergence D(N(0, S_Y) || N(0, H sigma H^T + D))."""
-    return kl_gaussian(empirical_gaussian(obs), observation_cov(model, sigma))
+    return kl_gaussian(obs.empirical, observation_cov(model, sigma))
 
 
 def exact_cov_observations(target: CovMatrix) -> ObservationSet:
@@ -286,17 +285,17 @@ class TestEmpiricalGaussian:
     def test_reports_rank_deficit_with_too_few_samples(self):
         obs = ObservationSet(np.random.default_rng(0).standard_normal((2, 3)))
         with pytest.raises(NotPositiveDefiniteError, match="deficit"):
-            empirical_gaussian(obs)
+            obs.empirical
 
     def test_rejects_constant_samples(self):
         obs = ObservationSet(np.ones((10, 2)))
         with pytest.raises(NotPositiveDefiniteError):
-            empirical_gaussian(obs)
+            obs.empirical
 
     def test_recovers_isotropic_covariance(self):
         rng = np.random.default_rng(8)
         obs = ObservationSet(math.sqrt(2.0) * rng.standard_normal((10_000, 2)))
-        cov = empirical_gaussian(obs)
+        cov = obs.empirical
         assert np.max(np.abs(cov.entries - 2.0 * np.eye(2))) < 0.15
 
 
