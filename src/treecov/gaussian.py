@@ -40,9 +40,10 @@ class NumericalError(RuntimeError):
 class CovMatrix:
     """Symmetric positive definite covariance matrix.
 
-    Construction validates squareness, finiteness of every entry, symmetry
-    (max absolute asymmetry at most 1e-10) and positive definiteness
-    (success of the Cholesky factorization). Instances are immutable; ``chol`` holds the lower
+    Construction rejects complex entries, and validates squareness,
+    finiteness of every entry, symmetry (max absolute asymmetry at most
+    1e-10) and positive definiteness (success of the Cholesky
+    factorization). Instances are immutable; ``chol`` holds the lower
     triangular factor and is reused for log-determinants and solves. A
     subclass with structure (``treecov.tree.TreeCovMatrix``) overrides
     ``log_det`` and ``inverse_trace`` with closed forms.
@@ -57,7 +58,7 @@ class CovMatrix:
     chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        a = np.array(self.entries, dtype=float)
+        a = _real_array(self.entries, "covariance")
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"covariance must be a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
@@ -113,6 +114,16 @@ def _as_float(value: object, name: str, error: type[ValueError] = ValueError) ->
         return float(value)
     except OverflowError:
         return value
+
+
+def _real_array(value: object, name: str, *, copy: bool = True) -> np.ndarray:
+    """``value`` as a float array, a private copy unless ``copy`` is False;
+    ValueError naming ``name`` if it is complex, where a float cast would drop
+    the imaginary part with only a warning."""
+    a = np.asarray(value)
+    if a.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got dtype {a.dtype}")
+    return np.array(a, dtype=float) if copy else a.astype(float, copy=False)
 
 
 def _is_finite(value: float) -> bool:

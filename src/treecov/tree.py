@@ -47,6 +47,7 @@ from .gaussian import (
     NumericalError,
     _as_int,
     _cholesky,
+    _real_array,
     _upper_pair_weights,
     _upper_pairs,
 )
@@ -162,8 +163,9 @@ class TreeCovMatrix(CovMatrix):
     With std = sqrt(d), the edge correlations are
     rho = edge_cov / (std[u] * std[v]) over ``tree.edge_index`` (u < v), and
     |rho| < 1 is exactly positive definiteness, so a larger one raises
-    NotPositiveDefiniteError. A ``d`` or ``edge_cov`` of the wrong shape, or
-    a variance that is not finite and positive, raises ValueError.
+    NotPositiveDefiniteError. A complex ``d`` or ``edge_cov``, one of the
+    wrong shape, or a variance that is not finite and positive, raises
+    ValueError.
 
     ``entries`` is the completion: variances and edge covariances verbatim,
     and every other (u, v) entry std[u] * std[v] times the product of edge
@@ -195,8 +197,8 @@ class TreeCovMatrix(CovMatrix):
 
     def __post_init__(self) -> None:
         p = self.tree.num_vertices
-        d = np.array(self.d, dtype=float)
-        edge_cov = np.array(self.edge_cov, dtype=float)
+        d = _real_array(self.d, "variances")
+        edge_cov = _real_array(self.edge_cov, "edge covariances")
         if d.shape != (p,):
             raise ValueError(f"need {p} variances, got shape {d.shape}")
         if not np.all(np.isfinite(d) & (d > 0.0)):

@@ -16,7 +16,11 @@ import types
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import treecov
+from treecov import CovMatrix, LinearModel, SpanningTree, TreeCovMatrix, write_matrix_csv
 from treecov.experiment import TrialRecord
 from treecov.linear import ObservationSet
 
@@ -89,3 +93,24 @@ def test_no_test_names_a_private_attribute_of_the_em_module():
                 continue
             named += [f"{path.name}:{node.lineno}: {name}" for name in names if name.startswith("_")]
     assert named == []
+
+
+_EDGE = SpanningTree(2, [(0, 1)])
+# Each public constructor that casts its input to float, given a complex
+# input whose float cast would silently drop the imaginary part.
+COMPLEX_INPUTS = {
+    "covariance": lambda path: CovMatrix(np.array([[2, 1j], [-1j, 2]])),
+    "variances": lambda path: TreeCovMatrix(_EDGE, np.array([1.0, 1.0 + 1j]), [0.5]),
+    "edge covariances": lambda path: TreeCovMatrix(_EDGE, [1.0, 1.0], np.array([0.5j])),
+    "mixing matrix H": lambda path: LinearModel(np.eye(2) + 0j, CovMatrix(np.eye(2))),
+    "observations": lambda path: ObservationSet(np.ones((3, 2)) * (1 + 1j)),
+    "matrix to write": lambda path: write_matrix_csv(np.ones((2, 2)) * 1j, path),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEX_INPUTS))
+def test_complex_input_is_rejected_by_name(tmp_path, name):
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=f"^{name} must be real, got dtype complex128$"):
+        COMPLEX_INPUTS[name](path)
+    assert not path.exists()

@@ -252,6 +252,14 @@ class TestRowBlocks:
         # A second copy would read 2.26.
         assert peak < 1.8 * r * model.m * 8
 
+    def test_sampling_at_cli_fit_size_holds_about_one_copy(self):
+        # At r=20000 blocks of 4096 rows held 1.54 copies of the samples;
+        # blocks of 256 hold 1.04.
+        model, sigma = cli_fit_shaped_problem()
+        r = 20_000
+        peak = traced_peak(lambda: sample_observations(model, sigma, r, seed=3))
+        assert peak < 1.1 * r * model.m * 8
+
     def test_summarising_holds_one_copy_plus_a_block(self):
         model, sigma = cli_fit_shaped_problem()
         y = np.array(sample_observations(model, sigma, 4 * ROW_BLOCK, seed=3).samples)
@@ -488,10 +496,11 @@ def _first_rows(text: bytes, rows: int) -> bytes:
 # three ranges, and its fault sits in the last one. Every file of more than
 # a few rows has a row block that straddles two helpers' ranges: the r rows
 # split into near-equal thirds among the helpers, and into near-equal
-# blocks of at most ROW_BLOCK rows for read_observations.
+# blocks of at most ROW_BLOCK rows for read_observations. The block-sized
+# files are made wide enough to pass that size.
 _BODY = _csv_text(np.random.default_rng(31).standard_normal((5500, 16)))
 _TAIL = _csv_text(np.random.default_rng(32).standard_normal((3, 16)))
-_FOUR_BLOCKS = _csv_text(np.random.default_rng(33).standard_normal((4 * ROW_BLOCK + 1, 16)))
+_FOUR_BLOCKS = _csv_text(np.random.default_rng(33).standard_normal((4 * ROW_BLOCK + 1, 128)))
 LARGE_FILES = {
     "blank-and-whitespace-lines": _BODY + b"\n  \n\t\n" + _TAIL + b"\n\n",
     "crlf-no-final-newline": (_BODY + _TAIL).replace(b"\n", b"\r\n")[:-2],
@@ -503,11 +512,17 @@ LARGE_FILES = {
     "random-bit-patterns": _csv_text(random_bit_patterns(6000, 16)),
     # One block, so its rows come from all three helpers.
     "one-block-of-wide-rows": _csv_text(
-        np.random.default_rng(34).standard_normal((ROW_BLOCK - 96, 24))
+        np.random.default_rng(34).standard_normal((ROW_BLOCK - 96, 600))
     ),
     "four-blocks-less-one-row": _first_rows(_FOUR_BLOCKS, 4 * ROW_BLOCK - 1),
     "four-blocks-and-one-row": _FOUR_BLOCKS,
 }
+
+
+def test_every_large_file_splits_into_three_ranges():
+    small = {name: len(text) for name, text in LARGE_FILES.items()
+             if len(text) <= 1.5 * PARALLEL_READ_BYTES}
+    assert small == {}
 
 
 def _observations(path):
@@ -711,18 +726,37 @@ class TestParallelRead:
     def test_streams_observations_through_one_row_block(self, tmp_path, monkeypatch, forks):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         path = tmp_path / "obs.csv"
-        path.write_bytes(_first_rows(_FOUR_BLOCKS, 4 * ROW_BLOCK))
-        m = 16
+        r, m = 16 * ROW_BLOCK, 16
+        path.write_bytes(_first_rows(_BODY, r))
         block, moment = ROW_BLOCK * m * 8, m * m * 8
+        bound = 2 * block + 4 * moment + 64 * 1024
         got = []
         peak = traced_peak(lambda: got.append(read_observations(path)))
         assert len(forks) == 2
-        assert got[0].samples is None and got[0].r == 4 * ROW_BLOCK
+        assert got[0].samples is None and got[0].r == r
         # The row-block buffer and the C-ordered transpose of it that each
         # block's product takes, a few m x m and length-m arrays, and 64 KiB
         # for the pipes' file objects, the header buffer and one line read
-        # while splitting. Holding the 2 MiB r x m array fails it.
-        assert peak < 2 * block + 4 * moment + 64 * 1024
+        # while splitting. Holding the r x m array, 3.8 times that, fails it.
+        assert r * m * 8 > 3 * bound
+        assert peak < bound
+
+    def test_reading_a_cli_fit_sized_file_holds_under_a_quarter_mib(
+        self, tmp_path, monkeypatch, forks
+    ):
+        # treecov em's input at the benchmark's shape: 20000 x 30, about
+        # 12 MB of text. Blocks of 4096 rows held 1902 KiB here, 256 hold
+        # about 151 KiB.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        model, sigma = cli_fit_shaped_problem()
+        path = tmp_path / "obs.csv"
+        write_matrix_csv(sample_observations(model, sigma, 20_000, seed=3).samples, path)
+        forks.clear()
+        got = []
+        peak = traced_peak(lambda: got.append(read_observations(path)))
+        assert len(forks) == 2
+        assert got[0].samples is None and got[0].r == 20_000
+        assert peak < 256 * 1024
 
 
 def _specials(rows: int, cols: int) -> np.ndarray:
