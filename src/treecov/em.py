@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,7 +27,7 @@ import numpy as np
 
 from .gaussian import (
     CovMatrix, NotPositiveDefiniteError, NumericalError, _as_float, _as_int, _clamp_kl,
-    _is_finite, kl_gaussian,
+    kl_gaussian,
 )
 from .linear import LinearModel, ObservationSet, observation_cov
 from .tree import TreeCovMatrix, chow_liu
@@ -57,7 +58,7 @@ class EmConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", _as_float(self.epsilon, "epsilon"))
-        if not (_is_finite(self.epsilon) and self.epsilon > 0.0):
+        if not 0.0 < self.epsilon <= sys.float_info.max:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         object.__setattr__(self, "l_max", _as_int(self.l_max, "l_max"))
         if self.l_max < 1:
@@ -125,8 +126,10 @@ def compute_omega(
     holds by construction: sigma - C = (G L_K)(G L_K)^T for the Cholesky
     factor L_K of K. Omega is positive definite even where C is singular;
     should it not be, its Cholesky fails and NumericalError names the sample
-    count r and m.
+    count r and m. Observations of a dimension other than m are refused first.
     """
+    if obs.m != model.m:
+        raise ValueError(f"observation dimension {obs.m} != model m={model.m}")
     empirical, k = obs.empirical, observation_cov(model, fit)
     rhs = np.hstack((model.h @ fit.entries, empirical.chol))
     solved = np.linalg.solve(k.entries, rhs)
@@ -166,7 +169,8 @@ def run_em(
     channels). When ``ground_truth`` is given, the divergence from it is
     recorded too. A rise of the objective beyond 1e-6 between consecutive
     iterates raises EmMonotonicityWarning, since the refit is an exact
-    maximizer and genuine rises signal numerical trouble.
+    maximizer and genuine rises signal numerical trouble. Observations of a
+    dimension other than m fail the first E-step, after the prior's tree fit.
 
     Identical inputs produce bitwise-identical traces.
     """
@@ -174,8 +178,6 @@ def run_em(
         raise ValueError(
             f"prior dimension {config.sigma0.dim} != model latent dimension {model.p}"
         )
-    if obs.m != model.m:
-        raise ValueError(f"observation dimension {obs.m} != model m={model.m}")
     records: list[EmIteration] = []
     fit, step_kl = config.prior_fit, math.inf
     for index in range(1, config.l_max + 1):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .em import EmConfig, EmTrace, StopReason, run_em
-from .gaussian import CovMatrix, NumericalError, _as_float, _as_int, _is_finite, kl_gaussian
+from .gaussian import CovMatrix, NumericalError, _as_float, _as_int, kl_gaussian
 from .linear import LinearModel, _naming_file, read_matrix_csv, sample_observations
 from .tree import SpanningTree, TreeCovMatrix, chow_liu, prufer_decode
 
@@ -68,12 +68,13 @@ def generate_ground_truth(p: int, seed: int) -> CovMatrix:
 
 
 def generate_prior(sigma: CovMatrix, alpha: float, seed: int) -> CovMatrix:
-    """Corrupted prior (1 - alpha) * sigma + alpha * P.
+    """Corrupted prior (1 - alpha) * sigma + alpha * P, with alpha cast to a float.
 
     P is a seeded random SPD matrix (Wishart with 2p degrees of freedom)
     rescaled to sigma's diagonal, so alpha = 0 returns sigma unchanged and
     alpha = 1 keeps only the variances in common with the truth.
     """
+    alpha = _as_float(alpha, "alpha")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {alpha}")
     p = sigma.dim
@@ -89,7 +90,7 @@ def generate_prior(sigma: CovMatrix, alpha: float, seed: int) -> CovMatrix:
 def generate_mixing(
     p: int, m: int, snr_db: float, sigma: CovMatrix, seed: int
 ) -> LinearModel:
-    """Random dense mixing at a target SNR.
+    """Random dense mixing at a target SNR, for integer p and m and a real snr_db.
 
     H has iid standard normal entries and is drawn once; a numerically rank
     deficient draw raises RankDeficientError, which a sweep records as that
@@ -98,6 +99,7 @@ def generate_mixing(
     signal to noise power equal 10^(snr_db / 10) exactly. An SNR so extreme
     that s^2 is not a normal positive finite float raises NumericalError.
     """
+    p, m = _as_int(p, "p"), _as_int(m, "m")
     if not 1 <= m <= p:
         raise ValueError(f"need 1 <= m <= p, got m={m}, p={p}")
     if sigma.dim != p:
@@ -195,7 +197,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"10^(snr_db/10) must be positive and finite, got snr_db={self.snr_db}"
             )
-        if not (_is_finite(self.epsilon) and self.epsilon > 0.0):
+        if not 0.0 < self.epsilon <= sys.float_info.max:
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.l_max < 1:
             raise ConfigError(f"l_max must be at least 1, got {self.l_max}")

@@ -8,7 +8,6 @@ Every information quantity is measured in nats.
 
 from __future__ import annotations
 
-import math
 import numbers
 import operator
 from dataclasses import dataclass, field
@@ -40,12 +39,12 @@ class NumericalError(RuntimeError):
 class CovMatrix:
     """Symmetric positive definite covariance matrix.
 
-    Construction rejects complex entries, and validates squareness,
-    finiteness of every entry, symmetry (max absolute asymmetry at most
-    1e-10) and positive definiteness (success of the Cholesky
-    factorization). Instances are immutable; ``chol`` holds the lower
-    triangular factor and is reused for log-determinants and solves. A
-    subclass with structure (``treecov.tree.TreeCovMatrix``) overrides
+    Construction refuses any dtype but bool, integer and float by name, and
+    validates squareness, finiteness of every entry, symmetry (max absolute
+    asymmetry at most 1e-10) and positive definiteness (success of the
+    Cholesky factorization). Instances are immutable; ``chol`` holds the
+    lower triangular factor and is reused for log-determinants and solves.
+    A subclass with structure (``treecov.tree.TreeCovMatrix``) overrides
     ``log_det`` and ``inverse_trace`` with closed forms.
 
     Parameters
@@ -107,7 +106,7 @@ def _as_int(value: object, name: str, error: type[ValueError] = ValueError) -> i
 def _as_float(value: object, name: str, error: type[ValueError] = ValueError) -> float:
     """``value`` as a float if it is a Python or numpy real number, else ``error``
     naming ``name``; bools and strings are rejected, and an int beyond the
-    float range is returned as it is, for the caller's range check to name."""
+    float range is returned as it is, for the caller's exact range check to refuse."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise error(f"{name} must be a real number, got {value!r}")
     try:
@@ -118,21 +117,13 @@ def _as_float(value: object, name: str, error: type[ValueError] = ValueError) ->
 
 def _real_array(value: object, name: str, *, copy: bool = True) -> np.ndarray:
     """``value`` as a float array, a private copy unless ``copy`` is False;
-    ValueError naming ``name`` if it is complex, where a float cast would drop
-    the imaginary part with only a warning."""
+    ValueError naming ``name`` and the dtype unless that is bool, integer or
+    float: a float cast of any other (complex, object, string) would drop an
+    imaginary part with only a warning, turn None into NaN or parse text."""
     a = np.asarray(value)
-    if a.dtype.kind == "c":
+    if a.dtype.kind not in "biuf":
         raise ValueError(f"{name} must be real, got dtype {a.dtype}")
     return np.array(a, dtype=float) if copy else a.astype(float, copy=False)
-
-
-def _is_finite(value: float) -> bool:
-    """``math.isfinite(value)``, but False for an int beyond the float range
-    rather than OverflowError."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:

@@ -114,3 +114,33 @@ def test_complex_input_is_rejected_by_name(tmp_path, name):
     with pytest.raises(ValueError, match=f"^{name} must be real, got dtype complex128$"):
         COMPLEX_INPUTS[name](path)
     assert not path.exists()
+
+
+# The same constructors, given ``value`` in place of the input named.
+FLOAT_CASTS = {
+    "covariance": lambda value, path: CovMatrix(value),
+    "variances": lambda value, path: TreeCovMatrix(_EDGE, value, [0.5]),
+    "edge covariances": lambda value, path: TreeCovMatrix(_EDGE, [1.0, 1.0], value),
+    "mixing matrix H": lambda value, path: LinearModel(value, CovMatrix(np.eye(2))),
+    "observations": lambda value, path: ObservationSet(value),
+    "matrix to write": lambda value, path: write_matrix_csv(value, path),
+}
+# Inputs of no numeric dtype, whose float cast would fail bare on the
+# complex value, turn None into NaN, or parse the strings as numbers.
+NON_NUMERIC_INPUTS = {
+    "object-complex": np.array([[2, 1j], [-1j, 2]], dtype=object),
+    "object-none": np.array([[1.0, None], [None, 1.0]], dtype=object),
+    "string": np.array([["1", "0"], ["0", "1"]]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_NUMERIC_INPUTS))
+@pytest.mark.parametrize("name", sorted(FLOAT_CASTS))
+def test_non_numeric_input_is_rejected_by_name(tmp_path, name, kind):
+    assert FLOAT_CASTS.keys() == COMPLEX_INPUTS.keys()
+    value = NON_NUMERIC_INPUTS[kind]
+    path = tmp_path / "out.csv"
+    named = f"^{name} must be real, got dtype {re.escape(str(value.dtype))}$"
+    with pytest.raises(ValueError, match=named):
+        FLOAT_CASTS[name](value, path)
+    assert not path.exists()

@@ -220,6 +220,13 @@ class TestComputeOmega:
                 failed += 1
         assert failed > 0
 
+    def test_rejects_observations_of_another_dimension_by_name(self):
+        _, sigma0, model, _ = make_scenario(seed=24)
+        bad = ObservationSet(np.random.default_rng(25).standard_normal((10, model.m + 1)))
+        named = rf"^observation dimension {model.m + 1} != model m={model.m}$"
+        with pytest.raises(ValueError, match=named):
+            compute_omega(model, bad, chow_liu(sigma0))
+
 
 class TestEmStep:
     def test_no_mixing_tree_prior_is_a_fixed_point(self):

@@ -85,6 +85,16 @@ IDENTITY_MODEL = LinearModel(np.eye(2), CovMatrix(np.eye(2)))
         pytest.param(lambda: prufer_decode([0], 3.0), "num_vertices", id="prufer_decode"),
         pytest.param(lambda: derive_seed(1.5, "x"), "master", id="derive_seed"),
         pytest.param(lambda: generate_ground_truth(3, True), "seed", id="ground_truth-bool"),
+        pytest.param(
+            lambda: generate_mixing(4.0, 2, 20.0, CovMatrix(np.eye(4)), 0), "p", id="mixing-p"
+        ),
+        pytest.param(
+            lambda: generate_mixing(4, 2.5, 20.0, CovMatrix(np.eye(4)), 0), "m", id="mixing-m"
+        ),
+        pytest.param(
+            lambda: generate_mixing(4, True, 20.0, CovMatrix(np.eye(4)), 0), "m",
+            id="mixing-m-bool",
+        ),
     ],
 )
 def test_generators_reject_non_integer_seeds_and_counts_by_name(call, named):
@@ -176,6 +186,15 @@ class TestGeneratePrior:
         for alpha in (-0.1, 1.1):
             with pytest.raises(ValueError, match="mixing weight"):
                 generate_prior(sigma, alpha, seed=0)
+
+    def test_weight_enters_as_a_python_float(self):
+        sigma = generate_ground_truth(4, seed=0)
+        with pytest.raises(ValueError, match="^alpha must be a real number, got '0.5'$"):
+            generate_prior(sigma, "0.5", seed=0)
+        # A float32 weight is applied as the double of equal value, not in float32.
+        weight = np.float32(0.1)
+        got = generate_prior(sigma, weight, seed=2).entries
+        assert np.array_equal(got, generate_prior(sigma, float(weight), seed=2).entries)
 
 
 class TestGenerateMixing:

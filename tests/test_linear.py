@@ -723,6 +723,30 @@ class TestParallelRead:
         _assert_no_child_left()
         assert got == _outcome(path, _observations)
 
+    def test_helpers_reaped_by_the_kernel_fall_back(self, tmp_path, monkeypatch, forks):
+        # With SIGCHLD ignored the kernel reaps each helper as it exits, so
+        # waitpid finds no child and no helper's exit status is known; the
+        # file must then be read serially.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        reap, statuses = linear._reap, []
+
+        def recording_reap(pid):
+            statuses.append(reap(pid))
+            return statuses[-1]
+
+        monkeypatch.setattr(linear, "_reap", recording_reap)
+        path = tmp_path / "obs.csv"
+        path.write_bytes(_BODY)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            got = _outcome(path, read_observations)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert len(forks) == 2
+        assert statuses == [None, None]
+        _assert_no_child_left()
+        assert got == _outcome(path, _observations)
+
     def test_streams_observations_through_one_row_block(self, tmp_path, monkeypatch, forks):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         path = tmp_path / "obs.csv"

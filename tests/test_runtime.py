@@ -52,6 +52,27 @@ def test_package_imports_only_stdlib_and_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_every_imported_name_is_used():
+    # The package's __init__.py is exempt: its imports are the API.
+    package = sorted((ROOT / "src" / "treecov").glob("*.py"))
+    unused = []
+    for path in package + sorted((ROOT / "tests").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []
+
+
 def test_a_second_copy_of_the_package_loads_beside_the_first():
     package = ROOT / "src" / "treecov"
     spec = importlib.util.spec_from_file_location(

@@ -138,6 +138,10 @@ class TestSpanningTree:
     def test_single_vertex(self):
         assert SpanningTree(1, ()).edges == ()
 
+    def test_rejects_no_vertex(self):
+        with pytest.raises(ValueError, match="^need at least one vertex, got 0$"):
+            SpanningTree(0, [])
+
     @pytest.mark.parametrize("bad", [3.0, "3", None])
     def test_rejects_non_integer_vertex_count_by_name(self, bad):
         with pytest.raises(ValueError, match="num_vertices must be an integer"):
@@ -211,6 +215,10 @@ class TestPruferDecode:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError, match="length"):
             prufer_decode((0,), 2)
+
+    def test_rejects_fewer_than_two_vertices(self):
+        with pytest.raises(ValueError, match="^need at least two vertices, got 1$"):
+            prufer_decode([], 1)
 
     def test_rejects_out_of_range_entry(self):
         with pytest.raises(ValueError, match="range"):
@@ -301,6 +309,16 @@ class TestTreeCovariance:
     def test_vertex_count_mismatch(self):
         with pytest.raises(ValueError, match="vertex count"):
             tree_covariance(CovMatrix(np.eye(3)), SpanningTree(2, ((0, 1),)))
+
+    def test_an_edge_correlation_rounding_to_one_fails_by_name(self):
+        # sqrt(3) * sqrt(3) is 2.9999999999999996, so the matrix factors, but
+        # the edge correlation c / (sqrt(3) * sqrt(3)) is exactly 1.0.
+        c = np.sqrt(3.0) * np.sqrt(3.0)
+        sigma = CovMatrix([[3, c], [c, 3]])
+        with pytest.raises(NumericalError, match="^tree covariance lost positive definiteness; "):
+            tree_covariance(sigma, SpanningTree(2, [(0, 1)]))
+        with pytest.raises(DegenerateCorrelationError):
+            chow_liu(sigma)
 
     @pytest.mark.parametrize(
         "diag, edge_cov, match",
