@@ -26,8 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .gaussian import (
-    CovMatrix, NotPositiveDefiniteError, NumericalError, _as_float, _as_int, _clamp_kl,
-    kl_gaussian,
+    CovMatrix, NotPositiveDefiniteError, NumericalError, _as_cov, _as_float, _as_int,
+    _clamp_kl, kl_gaussian,
 )
 from .linear import LinearModel, ObservationSet, observation_cov
 from .tree import TreeCovMatrix, chow_liu
@@ -50,13 +50,14 @@ class StopReason(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class EmConfig:
-    """Iteration parameters: prior covariance, stopping threshold, cap."""
+    """Iteration parameters: prior CovMatrix ``sigma0``, stopping threshold, cap."""
 
     sigma0: CovMatrix
     epsilon: float = 0.01
     l_max: int = 20
 
     def __post_init__(self) -> None:
+        _as_cov(self.sigma0, "sigma0")
         object.__setattr__(self, "epsilon", _as_float(self.epsilon, "epsilon"))
         if not 0.0 < self.epsilon <= sys.float_info.max:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
@@ -126,11 +127,11 @@ def compute_omega(
     holds by construction: sigma - C = (G L_K)(G L_K)^T for the Cholesky
     factor L_K of K. Omega is positive definite even where C is singular;
     should it not be, its Cholesky fails and NumericalError names the sample
-    count r and m. Observations of a dimension other than m are refused first.
+    count r and m. Observations not m-dim and a ``fit`` not a p-dim CovMatrix are refused first.
     """
     if obs.m != model.m:
         raise ValueError(f"observation dimension {obs.m} != model m={model.m}")
-    empirical, k = obs.empirical, observation_cov(model, fit)
+    k, empirical = observation_cov(model, _as_cov(fit, "fit", model.p)), obs.empirical
     rhs = np.hstack((model.h @ fit.entries, empirical.chol))
     solved = np.linalg.solve(k.entries, rhs)
     trace = float(np.sum(empirical.chol * solved[:, model.p :]))
@@ -169,15 +170,15 @@ def run_em(
     channels). When ``ground_truth`` is given, the divergence from it is
     recorded too. A rise of the objective beyond 1e-6 between consecutive
     iterates raises EmMonotonicityWarning, since the refit is an exact
-    maximizer and genuine rises signal numerical trouble. Observations of a
-    dimension other than m fail the first E-step, after the prior's tree fit.
+    maximizer and genuine rises signal numerical trouble. A ``sigma0`` or
+    ``ground_truth`` that is not a CovMatrix of dimension p is refused by name
+    first; observations of a dimension other than m fail the first E-step.
 
     Identical inputs produce bitwise-identical traces.
     """
-    if config.sigma0.dim != model.p:
-        raise ValueError(
-            f"prior dimension {config.sigma0.dim} != model latent dimension {model.p}"
-        )
+    _as_cov(config.sigma0, "sigma0", model.p)
+    if ground_truth is not None:
+        _as_cov(ground_truth, "ground_truth", model.p)
     records: list[EmIteration] = []
     fit, step_kl = config.prior_fit, math.inf
     for index in range(1, config.l_max + 1):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .em import EmConfig, EmTrace, StopReason, run_em
-from .gaussian import CovMatrix, NumericalError, _as_float, _as_int, kl_gaussian
+from .gaussian import CovMatrix, NumericalError, _as_cov, _as_float, _as_int, kl_gaussian
 from .linear import LinearModel, _naming_file, read_matrix_csv, sample_observations
 from .tree import SpanningTree, TreeCovMatrix, chow_liu, prufer_decode
 
@@ -68,16 +68,16 @@ def generate_ground_truth(p: int, seed: int) -> CovMatrix:
 
 
 def generate_prior(sigma: CovMatrix, alpha: float, seed: int) -> CovMatrix:
-    """Corrupted prior (1 - alpha) * sigma + alpha * P, with alpha cast to a float.
+    """Corrupted prior (1 - alpha) * sigma + alpha * P of a CovMatrix sigma, float alpha.
 
     P is a seeded random SPD matrix (Wishart with 2p degrees of freedom)
     rescaled to sigma's diagonal, so alpha = 0 returns sigma unchanged and
     alpha = 1 keeps only the variances in common with the truth.
     """
+    p = _as_cov(sigma, "sigma").dim
     alpha = _as_float(alpha, "alpha")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {alpha}")
-    p = sigma.dim
     rng = np.random.default_rng(_as_int(seed, "seed"))
     g = rng.standard_normal((p, 2 * p))
     raw = g @ g.T / (2 * p)
@@ -90,7 +90,7 @@ def generate_prior(sigma: CovMatrix, alpha: float, seed: int) -> CovMatrix:
 def generate_mixing(
     p: int, m: int, snr_db: float, sigma: CovMatrix, seed: int
 ) -> LinearModel:
-    """Random dense mixing at a target SNR, for integer p and m and a real snr_db.
+    """Random dense mixing at a target SNR for integers p, m, real snr_db, p-dim CovMatrix sigma.
 
     H has iid standard normal entries and is drawn once; a numerically rank
     deficient draw raises RankDeficientError, which a sweep records as that
@@ -102,8 +102,7 @@ def generate_mixing(
     p, m = _as_int(p, "p"), _as_int(m, "m")
     if not 1 <= m <= p:
         raise ValueError(f"need 1 <= m <= p, got m={m}, p={p}")
-    if sigma.dim != p:
-        raise ValueError(f"covariance dimension {sigma.dim} != p={p}")
+    _as_cov(sigma, "sigma", p)
     snr_db = _as_float(snr_db, "snr_db")
     h = np.random.default_rng(_as_int(seed, "seed")).standard_normal((m, p))
     signal_power = float(np.trace(h @ sigma.entries @ h.T))
@@ -135,10 +134,13 @@ def _accepting(what: str, *types: type) -> Callable[[object, str], object]:
 
 
 def _ints(value: object, name: str) -> tuple[int, ...]:
+    # Text iterates too, by character or byte value, so it is refused whole.
     try:
-        return tuple(_as_int(m, "every m", ConfigError) for m in value)
+        if not isinstance(value, (str, bytes, bytearray)):
+            return tuple(_as_int(m, "every m", ConfigError) for m in value)
     except TypeError:
-        raise ConfigError(f"{name} must be a sequence of integers, got {value!r}") from None
+        pass
+    raise ConfigError(f"{name} must be a sequence of integers, got {value!r}")
 
 
 def _parse_m_values(text: str) -> tuple[int, ...]:

@@ -126,6 +126,15 @@ def _real_array(value: object, name: str, *, copy: bool = True) -> np.ndarray:
     return np.array(a, dtype=float) if copy else a.astype(float, copy=False)
 
 
+def _as_cov(value: object, name: str, dim: int | None = None) -> CovMatrix:
+    """``value`` if a CovMatrix of dimension ``dim``, if given; else ValueError naming ``name``."""
+    if not isinstance(value, CovMatrix):
+        raise ValueError(f"{name} must be a CovMatrix, got {type(value).__name__}")
+    if dim is not None and value.dim != dim:
+        raise ValueError(f"{name} has dimension {value.dim}, expected {dim}")
+    return value
+
+
 def _cholesky(a: np.ndarray) -> np.ndarray:
     """Read-only lower Cholesky factor of ``a``, or NotPositiveDefiniteError."""
     try:
@@ -172,15 +181,14 @@ def kl_gaussian(p0: CovMatrix, p1: CovMatrix) -> float:
     Parameters
     ----------
     p0, p1 : CovMatrix
-        Covariances of equal dimension; p0 is the reference measure.
+        CovMatrix of equal dimension, else ValueError naming p0 or p1; p0 is the reference.
 
     Returns
     -------
     float
         Nonnegative divergence in nats.
     """
-    if p0.dim != p1.dim:
-        raise ValueError(f"dimension mismatch: {p0.dim} vs {p1.dim}")
+    _as_cov(p1, "p1", _as_cov(p0, "p0").dim)
     if np.array_equal(p0.entries, p1.entries):
         return 0.0
     trace, scale = p1.inverse_trace(p0)

@@ -23,7 +23,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, TypeVar
 
 import numpy as np
 
-from .gaussian import CovMatrix, NotPositiveDefiniteError, _as_int, _real_array
+from .gaussian import CovMatrix, NotPositiveDefiniteError, _as_cov, _as_int, _real_array
 
 RANK_RTOL = 1e-10
 # Rows per block when observations are drawn, summarised or streamed from
@@ -75,7 +75,7 @@ class LinearModel:
     h : np.ndarray
         Mixing matrix, shape (m, p).
     d : CovMatrix
-        Noise covariance, dimension m.
+        Noise covariance, a CovMatrix of dimension m, else ValueError naming it.
     """
 
     h: np.ndarray
@@ -92,8 +92,7 @@ class LinearModel:
             raise ValueError("H needs at least one row")
         if m > p:
             raise ValueError(f"observation dimension m={m} exceeds latent dimension p={p}")
-        if self.d.dim != m:
-            raise ValueError(f"noise covariance dimension {self.d.dim} != m={m}")
+        _as_cov(self.d, "noise covariance", m)
         sv = np.linalg.svd(h, compute_uv=False)
         if sv[-1] <= RANK_RTOL * sv[0]:
             raise RankDeficientError("H is numerically rank deficient")
@@ -251,12 +250,9 @@ def sample_observations(
     the returned set keeps the samples without a copy. The blocks
     consume the generator's stream in the order one r-row draw would, and
     each row is the same row-wise product, so the samples are bit for bit
-    those of the one-shot draw at any r.
+    those of the one-shot draw at any r; ``sigma_true`` must be a p-dim CovMatrix.
     """
-    if sigma_true.dim != model.p:
-        raise ValueError(
-            f"latent covariance dimension {sigma_true.dim} != model p={model.p}"
-        )
+    _as_cov(sigma_true, "sigma_true", model.p)
     r = _as_int(r, "r")
     if r < 1:
         raise ValueError(f"need at least one sample, got r={r}")
@@ -283,10 +279,8 @@ def sample_observations(
 
 
 def observation_cov(model: LinearModel, sigma: CovMatrix) -> CovMatrix:
-    """Covariance of y under latent covariance ``sigma``: H sigma H^T + D."""
-    if sigma.dim != model.p:
-        raise ValueError(f"latent covariance dimension {sigma.dim} != model p={model.p}")
-    hs = model.h @ sigma.entries @ model.h.T
+    """Covariance of y under latent CovMatrix ``sigma`` of dimension p: H sigma H^T + D."""
+    hs = model.h @ _as_cov(sigma, "sigma", model.p).entries @ model.h.T
     return CovMatrix((hs + hs.T) / 2.0 + model.d.entries)
 
 

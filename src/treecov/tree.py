@@ -45,6 +45,7 @@ from .gaussian import (
     CovMatrix,
     NotPositiveDefiniteError,
     NumericalError,
+    _as_cov,
     _as_int,
     _cholesky,
     _real_array,
@@ -154,6 +155,13 @@ class SpanningTree:
         return arrays
 
 
+def _as_tree(value: object) -> SpanningTree:
+    """``value`` if it is a SpanningTree, else ValueError naming ``tree``."""
+    if not isinstance(value, SpanningTree):
+        raise ValueError(f"tree must be a SpanningTree, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class TreeCovMatrix(CovMatrix):
     """Covariance with a spanning tree's Markov structure, built from its parameters.
@@ -164,8 +172,8 @@ class TreeCovMatrix(CovMatrix):
     rho = edge_cov / (std[u] * std[v]) over ``tree.edge_index`` (u < v), and
     |rho| < 1 is exactly positive definiteness, so a larger one raises
     NotPositiveDefiniteError. A complex ``d`` or ``edge_cov``, one of the
-    wrong shape, or a variance that is not finite and positive, raises
-    ValueError.
+    wrong shape, a variance that is not finite and positive, or a ``tree``
+    that is not a SpanningTree, raises ValueError.
 
     ``entries`` is the completion: variances and edge covariances verbatim,
     and every other (u, v) entry std[u] * std[v] times the product of edge
@@ -196,7 +204,7 @@ class TreeCovMatrix(CovMatrix):
     _roundoff_scale: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        p = self.tree.num_vertices
+        p = _as_tree(self.tree).num_vertices
         d = _real_array(self.d, "variances")
         edge_cov = _real_array(self.edge_cov, "edge covariances")
         if d.shape != (p,):
@@ -322,9 +330,9 @@ def tree_covariance(sigma: CovMatrix, tree: SpanningTree) -> TreeCovMatrix:
     Parameters
     ----------
     sigma : CovMatrix
-        Source covariance, dimension matching the tree's vertex count.
+        Source CovMatrix of the tree's vertex count, else ValueError naming it.
     tree : SpanningTree
-        Markov structure to impose.
+        Markov structure to impose, else ValueError naming ``tree``.
 
     Returns
     -------
@@ -332,11 +340,7 @@ def tree_covariance(sigma: CovMatrix, tree: SpanningTree) -> TreeCovMatrix:
         The completed covariance with its closed-form log-determinant and
         precision; positive definite for any valid input.
     """
-    if tree.num_vertices != sigma.dim:
-        raise ValueError(
-            f"vertex count {tree.num_vertices} != covariance dimension {sigma.dim}"
-        )
-    s = sigma.entries
+    s = _as_cov(sigma, "sigma", _as_tree(tree).num_vertices).entries
     u, v = tree.edge_index
     try:
         return TreeCovMatrix(tree, np.diag(s), s[u, v])
@@ -415,7 +419,7 @@ def chow_liu(sigma: CovMatrix) -> TreeCovMatrix:
     Parameters
     ----------
     sigma : CovMatrix
-        Covariance to approximate, dimension at least 2.
+        CovMatrix to approximate, dimension at least 2, else ValueError naming it.
 
     Returns
     -------
@@ -424,7 +428,7 @@ def chow_liu(sigma: CovMatrix) -> TreeCovMatrix:
         ``sigma`` on all variances and tree-edge covariances, and its
         approximation divergence is ``kl_gaussian(sigma, fit)``.
     """
-    p = sigma.dim
+    p = _as_cov(sigma, "sigma").dim
     if p < 2:
         raise ValueError(f"need at least two vertices, got {p}")
     u_all, v_all, _ = _upper_pairs(p)

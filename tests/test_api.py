@@ -20,9 +20,13 @@ import numpy as np
 import pytest
 
 import treecov
-from treecov import CovMatrix, LinearModel, SpanningTree, TreeCovMatrix, write_matrix_csv
-from treecov.experiment import TrialRecord
-from treecov.linear import ObservationSet
+from treecov import (
+    CovMatrix, EmConfig, LinearModel, SpanningTree, TreeCovMatrix, chow_liu, kl_gaussian,
+    run_em, sample_observations, tree_covariance, write_matrix_csv,
+)
+from treecov.em import compute_omega
+from treecov.experiment import TrialRecord, generate_mixing, generate_prior
+from treecov.linear import ObservationSet, observation_cov
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -144,3 +148,46 @@ def test_non_numeric_input_is_rejected_by_name(tmp_path, name, kind):
     with pytest.raises(ValueError, match=named):
         FLOAT_CASTS[name](value, path)
     assert not path.exists()
+
+
+_SIGMA = CovMatrix(np.eye(3))
+_MODEL = LinearModel(np.eye(2, 3), CovMatrix(np.eye(2)))
+_OBS = ObservationSet(np.random.default_rng(0).standard_normal((10, 2)))
+_PATH = SpanningTree(3, [(0, 1), (1, 2)])
+# Each public entry that takes a covariance, given ``value`` in its place:
+# the name it reports and the dimension it requires, where it takes one.
+COV_ARGUMENTS = {
+    "kl_gaussian-p0": ("p0", None, lambda value: kl_gaussian(value, _SIGMA)),
+    "kl_gaussian-p1": ("p1", 3, lambda value: kl_gaussian(_SIGMA, value)),
+    "chow_liu": ("sigma", None, chow_liu),
+    "tree_covariance": ("sigma", 3, lambda value: tree_covariance(value, _PATH)),
+    "LinearModel": ("noise covariance", 2, lambda value: LinearModel(np.eye(2, 3), value)),
+    "sample_observations": (
+        "sigma_true", 3, lambda value: sample_observations(_MODEL, value, 5, 0)
+    ),
+    "observation_cov": ("sigma", 3, lambda value: observation_cov(_MODEL, value)),
+    "EmConfig": ("sigma0", None, EmConfig),
+    "run_em-prior": ("sigma0", 3, lambda value: run_em(EmConfig(value), _MODEL, _OBS)),
+    "run_em-ground_truth": (
+        "ground_truth", 3, lambda value: run_em(EmConfig(_SIGMA), _MODEL, _OBS, value)
+    ),
+    "compute_omega": ("fit", 3, lambda value: compute_omega(_MODEL, _OBS, value)),
+    "generate_prior": ("sigma", None, lambda value: generate_prior(value, 0.5, 0)),
+    "generate_mixing": ("sigma", 3, lambda value: generate_mixing(3, 2, 20.0, value, 0)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COV_ARGUMENTS))
+def test_an_array_in_place_of_a_covariance_is_rejected_by_name(entry):
+    name, dim, call = COV_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be a CovMatrix, got ndarray$"):
+        call(np.eye(dim or 3))
+
+
+@pytest.mark.parametrize(
+    "entry", sorted(entry for entry, (_, dim, _) in COV_ARGUMENTS.items() if dim is not None)
+)
+def test_a_covariance_of_another_dimension_is_rejected_by_name(entry):
+    name, dim, call = COV_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} has dimension {dim + 1}, expected {dim}$"):
+        call(CovMatrix(np.eye(dim + 1)))

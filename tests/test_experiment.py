@@ -324,6 +324,9 @@ class TestExperimentConfig:
             ("seed", False, "seed must be an integer"),
             ("l_max", True, "l_max must be an integer"),
             ("m_values", (2, True), "every m must be an integer"),
+            ("m_values", "23", "m_values must be a sequence of integers"),
+            ("m_values", b"23", "m_values must be a sequence of integers"),
+            ("m_values", bytearray(b"23"), "m_values must be a sequence of integers"),
         ],
     )
     def test_rejects_non_integer_counts_by_name(self, field, value, named):

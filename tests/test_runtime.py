@@ -73,6 +73,45 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+COV_ANNOTATIONS = {"CovMatrix", "CovMatrix | None"}
+
+
+def _is_cov(annotation: ast.expr | None) -> bool:
+    return annotation is not None and ast.unparse(annotation) in COV_ANNOTATIONS
+
+
+def test_every_covariance_argument_passes_as_cov():
+    # Each parameter of a public module-level function annotated as a
+    # covariance, and each such field of a dataclass that defines
+    # __post_init__, is given to _as_cov in that body. Methods and private
+    # helpers are exempt.
+    checked, unchecked = [], []
+    for path in sorted((ROOT / "src" / "treecov").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                names, body = [a.arg for a in params if _is_cov(a.annotation)], node
+            elif isinstance(node, ast.ClassDef):
+                body = next((f for f in node.body if isinstance(f, ast.FunctionDef)
+                             and f.name == "__post_init__"), None)
+                if body is None:
+                    continue
+                names = [f"self.{f.target.id}" for f in node.body
+                         if isinstance(f, ast.AnnAssign) and _is_cov(f.annotation)]
+            else:
+                continue
+            passed = {
+                ast.unparse(call.args[0])
+                for call in ast.walk(body) if isinstance(call, ast.Call)
+                and ast.unparse(call.func) == "_as_cov" and call.args
+            }
+            for name in names:
+                where = f"{path.name}: {node.name}({name})"
+                (checked if name in passed else unchecked).append(where)
+    assert checked
+    assert unchecked == []
+
+
 def test_a_second_copy_of_the_package_loads_beside_the_first():
     package = ROOT / "src" / "treecov"
     spec = importlib.util.spec_from_file_location(

@@ -307,8 +307,20 @@ class TestTreeCovariance:
         np.testing.assert_allclose(tilde, expected, rtol=1e-13, atol=0.0)
 
     def test_vertex_count_mismatch(self):
-        with pytest.raises(ValueError, match="vertex count"):
+        with pytest.raises(ValueError, match="^sigma has dimension 3, expected 2$"):
             tree_covariance(CovMatrix(np.eye(3)), SpanningTree(2, ((0, 1),)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: tree_covariance(CovMatrix(np.eye(2)), [(0, 1)]),
+            lambda: TreeCovMatrix([(0, 1)], [1.0, 1.0], [0.5]),
+        ],
+        ids=["tree_covariance", "TreeCovMatrix"],
+    )
+    def test_a_tree_that_is_not_a_spanning_tree_is_rejected_by_name(self, build):
+        with pytest.raises(ValueError, match="^tree must be a SpanningTree, got list$"):
+            build()
 
     def test_an_edge_correlation_rounding_to_one_fails_by_name(self):
         # sqrt(3) * sqrt(3) is 2.9999999999999996, so the matrix factors, but
