@@ -8,7 +8,9 @@ latent KL divergence or when the iteration cap is reached.
 
 The E-step is one call, ``compute_omega(model, obs, fit)``: it scores an
 iterate by the observation-space objective and pools the posterior moment
-under it, and nothing else of the conditioning leaves it.
+under it, and nothing else of the conditioning leaves it. K's Cholesky
+factor, held by its CovMatrix, checks K and gives ln det K; one LU inverse
+gives K^-1 for both the objective's trace and the gain.
 The refit needs only that pooled moment, never the posterior covariance
 itself (Dempster, Laird & Rubin 1977), so the moment is formed as one Gram
 update that cannot inflate the covariance by construction.
@@ -27,7 +29,7 @@ import numpy as np
 
 from .gaussian import (
     CovMatrix, NotPositiveDefiniteError, NumericalError, _as_cov, _as_float, _as_int,
-    _clamp_kl, kl_gaussian,
+    _check_type, _clamp_kl, kl_gaussian,
 )
 from .linear import LinearModel, ObservationSet, observation_cov
 from .tree import TreeCovMatrix, chow_liu
@@ -120,25 +122,29 @@ def compute_omega(
 
         Omega = sigma + G (M - K) G^T,
 
-    and C itself is never formed. K is built and factored once: one solve
-    K^-1 [H sigma | L_S], with S_Y = L_S L_S^T, gives G^T and the trace
-    tr(K^-1 S_Y) = sum(L_S * K^-1 L_S) of the objective, so pooling never
-    changes the score. Conditioning never inflates the covariance, and that
-    holds by construction: sigma - C = (G L_K)(G L_K)^T for the Cholesky
-    factor L_K of K. Omega is positive definite even where C is singular;
-    should it not be, its Cholesky fails and NumericalError names the sample
-    count r and m. Observations not m-dim and a ``fit`` not a p-dim CovMatrix are refused first.
+    and C itself is never formed. K is built once, as a CovMatrix whose
+    Cholesky factor checks it and gives ln det K. One LU inverse then gives
+    K^-1: the objective's trace is tr(K^-1 S_Y) = sum(K^-1 * S_Y), and the
+    gain is G^T = K^-1 (H sigma), one matrix product (BLAS runs it faster
+    than a solve against p + m right-hand sides, for the same flops), so
+    pooling never changes the score. Conditioning never inflates the
+    covariance, and that holds by construction: sigma - C = (G L_K)(G L_K)^T
+    for the Cholesky factor L_K of K. Omega is positive definite even where
+    C is singular; should it not be, its Cholesky fails and NumericalError
+    names the sample count r and m. Observations not m-dim and a ``fit`` not
+    a p-dim CovMatrix are refused first. ``model`` and ``obs`` are not
+    type-checked, so a stand-in with their fields (an H = 0 model, say)
+    will do; ``run_em`` checks both.
     """
     if obs.m != model.m:
         raise ValueError(f"observation dimension {obs.m} != model m={model.m}")
     k, empirical = observation_cov(model, _as_cov(fit, "fit", model.p)), obs.empirical
-    rhs = np.hstack((model.h @ fit.entries, empirical.chol))
-    solved = np.linalg.solve(k.entries, rhs)
-    trace = float(np.sum(empirical.chol * solved[:, model.p :]))
+    k_inv = np.linalg.inv(k.entries)
+    trace = float(np.sum(k_inv * empirical.entries))
     obs_kl = _clamp_kl(0.5 * (trace - model.m + k.log_det - empirical.log_det))
     if not pool:
         return obs_kl, None
-    gain_t = solved[:, : model.p]
+    gain_t = k_inv @ (model.h @ fit.entries)
     omega = fit.entries + gain_t.T @ ((obs.second_moment - k.entries) @ gain_t)
     try:
         return obs_kl, CovMatrix((omega + omega.T) / 2.0)
@@ -170,12 +176,16 @@ def run_em(
     channels). When ``ground_truth`` is given, the divergence from it is
     recorded too. A rise of the objective beyond 1e-6 between consecutive
     iterates raises EmMonotonicityWarning, since the refit is an exact
-    maximizer and genuine rises signal numerical trouble. A ``sigma0`` or
-    ``ground_truth`` that is not a CovMatrix of dimension p is refused by name
-    first; observations of a dimension other than m fail the first E-step.
+    maximizer and genuine rises signal numerical trouble. A ``config``,
+    ``model`` or ``obs`` of another type, and a ``sigma0`` or
+    ``ground_truth`` that is not a CovMatrix of dimension p, are refused by
+    name first; observations of a dimension other than m fail the first E-step.
 
     Identical inputs produce bitwise-identical traces.
     """
+    _check_type(config, EmConfig, "config")
+    _check_type(model, LinearModel, "model")
+    _check_type(obs, ObservationSet, "obs")
     _as_cov(config.sigma0, "sigma0", model.p)
     if ground_truth is not None:
         _as_cov(ground_truth, "ground_truth", model.p)

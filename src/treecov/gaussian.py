@@ -126,10 +126,16 @@ def _real_array(value: object, name: str, *, copy: bool = True) -> np.ndarray:
     return np.array(a, dtype=float) if copy else a.astype(float, copy=False)
 
 
+def _check_type(value: object, cls: type, name: str) -> None:
+    """ValueError naming ``name`` and the type found, unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
+
+
 def _as_cov(value: object, name: str, dim: int | None = None) -> CovMatrix:
     """``value`` if a CovMatrix of dimension ``dim``, if given; else ValueError naming ``name``."""
-    if not isinstance(value, CovMatrix):
-        raise ValueError(f"{name} must be a CovMatrix, got {type(value).__name__}")
+    _check_type(value, CovMatrix, name)
     if dim is not None and value.dim != dim:
         raise ValueError(f"{name} has dimension {value.dim}, expected {dim}")
     return value

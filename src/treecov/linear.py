@@ -23,7 +23,9 @@ from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, TypeVar
 
 import numpy as np
 
-from .gaussian import CovMatrix, NotPositiveDefiniteError, _as_cov, _as_int, _real_array
+from .gaussian import (
+    CovMatrix, NotPositiveDefiniteError, _as_cov, _as_int, _check_type, _real_array,
+)
 
 RANK_RTOL = 1e-10
 # Rows per block when observations are drawn, summarised or streamed from
@@ -250,8 +252,10 @@ def sample_observations(
     the returned set keeps the samples without a copy. The blocks
     consume the generator's stream in the order one r-row draw would, and
     each row is the same row-wise product, so the samples are bit for bit
-    those of the one-shot draw at any r; ``sigma_true`` must be a p-dim CovMatrix.
+    those of the one-shot draw at any r; ``model`` must be a LinearModel and
+    ``sigma_true`` a p-dim CovMatrix.
     """
+    _check_type(model, LinearModel, "model")
     _as_cov(sigma_true, "sigma_true", model.p)
     r = _as_int(r, "r")
     if r < 1:
@@ -279,7 +283,10 @@ def sample_observations(
 
 
 def observation_cov(model: LinearModel, sigma: CovMatrix) -> CovMatrix:
-    """Covariance of y under latent CovMatrix ``sigma`` of dimension p: H sigma H^T + D."""
+    """Covariance of y under latent CovMatrix ``sigma`` of dimension p: H sigma H^T + D.
+
+    ``model`` is not type-checked: any object with ``h``, ``d`` and ``p`` will do.
+    """
     hs = model.h @ _as_cov(sigma, "sigma", model.p).entries @ model.h.T
     return CovMatrix((hs + hs.T) / 2.0 + model.d.entries)
 

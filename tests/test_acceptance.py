@@ -2,11 +2,13 @@
 
 The heavy synthetic sweep (p=10, m in 5..9, 100 trials of 100 samples at
 20 dB from a half-corrupted prior) runs once per session and backs the
-comparison, monotonicity, stopping, and determinism criteria.
+comparison, monotonicity, stopping, and determinism criteria, and the
+paper's anchor: its refit count and mean latent KL.
 """
 
 from __future__ import annotations
 
+import math
 import time
 import warnings as warnings_module
 from dataclasses import dataclass, replace
@@ -274,4 +276,16 @@ def test_a8_rerun_byte_reproduces_the_result_table(main_run, tmp_path, capsys):
         if ok
         else f"csv identical: {csv_equal}, document identical: {stable_a == stable_b}",
         capsys,
+    )
+
+
+def test_default_sweep_reproduces_the_paper_anchor(main_run, capsys):
+    # The default sweep's totals, as recorded when the benchmark was built:
+    # every refit count exactly, the mean latent KL to 10 places.
+    records = main_run.result.records
+    refits = sum(rec.iterations_used for rec in records)
+    mean_kl = math.fsum(rec.latent_kl_em for rec in records) / len(records)
+    ok = len(records) == 500 and refits == 2896 and round(mean_kl, 10) == 1.0468114826
+    report(
+        "anchor", ok, f"{len(records)} cells, {refits} refits, mean latent KL {mean_kl:.10f}", capsys
     )

@@ -191,3 +191,30 @@ def test_a_covariance_of_another_dimension_is_rejected_by_name(entry):
     name, dim, call = COV_ARGUMENTS[entry]
     with pytest.raises(ValueError, match=f"^{name} has dimension {dim + 1}, expected {dim}$"):
         call(CovMatrix(np.eye(dim + 1)))
+
+
+# Each public entry that takes a config, a model or observations, given a
+# value of another type: the argument it names, what it asks for, the type
+# given, and the call.
+TYPED_ARGUMENTS = {
+    "run_em-config": (
+        "config", "an EmConfig", "CovMatrix", lambda: run_em(_SIGMA, _MODEL, _OBS)
+    ),
+    "run_em-model": (
+        "model", "a LinearModel", "ndarray", lambda: run_em(EmConfig(_SIGMA), np.eye(2, 3), _OBS)
+    ),
+    "run_em-obs": (
+        "obs", "an ObservationSet", "ndarray",
+        lambda: run_em(EmConfig(_SIGMA), _MODEL, np.ones((5, 2))),
+    ),
+    "sample_observations": (
+        "model", "a LinearModel", "ndarray", lambda: sample_observations(np.eye(2, 3), _SIGMA, 3, 0)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TYPED_ARGUMENTS))
+def test_an_argument_of_another_type_is_rejected_by_name(entry):
+    name, wanted, given, call = TYPED_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be {wanted}, got {given}$"):
+        call()

@@ -373,30 +373,31 @@ class TestRunEm:
         assert len(trace.iterations) == 6
         assert built == [rec.sigma_tree for rec in trace.iterations]
 
-    def test_one_solve_per_iterate(self, monkeypatch):
-        # One solve with K gives both the iterate's objective and the gain
-        # that the next refit pools with.
+    def test_one_inverse_per_iterate(self, monkeypatch):
+        # One inverse of K gives both the iterate's objective and the gain
+        # that the next refit pools with; nothing is solved against K.
         _, sigma0, model, obs = make_scenario(seed=29)
-        solved = []
-        original = np.linalg.solve
+        shapes = {"inv": [], "solve": []}
+        for name in shapes:
+            original = getattr(np.linalg, name)
 
-        def recording(a, b):
-            solved.append(np.shape(a))
-            return original(a, b)
+            def recording(a, *args, _name=name, _original=original, **kwargs):
+                shapes[_name].append(np.shape(a))
+                return _original(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "solve", recording)
+            monkeypatch.setattr(np.linalg, name, recording)
         trace = run_em(EmConfig(sigma0, l_max=6, epsilon=1e-12), model, obs)
         assert len(trace.iterations) == 6
-        assert solved == [(model.m, model.m)] * len(trace.iterations)
+        assert shapes == {"inv": [(model.m, model.m)] * len(trace.iterations), "solve": []}
 
     def test_no_dense_latent_solve_per_iterate(self, monkeypatch):
         # The p x p work left per refit is one Cholesky factor, the pooled
-        # moment's; the tree divergences take O(p).
-        # With m < p every p x p solve would be a dense tree divergence.
+        # moment's; the tree divergences take O(p), and K's inverse is m x m.
+        # With m < p every p x p solve or inverse would be dense latent work.
         p, m = 80, 40
         sigma, sigma0, model, obs = make_scenario(p=p, m=m, r=200, seed=28)
         config = EmConfig(sigma0, l_max=4, epsilon=1e-12)
-        shapes = {"solve": [], "cholesky": []}
+        shapes = {"solve": [], "inv": [], "cholesky": []}
         for name in shapes:
             original = getattr(np.linalg, name)
 
@@ -409,6 +410,7 @@ class TestRunEm:
         refits = len(trace.iterations) - 1
         assert refits == 3
         assert (p, p) not in shapes["solve"]
+        assert (p, p) not in shapes["inv"]
         assert shapes["cholesky"].count((p, p)) == refits
 
     def test_repeated_trees_are_validated_once(self, monkeypatch):
