@@ -98,12 +98,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     result = run_sweep(config)
     doc_path, csv_path = emit_results(result, Path(config.output))
     for agg in result.aggregates:
-        print(
-            f"m={agg.m}: mean kl_em={agg.latent_kl_em.mean:.6g} "
-            f"vs kl_prior={agg.latent_kl_prior_tree.mean:.6g} "
-            f"(oracle {agg.latent_kl_oracle_tree.mean:.6g}, "
-            f"{agg.iterations_used.mean:.3g} iterations, n={agg.count})"
-        )
+        means = ", ".join(f"{name}={col.mean:.6g}" for name, col in agg.columns.items())
+        print(f"m={agg.m}: n={agg.count}, mean {means}")
     if result.failures:
         print(f"{len(result.failures)} trial(s) failed and were excluded")
     print(f"wrote {doc_path} and {csv_path}")

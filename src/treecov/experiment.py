@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -46,12 +47,13 @@ def derive_seed(master: int, *parts: object) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def generate_ground_truth(p: int, seed: int) -> CovMatrix:
-    """Random covariance that is exactly tree-structured.
+def generate_ground_truth(p: int, seed: int) -> TreeCovMatrix:
+    """Random covariance that is exactly tree-structured, kept as its TreeCovMatrix.
 
     A uniform random labelled tree (random length-(p-2) sequence, decoded),
     edge correlations drawn uniformly from [0.5, 0.95] with random signs,
-    unit variances, completed by path products. A truth off the tree set
+    unit variances, completed by path products; the result keeps the tree's
+    closed-form log-determinant and sparse precision. A truth off the tree set
     can be supplied to a sweep through the ``sigma_csv`` key instead.
     """
     p = _as_int(p, "p")
@@ -64,7 +66,7 @@ def generate_ground_truth(p: int, seed: int) -> CovMatrix:
     signs = np.where(rng.integers(0, 2, size=p - 1) == 0, -1.0, 1.0)
     rho = dict(zip(edges, magnitudes * signs))
     tree = SpanningTree(p, edges)
-    return CovMatrix(TreeCovMatrix(tree, np.ones(p), [rho[e] for e in tree.edges]).entries)
+    return TreeCovMatrix(tree, np.ones(p), [rho[e] for e in tree.edges])
 
 
 def generate_prior(sigma: CovMatrix, alpha: float, seed: int) -> CovMatrix:
@@ -215,15 +217,15 @@ CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Read a flat ``key = value`` config file into a string mapping.
+    """Read a flat ``key = value`` UTF-8 config file into a string mapping.
 
-    ``#`` starts a comment that runs to the end of its line; lines left
-    blank are ignored. Keys must be ExperimentConfig field names, each at
-    most once.
+    A leading byte-order mark is skipped. ``#`` starts a comment that runs
+    to the end of its line; lines left blank are ignored. Keys must be
+    ExperimentConfig field names, each at most once.
     """
     mapping: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
         raise ConfigError(f"{path}: non-UTF-8 byte {byte:#04x} at offset {exc.start}") from exc
@@ -289,18 +291,16 @@ class ColumnStats:
 
 @dataclass(frozen=True)
 class MAggregate:
-    """Per-m means and standard errors over the successful trials."""
+    """Per-m statistics over the successful trials: ``columns`` maps each
+    result column's name to its mean and standard error, in table order."""
 
     m: int
     count: int
-    latent_kl_em: ColumnStats
-    latent_kl_prior_tree: ColumnStats
-    latent_kl_oracle_tree: ColumnStats
-    iterations_used: ColumnStats
+    columns: dict[str, ColumnStats]
 
 
-# Each result column's name in the output tables, with the TrialRecord and
-# MAggregate field it holds, in table order.
+# Each result column's name in the output tables, with the TrialRecord field
+# it holds, in table order.
 _RESULT_COLUMNS = (
     ("kl_em", "latent_kl_em"),
     ("kl_prior", "latent_kl_prior_tree"),
@@ -313,8 +313,21 @@ _RESULT_COLUMNS = (
 class SweepResult:
     config: ExperimentConfig
     records: tuple[TrialRecord, ...]
-    aggregates: tuple[MAggregate, ...]
     failures: tuple[TrialFailure, ...]
+
+    @cached_property
+    def aggregates(self) -> tuple[MAggregate, ...]:
+        """One MAggregate per m of ``config.m_values`` with a record, in that order."""
+        aggregates = []
+        for m in self.config.m_values:
+            group = [rec for rec in self.records if rec.m == m]
+            if group:
+                columns = {
+                    name: _column_stats([getattr(rec, field) for rec in group])
+                    for name, field in _RESULT_COLUMNS
+                }
+                aggregates.append(MAggregate(m, len(group), columns))
+        return tuple(aggregates)
 
 
 def _column_stats(values: list[float]) -> ColumnStats:
@@ -322,14 +335,6 @@ def _column_stats(values: list[float]) -> ColumnStats:
     mean = float(arr.mean())
     stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
     return ColumnStats(mean=mean, stderr=stderr)
-
-
-def _square_cov(path: str | os.PathLike, p: int) -> CovMatrix:
-    """``CovMatrix`` of the (p, p) matrix read from ``path``."""
-    matrix = read_matrix_csv(path)
-    if matrix.shape != (p, p):
-        raise ConfigError(f"has shape {matrix.shape}, expected ({p}, {p})")
-    return CovMatrix(matrix)
 
 
 TraceHook = Callable[[int, int, EmTrace], None]
@@ -357,13 +362,15 @@ def run_sweep(
         if config.sigma_csv is None:
             sigma = generate_ground_truth(config.p, derive_seed(config.seed, "sigma"))
         else:
-            sigma = _square_cov(config.sigma_csv, config.p)
+            sigma = _as_cov(CovMatrix(read_matrix_csv(config.sigma_csv)), "sigma_csv", config.p)
         kl_oracle_tree = kl_gaussian(sigma, chow_liu(sigma))
     with _naming_file("prior covariance", config.sigma0_csv):
         if config.sigma0_csv is None:
             sigma0 = generate_prior(sigma, config.alpha, derive_seed(config.seed, "prior"))
         else:
-            sigma0 = _square_cov(config.sigma0_csv, config.p)
+            sigma0 = _as_cov(
+                CovMatrix(read_matrix_csv(config.sigma0_csv)), "sigma0_csv", config.p
+            )
         em_config = EmConfig(sigma0=sigma0, epsilon=config.epsilon, l_max=config.l_max)
         kl_prior_tree = kl_gaussian(sigma, em_config.prior_fit)
     if kl_oracle_tree > kl_prior_tree + 1e-9:
@@ -407,29 +414,18 @@ def run_sweep(
         raise NumericalError(
             f"all {len(failures)} trials failed; first failure: {failures[0].error}"
         )
-    aggregates = []
-    for m in config.m_values:
-        group = [rec for rec in records if rec.m == m]
-        if not group:
-            continue
-        stats = {
-            field: _column_stats([getattr(rec, field) for rec in group])
-            for _, field in _RESULT_COLUMNS
-        }
-        aggregates.append(MAggregate(m=m, count=len(group), **stats))
-    return SweepResult(
-        config=config,
-        records=tuple(records),
-        aggregates=tuple(aggregates),
-        failures=tuple(failures),
-    )
+    return SweepResult(config=config, records=tuple(records), failures=tuple(failures))
 
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-CSV_HEADER = ",".join(["m", "trial", *(name for name, _ in _RESULT_COLUMNS), "stop_reason"])
+def _csv_header() -> str:
+    return ",".join(["m", "trial", *(name for name, _ in _RESULT_COLUMNS), "stop_reason"])
+
+
+CSV_HEADER = _csv_header()
 
 
 def emit_results(result: SweepResult, path: str | Path) -> tuple[Path, Path]:
@@ -449,7 +445,7 @@ def emit_results(result: SweepResult, path: str | Path) -> tuple[Path, Path]:
         raise ValueError("result document path must not end in .csv")
     csv_path = doc_path.with_suffix(".csv")
 
-    csv_lines = [CSV_HEADER]
+    csv_lines = [_csv_header()]
     for rec in result.records:
         # _fmt writes an int such as iterations_used as a plain integer.
         cells = [_fmt(getattr(rec, field)) for _, field in _RESULT_COLUMNS]
@@ -474,8 +470,7 @@ def emit_results(result: SweepResult, path: str | Path) -> tuple[Path, Path]:
         ",".join(["m", "count", *(f"mean_{name},se_{name}" for name, _ in _RESULT_COLUMNS)])
     )
     for agg in result.aggregates:
-        stats = [getattr(agg, field) for _, field in _RESULT_COLUMNS]
-        cells = [f"{_fmt(col.mean)},{_fmt(col.stderr)}" for col in stats]
+        cells = [f"{_fmt(col.mean)},{_fmt(col.stderr)}" for col in agg.columns.values()]
         doc_lines.append(",".join([str(agg.m), str(agg.count), *cells]))
     if result.failures:
         doc_lines.append("")

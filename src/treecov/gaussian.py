@@ -126,11 +126,12 @@ def _real_array(value: object, name: str, *, copy: bool = True) -> np.ndarray:
     return np.array(a, dtype=float) if copy else a.astype(float, copy=False)
 
 
-def _check_type(value: object, cls: type, name: str) -> None:
-    """ValueError naming ``name`` and the type found, unless ``value`` is a ``cls``."""
+def _check_type(value: object, cls: type, name: str):
+    """``value`` if it is a ``cls``, else ValueError naming ``name`` and the type found."""
     if not isinstance(value, cls):
         article = "an" if cls.__name__[0] in "AEIOU" else "a"
         raise ValueError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _as_cov(value: object, name: str, dim: int | None = None) -> CovMatrix:

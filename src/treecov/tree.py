@@ -47,6 +47,7 @@ from .gaussian import (
     NumericalError,
     _as_cov,
     _as_int,
+    _check_type,
     _cholesky,
     _real_array,
     _upper_pair_weights,
@@ -155,13 +156,6 @@ class SpanningTree:
         return arrays
 
 
-def _as_tree(value: object) -> SpanningTree:
-    """``value`` if it is a SpanningTree, else ValueError naming ``tree``."""
-    if not isinstance(value, SpanningTree):
-        raise ValueError(f"tree must be a SpanningTree, got {type(value).__name__}")
-    return value
-
-
 @dataclass(frozen=True, eq=False)
 class TreeCovMatrix(CovMatrix):
     """Covariance with a spanning tree's Markov structure, built from its parameters.
@@ -172,8 +166,9 @@ class TreeCovMatrix(CovMatrix):
     rho = edge_cov / (std[u] * std[v]) over ``tree.edge_index`` (u < v), and
     |rho| < 1 is exactly positive definiteness, so a larger one raises
     NotPositiveDefiniteError. A complex ``d`` or ``edge_cov``, one of the
-    wrong shape, a variance that is not finite and positive, or a ``tree``
-    that is not a SpanningTree, raises ValueError.
+    wrong shape, a variance that is not finite and positive, an edge
+    covariance that is not finite, or a ``tree`` that is not a SpanningTree,
+    raises ValueError.
 
     ``entries`` is the completion: variances and edge covariances verbatim,
     and every other (u, v) entry std[u] * std[v] times the product of edge
@@ -204,7 +199,7 @@ class TreeCovMatrix(CovMatrix):
     _roundoff_scale: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        p = _as_tree(self.tree).num_vertices
+        p = _check_type(self.tree, SpanningTree, "tree").num_vertices
         d = _real_array(self.d, "variances")
         edge_cov = _real_array(self.edge_cov, "edge covariances")
         if d.shape != (p,):
@@ -218,6 +213,9 @@ class TreeCovMatrix(CovMatrix):
         edge_scale = std[u] * std[v]
         rho = edge_cov / edge_scale
         if not np.all(np.abs(rho) < 1.0):
+            # Checked only here, off the hot path: a non-finite edge_cov fails |rho| < 1.
+            if not np.all(np.isfinite(edge_cov)):
+                raise ValueError("edge covariances must be finite")
             raise NotPositiveDefiniteError("covariance is not positive definite")
         position, parent_position, parent_edge = self.tree.bfs_order
         # Rows and columns in BFS order, so each parent row is a contiguous slice.
@@ -340,7 +338,7 @@ def tree_covariance(sigma: CovMatrix, tree: SpanningTree) -> TreeCovMatrix:
         The completed covariance with its closed-form log-determinant and
         precision; positive definite for any valid input.
     """
-    s = _as_cov(sigma, "sigma", _as_tree(tree).num_vertices).entries
+    s = _as_cov(sigma, "sigma", _check_type(tree, SpanningTree, "tree").num_vertices).entries
     u, v = tree.edge_index
     try:
         return TreeCovMatrix(tree, np.diag(s), s[u, v])

@@ -151,8 +151,8 @@ def test_a4_learned_tree_beats_prior_tree_and_improves_with_channels(main_run, c
         problems.append("aggregate rows missing")
     means = []
     for agg in result.aggregates:
-        em_mean = agg.latent_kl_em.mean
-        prior_mean = agg.latent_kl_prior_tree.mean
+        em_mean = agg.columns["kl_em"].mean
+        prior_mean = agg.columns["kl_prior"].mean
         means.append(em_mean)
         if not em_mean < prior_mean:
             problems.append(f"m={agg.m}: mean {em_mean:.4f} !< prior {prior_mean:.4f}")
@@ -169,7 +169,7 @@ def test_a4_learned_tree_beats_prior_tree_and_improves_with_channels(main_run, c
     ok = not problems
     detail = (
         f"mean kl_em per m = {', '.join(f'{v:.4f}' for v in means)} vs prior "
-        f"{result.aggregates[0].latent_kl_prior_tree.mean:.4f} in {main_run.elapsed:.0f}s"
+        f"{result.aggregates[0].columns['kl_prior'].mean:.4f} in {main_run.elapsed:.0f}s"
         if ok
         else "; ".join(problems)
     )
@@ -238,20 +238,15 @@ def test_a7_coarser_stopping_uses_fewer_iterations(main_run, coarse_run, capsys)
     details = []
     for fine, coarse in zip(main_run.result.aggregates, coarse_run.aggregates):
         assert fine.m == coarse.m
-        if coarse.iterations_used.mean > fine.iterations_used.mean + 1e-12:
+        fine_iters, coarse_iters = (agg.columns["iterations"].mean for agg in (fine, coarse))
+        fine_kl, coarse_kl = (agg.columns["kl_em"].mean for agg in (fine, coarse))
+        if coarse_iters > fine_iters + 1e-12:
             problems.append(
-                f"m={fine.m}: {coarse.iterations_used.mean:.2f} iterations at 0.1 "
-                f"> {fine.iterations_used.mean:.2f} at 0.01"
+                f"m={fine.m}: {coarse_iters:.2f} iterations at 0.1 > {fine_iters:.2f} at 0.01"
             )
-        if coarse.latent_kl_em.mean < fine.latent_kl_em.mean - 1e-9:
-            problems.append(
-                f"m={fine.m}: coarse kl {coarse.latent_kl_em.mean:.4f} "
-                f"< fine kl {fine.latent_kl_em.mean:.4f}"
-            )
-        details.append(
-            f"m={fine.m}: {coarse.iterations_used.mean:.2f} vs "
-            f"{fine.iterations_used.mean:.2f} iterations"
-        )
+        if coarse_kl < fine_kl - 1e-9:
+            problems.append(f"m={fine.m}: coarse kl {coarse_kl:.4f} < fine kl {fine_kl:.4f}")
+        details.append(f"m={fine.m}: {coarse_iters:.2f} vs {fine_iters:.2f} iterations")
     ok = not problems
     report("A7", ok, "; ".join(details if ok else problems), capsys)
 

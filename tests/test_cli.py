@@ -377,6 +377,25 @@ class TestSweepCommand:
         csv_lines = (tmp_path / "results.csv").read_text().strip().split("\n")
         assert len(csv_lines) == 1 + 4
 
+    def test_one_more_result_column_reaches_every_table(self, tmp_path, capsys, monkeypatch):
+        # A column is one _RESULT_COLUMNS row: the CSV, the [aggregates]
+        # table and the console summary all follow it with no other edit.
+        columns = treecov.experiment._RESULT_COLUMNS + (("trial_index", "trial"),)
+        monkeypatch.setattr(treecov.experiment, "_RESULT_COLUMNS", columns)
+        assert main(["sweep", "--config", str(write_sweep_config(tmp_path))]) == 0
+        summaries = [line for line in capsys.readouterr().out.splitlines() if line[:2] == "m="]
+        csv_lines = (tmp_path / "results.csv").read_text().splitlines()
+        doc = (tmp_path / "results.txt").read_text()
+        table = doc.split("[aggregates]\n", 1)[1].split("\n\n", 1)[0].splitlines()
+        assert csv_lines[0] == "m,trial,kl_em,kl_prior,kl_oracle,iterations,trial_index,stop_reason"
+        assert [line.split(",")[6] for line in csv_lines[1:]] == ["0", "1", "0", "1"]
+        assert table[0].endswith(",mean_iterations,se_iterations,mean_trial_index,se_trial_index")
+        # Trials 0 and 1 of each m: mean 0.5, standard error 0.5.
+        assert [row.split(",", 1)[0] for row in table[1:]] == ["2", "3"]
+        assert all(row.endswith(",0.5,0.5") for row in table[1:])
+        assert len(summaries) == 2
+        assert all(line.endswith(", trial_index=0.5") for line in summaries)
+
     def test_flag_overrides_config_value(self, tmp_path):
         config = write_sweep_config(tmp_path)
         out = tmp_path / "override.txt"
@@ -595,7 +614,7 @@ DEGENERATE = "correlation 0.99999999999995 between 0 and 1 is numerically degene
         ("sweep", "--sigma0_csv", DEGENERATE_2, "prior covariance", DEGENERATE),
         ("sweep", "--sigma_csv", DEGENERATE_2, "ground-truth covariance", DEGENERATE),
         ("sweep", "--sigma_csv", np.eye(3), "ground-truth covariance",
-         "has shape (3, 3), expected (2, 2)"),
+         "sigma_csv has dimension 3, expected 2"),
     ],
 )
 def test_invalid_covariance_file_is_named(

@@ -43,7 +43,7 @@ from treecov.experiment import (
     generate_prior,
     parse_config_file,
 )
-from treecov.tree import SpanningTree, prufer_decode, tree_covariance
+from treecov.tree import SpanningTree, TreeCovMatrix, prufer_decode, tree_covariance
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -162,6 +162,13 @@ class TestGenerateGroundTruth:
     def test_rejects_single_vertex(self):
         with pytest.raises(ValueError, match="at least two"):
             generate_ground_truth(1, seed=0)
+
+    def test_returns_the_tree_covariance_it_builds(self):
+        # So the truth keeps its closed-form log-det and sparse precision,
+        # and the oracle tree fit of it reproduces it bit for bit.
+        sigma = generate_ground_truth(8, seed=5)
+        assert isinstance(sigma, TreeCovMatrix)
+        assert kl_gaussian(sigma, chow_liu(sigma)) == 0.0
 
 
 class TestGeneratePrior:
@@ -451,6 +458,13 @@ class TestConfigParsing:
             parse_config_file(path)
         assert str(excinfo.value) == f"{path}: non-UTF-8 byte 0xff at offset 17"
 
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(CONFIG_TEXT, encoding="utf-8")
+        marked.write_text(CONFIG_TEXT, encoding="utf-8-sig")
+        assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert parse_config_file(marked) == parse_config_file(plain)
+
     def test_rejects_line_without_assignment(self, tmp_path):
         path = tmp_path / "sweep.cfg"
         path.write_text("p 4\n")
@@ -515,8 +529,8 @@ class TestRunSweep:
         result = run_sweep(small_config())
         group = [rec.latent_kl_em for rec in result.records if rec.m == 2]
         agg = result.aggregates[0]
-        assert agg.latent_kl_em.mean == pytest.approx(np.mean(group), rel=1e-15)
-        assert agg.latent_kl_em.stderr == pytest.approx(
+        assert agg.columns["kl_em"].mean == pytest.approx(np.mean(group), rel=1e-15)
+        assert agg.columns["kl_em"].stderr == pytest.approx(
             np.std(group, ddof=1) / np.sqrt(len(group)), rel=1e-12
         )
 
@@ -659,7 +673,7 @@ class TestRunSweep:
         sigma = generate_ground_truth(3, seed=99)
         sigma_path = tmp_path / "sigma.csv"
         write_matrix_csv(sigma.entries, sigma_path)
-        with pytest.raises(ConfigError, match="shape"):
+        with pytest.raises(ValueError, match="sigma_csv has dimension 3, expected 4$"):
             run_sweep(small_config(sigma_csv=str(sigma_path)))
 
 
@@ -710,7 +724,7 @@ class TestEmitResults:
             emit_results(result, tmp_path / "results.csv")
 
     def test_unwritable_csv_is_an_os_error_naming_the_document(self, tmp_path):
-        result = SweepResult(config=small_config(), records=(), aggregates=(), failures=())
+        result = SweepResult(config=small_config(), records=(), failures=())
         (tmp_path / "results.csv").mkdir()
         doc_path = tmp_path / "results.txt"
         with pytest.raises(OSError) as excinfo:
@@ -734,7 +748,7 @@ class TestEmitResults:
             p=4, m_values=(3, 2), snr_db=12.5, epsilon=np.float32(0.1), sigma0_csv=None,
             output=tmp_path / "results.txt",
         )
-        result = SweepResult(config=config, records=(), aggregates=(), failures=())
+        result = SweepResult(config=config, records=(), failures=())
         doc_path, _ = emit_results(result, config.output)
         meta = doc_path.read_text().split("\n\n", 1)[0].splitlines()[1:]
         echoed = dict(line.split(" = ", 1) for line in meta)
@@ -748,6 +762,6 @@ class TestEmitResults:
     def test_empty_sweep_emits_header_only_csv(self, tmp_path):
         # run_sweep never returns this (a config names at least one m and
         # a sweep with no successful trial raises); emit_results accepts it.
-        result = SweepResult(config=small_config(), records=(), aggregates=(), failures=())
+        result = SweepResult(config=small_config(), records=(), failures=())
         _, csv_path = emit_results(result, tmp_path / "results.txt")
         assert csv_path.read_text() == CSV_HEADER + "\n"

@@ -450,14 +450,12 @@ class TestTreeCovMatrix:
         tree = SpanningTree(2, ((0, 1),))
         ok = TreeCovMatrix(tree, [1.0, 1.0], [0.5])
         assert ok.log_det == pytest.approx(np.log(0.75), abs=1e-15)
-        # |rho| >= 1, or no rho at all, is exactly a lost positive definiteness.
+        # |rho| >= 1 is exactly a lost positive definiteness.
         for d, edge_cov in (
             ([1.0, 1.0], [1.0]),
             ([1.0, 1.0], [-1.0]),
             ([1.0, 4.0], [-2.0]),
             ([1.0, 4.0], [2.5]),
-            ([1.0, 1.0], [np.inf]),
-            ([1.0, 1.0], [np.nan]),
         ):
             with pytest.raises(NotPositiveDefiniteError):
                 TreeCovMatrix(tree, d, edge_cov)
@@ -468,6 +466,14 @@ class TestTreeCovMatrix:
             TreeCovMatrix(tree, np.eye(2), [0.5])
         with pytest.raises(ValueError, match="need 1 edge covariances"):
             TreeCovMatrix(tree, [1.0, 1.0], 0.5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_edge_covariance_is_named(self, value):
+        # No correlation at all, rather than one beyond +-1: not a matter of
+        # positive definiteness.
+        with pytest.raises(ValueError, match="^edge covariances must be finite$") as excinfo:
+            TreeCovMatrix(SpanningTree(2, [(0, 1)]), [1.0, 1.0], [value])
+        assert not isinstance(excinfo.value, NotPositiveDefiniteError)
 
     def test_entries_are_not_a_constructor_argument(self):
         # The 0-2 entry of this indefinite matrix is not the chain's path
