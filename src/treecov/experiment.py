@@ -13,6 +13,7 @@ import datetime
 import hashlib
 import math
 import os
+import statistics
 import sys
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
@@ -331,10 +332,11 @@ class SweepResult:
 
 
 def _column_stats(values: list[float]) -> ColumnStats:
-    arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return ColumnStats(mean=mean, stderr=stderr)
+    # statistics sums exactly, so each figure is the exact one correctly
+    # rounded: a column of equal values has that value as its mean and a
+    # standard error of exactly 0.0.
+    stderr = statistics.stdev(values) / math.sqrt(len(values)) if len(values) > 1 else 0.0
+    return ColumnStats(mean=float(statistics.mean(values)), stderr=stderr)
 
 
 TraceHook = Callable[[int, int, EmTrace], None]
@@ -421,13 +423,6 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _csv_header() -> str:
-    return ",".join(["m", "trial", *(name for name, _ in _RESULT_COLUMNS), "stop_reason"])
-
-
-CSV_HEADER = _csv_header()
-
-
 def emit_results(result: SweepResult, path: str | Path) -> tuple[Path, Path]:
     """Write the result document at ``path`` and the per-trial CSV next to it.
 
@@ -445,7 +440,7 @@ def emit_results(result: SweepResult, path: str | Path) -> tuple[Path, Path]:
         raise ValueError("result document path must not end in .csv")
     csv_path = doc_path.with_suffix(".csv")
 
-    csv_lines = [_csv_header()]
+    csv_lines = [",".join(["m", "trial", *(name for name, _ in _RESULT_COLUMNS), "stop_reason"])]
     for rec in result.records:
         # _fmt writes an int such as iterations_used as a plain integer.
         cells = [_fmt(getattr(rec, field)) for _, field in _RESULT_COLUMNS]

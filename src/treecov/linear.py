@@ -116,11 +116,11 @@ class ObservationSet:
 
     ``second_moment`` is the uncentered (1/R) sum of y y^T used by the
     iterative update; ``centered_cov`` is second_moment - mean mean^T, the
-    sample covariance S_Y. Both are kept because the model is zero-mean yet
-    finite samples have a nonzero empirical mean. ``empirical`` is S_Y,
-    factored on first use for every E-step on the set. Samples with a complex
-    or non-finite entry, or whose second moment overflows the float range,
-    are rejected.
+    sample covariance S_Y, with mean the (1/R) column sums of y. Both are
+    kept because the model is zero-mean yet finite samples have a nonzero
+    empirical mean. ``empirical`` is S_Y, factored on first use for every
+    E-step on the set. Samples with a complex or non-finite entry, or whose
+    second moment overflows the float range, are rejected.
 
     The constructor keeps a private copy of the samples. It sums y^T y and
     the column sums of y over near-equal row blocks of at most
@@ -136,7 +136,6 @@ class ObservationSet:
 
     samples: np.ndarray | None
     r: int = field(init=False)
-    mean: np.ndarray = field(init=False)
     second_moment: np.ndarray = field(init=False)
     centered_cov: np.ndarray = field(init=False)
 
@@ -206,12 +205,11 @@ def _summarise(
     second = (second + second.T) / 2.0
     mean = total / r
     centered = second - np.outer(mean, mean)
-    for arr in (samples, mean, second, centered):
+    for arr in (samples, second, centered):
         if arr is not None:
             arr.setflags(write=False)
     object.__setattr__(obs, "samples", samples)
     object.__setattr__(obs, "r", r)
-    object.__setattr__(obs, "mean", mean)
     object.__setattr__(obs, "second_moment", second)
     object.__setattr__(obs, "centered_cov", centered)
     return obs

@@ -89,8 +89,6 @@ class SpanningTree:
         normalized = []
         for edge in self.edges:
             u, v = _normalize_edge(edge)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u and v < p):
                 raise ValueError(f"edge ({u}, {v}) out of range for {p} vertices")
             normalized.append((u, v))
@@ -99,9 +97,8 @@ class SpanningTree:
             raise ValueError(
                 f"spanning tree on {p} vertices needs {p - 1} edges, got {len(normalized)}"
             )
-        if len(set(normalized)) != len(normalized):
-            raise ValueError("duplicate edge")
-        # p - 1 edges that Kruskal accepts all are acyclic, hence connected.
+        # p - 1 edges that Kruskal accepts all are acyclic, hence connected. A
+        # self-loop, or the second copy of an edge, is an edge it rejects.
         accepted = _kruskal(p, [u for u, _ in normalized], [v for _, v in normalized])
         if len(accepted) < len(normalized):
             u, v = normalized[min(set(range(len(normalized))).difference(accepted))]

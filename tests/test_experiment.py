@@ -34,8 +34,9 @@ from treecov import (
 )
 from treecov.em import EmMonotonicityWarning, StopReason
 from treecov.experiment import (
+    _RESULT_COLUMNS,
     CONFIG_KEYS,
-    CSV_HEADER,
+    ColumnStats,
     config_from_mapping,
     derive_seed,
     generate_ground_truth,
@@ -534,6 +535,19 @@ class TestRunSweep:
             np.std(group, ddof=1) / np.sqrt(len(group)), rel=1e-12
         )
 
+    def test_a_constant_column_has_its_value_as_mean_and_no_stderr(self):
+        # One truth gives every record the same kl_prior and kl_oracle. A
+        # float mean and std of ten copies read 2.013222935878514 and 1.5e-16.
+        result = run_sweep(ExperimentConfig(p=10, m_values=(5,), trials=10))
+        constant = set()
+        for agg in result.aggregates:
+            for name, field in _RESULT_COLUMNS:
+                values = {getattr(rec, field) for rec in result.records if rec.m == agg.m}
+                if len(values) == 1:
+                    constant.add(name)
+                    assert agg.columns[name] == ColumnStats(mean=values.pop(), stderr=0.0)
+        assert constant >= {"kl_prior", "kl_oracle"}
+
     def test_em_never_beats_the_best_tree_when_the_truth_is_not_a_tree(self, tmp_path):
         # A blend of two generated trees is no tree, so the oracle tree's
         # divergence from it is the approximation gap, and no tree the
@@ -684,7 +698,7 @@ class TestEmitResults:
         assert doc_path == tmp_path / "results.txt"
         assert csv_path == tmp_path / "results.csv"
         lines = csv_path.read_text().strip().split("\n")
-        assert lines[0] == CSV_HEADER
+        assert lines[0] == "m,trial,kl_em,kl_prior,kl_oracle,iterations,stop_reason"
         assert len(lines) == 1 + len(result.records)
         first = lines[1].split(",")
         assert first[0] == "2" and first[1] == "0"
@@ -764,4 +778,4 @@ class TestEmitResults:
         # a sweep with no successful trial raises); emit_results accepts it.
         result = SweepResult(config=small_config(), records=(), failures=())
         _, csv_path = emit_results(result, tmp_path / "results.txt")
-        assert csv_path.read_text() == CSV_HEADER + "\n"
+        assert csv_path.read_text() == "m,trial,kl_em,kl_prior,kl_oracle,iterations,stop_reason\n"

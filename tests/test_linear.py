@@ -108,7 +108,8 @@ class TestObservationSet:
         rng = np.random.default_rng(0)
         obs = ObservationSet(rng.standard_normal((40, 3)))
         assert obs.r == 40
-        expected = obs.second_moment - np.outer(obs.mean, obs.mean)
+        mean = obs.samples.mean(axis=0)
+        expected = obs.second_moment - np.outer(mean, mean)
         assert np.array_equal(obs.centered_cov, expected)
 
     def test_second_moment_matches_definition(self):
@@ -235,13 +236,13 @@ class TestRowBlocks:
         y = one_shot_samples(model, sigma, r, 17)
         assert obs.samples.tobytes() == y.tobytes()
         second, mean = one_shot_second_moment(y), y.mean(axis=0)
+        centered = second - np.outer(mean, mean)
         if r <= ROW_BLOCK:
             assert obs.second_moment.tobytes() == second.tobytes()
-            assert obs.mean.tobytes() == mean.tobytes()
+            assert obs.centered_cov.tobytes() == centered.tobytes()
         else:
-            gap = np.max(np.abs(obs.second_moment - second))
-            assert gap <= 1e-13 * np.max(np.abs(second))
-            assert np.max(np.abs(obs.mean - mean)) <= 1e-13 * np.max(np.abs(y))
+            for got, want in ((obs.second_moment, second), (obs.centered_cov, centered)):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(second))
 
     def test_sampling_holds_one_copy_plus_a_block(self):
         model, sigma = cli_fit_shaped_problem()
@@ -345,7 +346,7 @@ class TestObservationKl:
         sigma = random_spd(rng, 4)
         model = LinearModel(rng.standard_normal((3, 4)), CovMatrix(0.3 * np.eye(3)))
         raw = sample_observations(model, sigma, 200, seed=12)
-        centered = ObservationSet(raw.samples - raw.mean)
+        centered = ObservationSet(raw.samples - raw.samples.mean(axis=0))
         candidates = [sigma, chow_liu(sigma)] + [random_spd(rng, 4) for _ in range(4)]
         div = [observation_kl(centered, model, c) for c in candidates]
         lik = [
@@ -536,7 +537,7 @@ def _outcome(path, read):
         got = read(path)
     except ValueError as exc:
         return str(exc)
-    stats = (got.mean, got.second_moment, got.centered_cov)
+    stats = (got.second_moment, got.centered_cov)
     return (got.r, got.m) + tuple(a.tobytes() for a in stats)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +72,47 @@ def test_every_imported_name_is_used():
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every name a module reads: a loaded name or attribute, an imported
+    name, or a string constant (perfbench finds its spans by name)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            names.add(node.id if isinstance(node, ast.Name) else node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # A public module-level name of the package is read somewhere other than
+    # its definition: in the package, the benchmark or README. One that only
+    # tests read states a fact the program never uses.
+    package = sorted((ROOT / "src" / "treecov").glob("*.py"))
+    benchmark = [p for p in sorted((ROOT / "perfbench").glob("*.py"))
+                 if not p.name.startswith("test_")]
+    read = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    defined = []
+    for path in package + benchmark:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= _names_read(tree)
+        if path not in package:
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(path.name, name) for name in names if not name.startswith("_")]
+    assert defined
+    assert [f"{where}: {name}" for where, name in defined if name not in read] == []
 
 
 COV_ANNOTATIONS = {"CovMatrix", "CovMatrix | None"}

@@ -124,11 +124,11 @@ class TestSpanningTree:
             SpanningTree(4, ((0, 1), (1, 2), (0, 2)))
 
     def test_rejects_duplicate_edge(self):
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) closes a cycle"):
             SpanningTree(3, ((0, 1), (1, 0)))
 
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError, match="self-loop"):
+        with pytest.raises(ValueError, match=r"edge \(0, 0\) closes a cycle"):
             SpanningTree(3, ((0, 0), (1, 2)))
 
     def test_rejects_out_of_range_vertex(self):
